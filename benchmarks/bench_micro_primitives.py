@@ -7,6 +7,7 @@ threshold lookups, pairwise bound computation, and joint branch-and-bound bounds
 
 import numpy as np
 
+from repro.columnar import score_range_v
 from repro.index import CompiledPredicateQuery, ThresholdIndex
 from repro.solver import AggregateObjective, BranchAndBoundSolver, DomainSet, EdgeObjective, VariableBox
 from repro.temporal import AverageScore, Interval, PredicateParams
@@ -55,17 +56,18 @@ def bench_rtree_threshold_lookup(benchmark):
     benchmark(run)
 
 
+def _pair_boxes():
+    """The 20 boxes each side of the pairwise-bounds arms draws its 400 pairs from."""
+    return [VariableBox(i * 10.0, i * 10.0 + 50.0, i * 10.0, i * 10.0 + 120.0) for i in range(20)]
+
+
 def bench_pairwise_bounds(benchmark):
+    """Scalar arm: one ``score_range`` call per box pair (what the solver still pays)."""
     objective = EdgeObjective.from_edge("x", "y", starts(P1))
     boxes = [
-        DomainSet.from_mapping(
-            {
-                "x": VariableBox(i * 10.0, i * 10.0 + 50.0, i * 10.0, i * 10.0 + 120.0),
-                "y": VariableBox(j * 10.0, j * 10.0 + 50.0, j * 10.0, j * 10.0 + 120.0),
-            }
-        )
-        for i in range(20)
-        for j in range(20)
+        DomainSet.from_mapping({"x": x_box, "y": y_box})
+        for x_box in _pair_boxes()
+        for y_box in _pair_boxes()
     ]
 
     def run():
@@ -74,6 +76,20 @@ def bench_pairwise_bounds(benchmark):
             lo, hi = objective.score_range(domains.endpoint_domains())
             total += hi - lo
         return total
+
+    benchmark(run)
+
+
+def bench_pairwise_bounds_vectorised(benchmark):
+    """Vector arm: the same 400 pairs in one broadcast (what a query's phase (b) pays)."""
+    objective = EdgeObjective.from_edge("x", "y", starts(P1))
+    boxes = _pair_boxes()
+    sides = np.array([(b.start_low, b.start_high, b.end_low, b.end_high) for b in boxes]).T
+    pairs = {"x": sides[:, :, None], "y": sides[:, None, :]}
+
+    def run():
+        lo, hi = score_range_v(objective.predicate, pairs)
+        return float((hi - lo).sum())
 
     benchmark(run)
 

@@ -24,6 +24,7 @@ from .kernels import (
     compile_vector,
     equals_score_v,
     greater_score_v,
+    score_range_v,
     sweep_positions,
 )
 
@@ -41,5 +42,6 @@ __all__ = [
     "compile_vector",
     "equals_score_v",
     "greater_score_v",
+    "score_range_v",
     "sweep_positions",
 ]

@@ -13,7 +13,7 @@ hypothesis suite in ``tests/test_columnar.py`` asserts elementwise equality.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from ..temporal.aggregation import (
 )
 from ..temporal.comparators import ComparatorParams
 from ..temporal.predicates import ScoredPredicate
+from ..temporal.terms import EndpointVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .columns import IntervalColumns
@@ -36,6 +37,7 @@ __all__ = [
     "equals_score_v",
     "greater_score_v",
     "compile_vector",
+    "score_range_v",
     "combine_scores_v",
     "box_mask",
     "sweep_positions",
@@ -112,6 +114,43 @@ def compile_vector(
         return np.asarray(best, dtype=float)
 
     return score_v
+
+
+def score_range_v(
+    predicate: ScoredPredicate, boxes: Mapping[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :meth:`ScoredPredicate.score_range` over arrays of endpoint boxes.
+
+    ``boxes`` maps each predicate variable to a ``(4, ...)`` array of
+    start-low/start-high/end-low/end-high box edges; the trailing shapes
+    broadcast against each other, and the result has one element per combination
+    of boxes (``(4, S, 1)`` against ``(4, 1, T)`` bounds every pair).  The
+    difference range of every conjunct comes from the scalar :meth:`Term.bounds`
+    itself (its arithmetic is elementwise on arrays), the comparator images pick
+    the closest/farthest difference exactly like ``equals_score_range`` /
+    ``greater_score_range``, and the running ``min`` starts from 1.0, so every
+    element equals the scalar result bit for bit.
+    """
+    domains = {}
+    for var, sides in zip(boxes, np.broadcast_arrays(*boxes.values())):
+        domains[EndpointVar(var, "start")] = (sides[0], sides[1])
+        domains[EndpointVar(var, "end")] = (sides[2], sides[3])
+    lo: object = 1.0
+    hi: object = 1.0
+    for comparison in predicate.comparisons:
+        d_min, d_max = (comparison.left - comparison.right).bounds(domains)
+        params = comparison.comparator_params(predicate.params)
+        if comparison.kind == "equals":
+            closest = np.where(
+                (d_min <= 0.0) & (d_max >= 0.0), 0.0, np.where(d_max < 0.0, d_max, d_min)
+            )
+            farthest = np.where(np.abs(d_min) >= np.abs(d_max), d_min, d_max)
+            c_lo, c_hi = equals_score_v(farthest, params), equals_score_v(closest, params)
+        else:
+            c_lo, c_hi = greater_score_v(d_min, params), greater_score_v(d_max, params)
+        lo = np.minimum(lo, c_lo)
+        hi = np.minimum(hi, c_hi)
+    return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
 
 def combine_scores_v(

@@ -1,6 +1,6 @@
 """TKIJ core: statistics, bounds, TopBuckets, workload distribution, join, merge."""
 
-from .bounds import BoundsEstimator, BucketCombination, CombinationSpace, PairwiseBoundsCache
+from .bounds import BoundsEstimator, BucketCombination, CombinationSpace, CombinationTable
 from .distribution import (
     ASSIGNERS,
     WorkloadAssignment,
@@ -45,7 +45,7 @@ __all__ = [
     "BoundsEstimator",
     "BucketCombination",
     "CombinationSpace",
-    "PairwiseBoundsCache",
+    "CombinationTable",
     "ASSIGNERS",
     "WorkloadAssignment",
     "assign",

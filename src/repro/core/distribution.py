@@ -13,10 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .bounds import BucketCombination
+import numpy as np
+
+from .bounds import BucketCombination, CombinationTable
 from .statistics import BucketKey
 
-__all__ = ["WorkloadAssignment", "distribute_top_buckets", "lpt_assignment", "round_robin_assignment", "ASSIGNERS", "assign"]
+__all__ = [
+    "WorkloadAssignment",
+    "distribute_top_buckets",
+    "lpt_assignment",
+    "round_robin_assignment",
+    "ASSIGNERS",
+    "assign",
+]
 
 VertexBucket = tuple[str, BucketKey]
 
@@ -25,26 +34,35 @@ VertexBucket = tuple[str, BucketKey]
 class WorkloadAssignment:
     """The outcome of a workload-assignment policy.
 
-    ``combinations_per_reducer`` drives the local joins; ``buckets_per_reducer``
-    (the ``M`` relation of Algorithm 3) determines which reducers each input
-    interval must be replicated to, and therefore the shuffle cost.
+    ``combinations_per_reducer`` drives the local joins (one
+    :class:`CombinationTable` slice per reducer, in assignment order);
+    ``buckets_per_reducer`` (the ``M`` relation of Algorithm 3) determines which
+    reducers each input interval must be replicated to, and therefore the
+    shuffle cost.
     """
 
     num_reducers: int
-    combinations_per_reducer: dict[int, list[BucketCombination]] = field(default_factory=dict)
+    combinations_per_reducer: dict[int, Sequence[BucketCombination]] = field(default_factory=dict)
     buckets_per_reducer: dict[int, set[VertexBucket]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for reducer in range(self.num_reducers):
-            self.combinations_per_reducer.setdefault(reducer, [])
+            self.combinations_per_reducer[reducer] = CombinationTable.of(
+                self.combinations_per_reducer.get(reducer, ())
+            )
             self.buckets_per_reducer.setdefault(reducer, set())
 
-    # ----------------------------------------------------------------- updates
-    def assign(self, combination: BucketCombination, reducer: int) -> None:
-        """Assign one combination (and its buckets) to ``reducer``."""
-        self.combinations_per_reducer[reducer].append(combination)
-        for item in combination.bucket_items():
-            self.buckets_per_reducer[reducer].add(item)
+    @classmethod
+    def of_rows(
+        cls, table: CombinationTable, rows_per_reducer: Sequence[Sequence[int]]
+    ) -> "WorkloadAssignment":
+        """Assignment giving reducer ``r`` the rows ``rows_per_reducer[r]`` of ``table``."""
+        parts = {reducer: table.take(rows) for reducer, rows in enumerate(rows_per_reducer)}
+        return cls(
+            len(rows_per_reducer),
+            parts,
+            {reducer: part.bucket_items() for reducer, part in parts.items()},
+        )
 
     # ----------------------------------------------------------------- queries
     def reducers_of_bucket(self, vertex: str, bucket: BucketKey) -> list[int]:
@@ -58,7 +76,7 @@ class WorkloadAssignment:
     def results_per_reducer(self) -> dict[int, int]:
         """Worst-case number of candidate results each reducer may evaluate."""
         return {
-            reducer: sum(c.nb_res for c in combos)
+            reducer: combos.total_results()
             for reducer, combos in self.combinations_per_reducer.items()
         }
 
@@ -91,83 +109,56 @@ class WorkloadAssignment:
 def distribute_top_buckets(
     combinations: Sequence[BucketCombination], num_reducers: int
 ) -> WorkloadAssignment:
-    """Algorithm 3 (DistributeTopBuckets).
+    """Algorithms 3-4 (DistributeTopBuckets with ``getReducer``).
 
     Combinations are visited in descending order of score upper bound so that the
     round-robin over least-loaded reducers spreads the likely high-scoring work
-    evenly; ``getReducer`` (Algorithm 4) breaks ties in favour of the reducer that
-    already holds the largest part of the combination's buckets, which minimises
-    the additional input that has to be shuffled.
+    evenly.  For each one, reducers already holding more than twice the average
+    number of results are discarded (worst-case output cap; when every reducer
+    exceeds it, e.g. after a single huge combination, all are considered rather
+    than failing); among the remaining reducers with the fewest assigned
+    combinations, the first one that needs the least *new* input wins.  The paper
+    describes that tie-break as favouring the reducer "already assigned the
+    largest fraction of the current ω", i.e. the one whose additional input cost
+    is smallest; ``inCost`` is therefore counted over the buckets the reducer
+    does *not* yet hold (weight 1 per bucket: cardinalities are folded into
+    ``nb_res``).
     """
     if num_reducers <= 0:
         raise ValueError("num_reducers must be positive")
-    assignment = WorkloadAssignment(num_reducers)
-    ordered = sorted(combinations, key=lambda c: (-c.upper_bound, c.key()))
-    total_results = sum(c.nb_res for c in ordered)
-    avg_results = total_results / num_reducers if num_reducers else 0.0
+    table = CombinationTable.of(combinations)
+    order = table.descending(table.upper)
+    # One integer per (vertex, bucket): bucket positions offset per vertex.
+    offsets = np.cumsum([0] + [len(keys) for keys in table.keys[:-1]])
+    rows = (table.positions[order] + offsets).tolist()
+    sizes = table.nb_res[order].tolist()
+    cap = 2.0 * (sum(sizes) / num_reducers)
 
-    results_assigned = {reducer: 0 for reducer in range(num_reducers)}
-    for combination in ordered:
-        reducer = _get_reducer(combination, assignment, results_assigned, avg_results)
-        assignment.assign(combination, reducer)
-        results_assigned[reducer] += combination.nb_res
-    return assignment
-
-
-def _get_reducer(
-    combination: BucketCombination,
-    assignment: WorkloadAssignment,
-    results_assigned: Mapping[int, int],
-    avg_results: float,
-) -> int:
-    """Algorithm 4 (getReducer).
-
-    Reducers already holding more than twice the average number of results are
-    discarded (worst-case output cap); among the remaining reducers with the fewest
-    assigned combinations, the one that needs the least *new* input for this
-    combination wins.  The paper describes the tie-break as favouring the reducer
-    "already assigned the largest fraction of the current ω", i.e. the one whose
-    additional input cost is smallest; ``inCost`` is therefore computed over the
-    buckets the reducer does *not* yet hold.
-    """
-    num_reducers = assignment.num_reducers
-    cap = 2.0 * avg_results
-
-    def eligible(reducer: int) -> bool:
-        # When every reducer exceeds the cap (e.g. a single huge combination),
-        # fall back to considering all of them rather than failing.
-        return results_assigned[reducer] < cap or cap == 0.0
-
-    candidates = [r for r in range(num_reducers) if eligible(r)]
-    if not candidates:
-        candidates = list(range(num_reducers))
-
-    min_combos = min(len(assignment.combinations_per_reducer[r]) for r in candidates)
-    tied = [r for r in candidates if len(assignment.combinations_per_reducer[r]) == min_combos]
-
-    best_reducer = tied[0]
-    best_cost = None
-    for reducer in tied:
-        cost = _in_cost(reducer, combination, assignment)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_reducer = reducer
-    return best_reducer
-
-
-def _in_cost(
-    reducer: int, combination: BucketCombination, assignment: WorkloadAssignment
-) -> int:
-    """Additional input records reducer ``reducer`` would receive for this combination."""
-    held = assignment.buckets_per_reducer[reducer]
-    cost = 0
-    for vertex, bucket in combination.bucket_items():
-        if (vertex, bucket) not in held:
-            # Bucket cardinality is folded into nb_res; use per-bucket weight 1 when
-            # cardinalities are unknown, otherwise the caller's counts dominate the
-            # replication metric reported by WorkloadAssignment.replication_cost.
-            cost += 1
-    return cost
+    reducers = list(range(num_reducers))
+    under_cap = list(reducers)
+    results = [0] * num_reducers
+    counts = [0] * num_reducers
+    assigned: list[list[int]] = [[] for _ in reducers]
+    held: list[set[int]] = [set() for _ in reducers]
+    holds = [mine.__contains__ for mine in held]
+    for at, row in enumerate(rows):
+        candidates = under_cap or reducers
+        fewest = min(map(counts.__getitem__, candidates))
+        best, most_held = -1, -1
+        for r in candidates:
+            if counts[r] == fewest:
+                already = sum(map(holds[r], row))
+                if already > most_held:
+                    best, most_held = r, already
+                    if already == len(row):
+                        break
+        assigned[best].append(at)
+        counts[best] += 1
+        held[best].update(row)
+        results[best] += sizes[at]
+        if cap and results[best] >= cap and best in under_cap:
+            under_cap.remove(best)
+    return WorkloadAssignment.of_rows(table, [order[picked] for picked in assigned])
 
 
 # --------------------------------------------------------------------------- LPT
@@ -182,14 +173,15 @@ def lpt_assignment(
     """
     if num_reducers <= 0:
         raise ValueError("num_reducers must be positive")
-    assignment = WorkloadAssignment(num_reducers)
-    ordered = sorted(combinations, key=lambda c: (-c.nb_res, c.key()))
-    load = {reducer: 0 for reducer in range(num_reducers)}
-    for combination in ordered:
-        reducer = min(load, key=lambda r: (load[r], r))
-        assignment.assign(combination, reducer)
-        load[reducer] += combination.nb_res
-    return assignment
+    table = CombinationTable.of(combinations)
+    order = table.descending(table.nb_res)
+    load = [0] * num_reducers
+    assigned: list[list[int]] = [[] for _ in load]
+    for at, size in enumerate(table.nb_res[order].tolist()):
+        reducer = load.index(min(load))
+        assigned[reducer].append(at)
+        load[reducer] += size
+    return WorkloadAssignment.of_rows(table, [order[picked] for picked in assigned])
 
 
 # ------------------------------------------------------------------- round robin
@@ -199,10 +191,10 @@ def round_robin_assignment(
     """Naive round-robin in input order (ablation arm, not in the paper)."""
     if num_reducers <= 0:
         raise ValueError("num_reducers must be positive")
-    assignment = WorkloadAssignment(num_reducers)
-    for index, combination in enumerate(combinations):
-        assignment.assign(combination, index % num_reducers)
-    return assignment
+    table = CombinationTable.of(combinations)
+    return WorkloadAssignment.of_rows(
+        table, [np.arange(r, len(table), num_reducers) for r in range(num_reducers)]
+    )
 
 
 ASSIGNERS = {

@@ -34,7 +34,7 @@ from ..columnar import (
 from ..index import CompiledPredicateQuery, ThresholdIndex
 from ..query.graph import QueryEdge, ResultTuple, RTJQuery
 from ..temporal.interval import Interval
-from .bounds import BucketCombination
+from .bounds import BucketCombination, CombinationTable
 from .statistics import BucketKey
 
 __all__ = ["KERNELS", "LocalJoinConfig", "LocalJoinStats", "LocalTopKJoin"]
@@ -194,17 +194,20 @@ class LocalTopKJoin:
         columns_cache: dict[VertexBucket, IntervalColumns] = {}
         self._floor = initial_threshold if self.config.early_termination else 0.0
 
-        ordered = sorted(combinations, key=lambda c: (-c.upper_bound, c.key()))
-        for combination in ordered:
+        # Only the rows actually processed become BucketCombination objects.
+        table = CombinationTable.of(combinations)
+        ordered = table.descending(table.upper)
+        for row, upper_bound in zip(ordered, table.upper[ordered].tolist()):
             threshold = max(self._floor, heap.kth_score if heap.is_full else 0.0)
             if (
                 self.config.early_termination
                 and (heap.is_full or self._floor > 0.0)
-                and combination.upper_bound <= threshold
+                and upper_bound <= threshold
             ):
                 stats.combinations_skipped += len(ordered) - stats.combinations_processed
                 break
             stats.combinations_processed += 1
+            combination = table[row]
             if columnar:
                 self._process_combination_v(
                     combination, intervals, heap, stats, columns_cache

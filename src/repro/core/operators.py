@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from ..columnar import IntervalColumns
 from ..mapreduce import (
     FirstElementPartitioner,
@@ -31,7 +33,7 @@ from ..mapreduce.cluster import JobMetrics
 from ..query.graph import ResultTuple, RTJQuery
 from ..solver import BranchAndBoundSolver
 from ..temporal.interval import Interval, IntervalCollection
-from .bounds import CombinationSpace
+from .bounds import CombinationTable
 from .distribution import WorkloadAssignment, assign
 from .local_join import LocalJoinConfig, LocalJoinStats, LocalTopKJoin
 from .merge import run_merge_job
@@ -165,9 +167,8 @@ class TopBucketsOp(PhaseOperator):
 
     def run(self, state: PhaseState) -> None:
         assert state.statistics is not None, "StatisticsOp must run before TopBucketsOp"
-        space = CombinationSpace(state.query, state.statistics)
         selector = TopBucketsSelector(strategy=self.strategy, solver=self.solver)
-        state.top_buckets = selector.run(state.query, state.statistics, space)
+        state.top_buckets = selector.run(state.query, state.statistics)
 
 
 # ---------------------------------------------------------------- phase (c)
@@ -190,14 +191,15 @@ class DistributeOp(PhaseOperator):
 class FilteredDistributeOp(DistributeOp):
     """Phase (c) over a pruned candidate subset of ``Ω_k,S``.
 
-    ``keep`` decides per combination whether it can still contribute results the
-    caller does not already hold — the streaming evaluator passes a predicate
-    keeping only combinations that touch freshly-ingested buckets *and* whose
-    score upper bound can crack the current top-k.  Kept/pruned counts land in
-    ``state.pruning`` so reports and benchmarks can assert the avoided work.
+    ``keep`` maps the selected table to a boolean mask over its rows: whether
+    each combination can still contribute results the caller does not already
+    hold — the streaming evaluator passes a filter keeping only combinations
+    that touch freshly-ingested buckets *and* whose score upper bound can crack
+    the current top-k.  Kept/pruned counts land in ``state.pruning`` so reports
+    and benchmarks can assert the avoided work.
     """
 
-    keep: Callable[[BucketCombination], bool] | None = None
+    keep: Callable[[CombinationTable], np.ndarray] | None = None
 
     name = "distribution"
 
@@ -205,8 +207,8 @@ class FilteredDistributeOp(DistributeOp):
         assert state.top_buckets is not None, (
             "TopBucketsOp must run before FilteredDistributeOp"
         )
-        selected = state.top_buckets.selected
-        kept = selected if self.keep is None else [c for c in selected if self.keep(c)]
+        selected = CombinationTable.of(state.top_buckets.selected)
+        kept = selected if self.keep is None else selected.take(np.flatnonzero(self.keep(selected)))
         state.pruning["combinations_kept"] = len(kept)
         state.pruning["combinations_pruned"] = len(selected) - len(kept)
         state.assignment = assign(self.assigner, kept, state.num_reducers)

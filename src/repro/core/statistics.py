@@ -14,6 +14,7 @@ direct in-process path used when the caller does not care about the job metrics.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
@@ -119,6 +120,12 @@ class BucketMatrix:
     collection_name: str
     granularity: Granularity
     counts: dict[BucketKey, int] = field(default_factory=dict)
+    low: float = math.inf
+    high: float = -math.inf
+    """Smallest start and largest end of the batches folded in after collection
+    (:func:`update_statistics`); deletions never shrink them.  Timestamps beyond
+    the granule range clamp into the border granules, so :meth:`bucket_box`
+    stretches the border boxes out to these extents."""
 
     def add(self, key: BucketKey, amount: int = 1) -> None:
         """Increment the cardinality of bucket ``key``."""
@@ -151,8 +158,20 @@ class BucketMatrix:
         return sum(self.counts.values())
 
     def bucket_box(self, key: BucketKey) -> VariableBox:
-        """Endpoint box of bucket ``key``."""
-        return self.granularity.bucket_box(key)
+        """Endpoint box of bucket ``key``, covering every interval counted in it.
+
+        The outer edge of a border-granule box reaches the recorded extents, so
+        an interval clamped into the first or last granule still lies inside
+        its bucket's box and every bound derived from the box stays sound.
+        """
+        box = self.granularity.bucket_box(key)
+        last = self.granularity.num_granules - 1
+        return VariableBox(
+            min(box.start_low, self.low) if key[0] == 0 else box.start_low,
+            max(box.start_high, self.high) if key[0] == last else box.start_high,
+            min(box.end_low, self.low) if key[1] == 0 else box.end_low,
+            max(box.end_high, self.high) if key[1] == last else box.end_high,
+        )
 
     def __iter__(self) -> Iterator[tuple[BucketKey, int]]:
         return iter(sorted(self.counts.items()))
@@ -222,7 +241,8 @@ def update_statistics(
     inserted/deleted data": new intervals are bucketed with the existing granule
     boundaries and added to the matrices, deleted ones are subtracted.  Granule
     boundaries are kept fixed (timestamps outside the original range clamp to the
-    first/last granule, like any out-of-range timestamp).  The statistics object is
+    first/last granule, like any out-of-range timestamp, and the matrix records
+    how far they reach so its border boxes keep covering them).  The statistics object is
     updated in place and returned; average lengths are not recomputed because they
     only parameterise the extended predicates built from the *collections*.
 
@@ -234,6 +254,9 @@ def update_statistics(
         starts, ends = _batch_arrays(intervals)
         for key, amount in bucket_counts(matrix.granularity, starts, ends).items():
             matrix.add(key, amount)
+        if len(starts):
+            matrix.low = min(matrix.low, float(starts.min()))
+            matrix.high = max(matrix.high, float(ends.max()))
     for name, intervals in (deleted or {}).items():
         matrix = statistics.matrix(name)
         starts, ends = _batch_arrays(intervals)

@@ -18,9 +18,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..query.graph import RTJQuery
 from ..solver import BranchAndBoundSolver
-from .bounds import BoundsEstimator, BucketCombination, CombinationSpace
+from .bounds import BoundsEstimator, BucketCombination, CombinationSpace, CombinationTable
 from .statistics import DatasetStatistics
 
 __all__ = ["get_top_buckets", "TopBucketsResult", "TopBucketsSelector", "STRATEGIES"]
@@ -28,51 +30,44 @@ __all__ = ["get_top_buckets", "TopBucketsResult", "TopBucketsSelector", "STRATEG
 STRATEGIES = ("brute-force", "loose", "two-phase")
 
 
-def get_top_buckets(
-    combinations: Sequence[BucketCombination], k: int
-) -> list[BucketCombination]:
+def get_top_buckets(combinations: Sequence[BucketCombination], k: int) -> CombinationTable:
     """Algorithm 1: select a sufficient set of combinations for the top-k.
 
     A lower bound ``kthResLB`` on the score of the k-th result is derived from the
     combinations with the highest lower bounds; every combination whose upper bound
     exceeds that threshold is kept (plus enough combinations to cover ``k``
-    results).
+    results).  The selection comes back in descending upper-bound order (ties in
+    key order) — the order DTB and the local join walk it in.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    combos = [c for c in combinations if c.nb_res > 0]
-    if not combos:
-        return []
+    table = CombinationTable.of(combinations)
+    if not table.nb_res.all():
+        table = table.take(np.flatnonzero(table.nb_res))
+    if not len(table):
+        return table
 
-    by_lower = sorted(combos, key=lambda c: (-c.lower_bound, c.key()))
-    collected = 0
-    kth_res_lb = by_lower[-1].lower_bound
-    for combo in by_lower:
-        collected += combo.nb_res
-        kth_res_lb = combo.lower_bound
-        if collected >= k:
-            break
+    by_lower = table.descending(table.lower)
+    covered = np.cumsum(table.nb_res[by_lower])
+    # First combination at which k results are covered; the last one when never.
+    kth_res_lb = table.lower[by_lower[min(np.searchsorted(covered, k), len(table) - 1)]]
 
-    by_upper = sorted(combos, key=lambda c: (-c.upper_bound, c.key()))
-    selected: list[BucketCombination] = []
-    collected = 0
-    for combo in by_upper:
-        # The paper's Algorithm 1 stops at "UB <= kthResLB"; the strict comparison is
-        # required so that, in case of ties at the boundary, the combinations whose
-        # lower bounds *support* kthResLB are themselves retained (Definition 2 asks
-        # the dominating set to be a subset of the selection).
-        if collected >= k and combo.upper_bound < kth_res_lb:
-            break
-        selected.append(combo)
-        collected += combo.nb_res
-    return selected
+    by_upper = table.descending(table.upper)
+    sizes = table.nb_res[by_upper]
+    collected_before = np.cumsum(sizes) - sizes
+    # The paper's Algorithm 1 stops at "UB <= kthResLB"; the strict comparison is
+    # required so that, in case of ties at the boundary, the combinations whose
+    # lower bounds *support* kthResLB are themselves retained (Definition 2 asks
+    # the dominating set to be a subset of the selection).
+    stop = (collected_before >= k) & (table.upper[by_upper] < kth_res_lb)
+    return table.take(by_upper[: np.argmax(stop)] if stop.any() else by_upper)
 
 
 @dataclass
 class TopBucketsResult:
     """Output of the TopBuckets phase with the statistics the experiments report."""
 
-    selected: list[BucketCombination]
+    selected: Sequence[BucketCombination]
     strategy: str
     total_combinations: int = 0
     total_results: int = 0
@@ -128,57 +123,33 @@ class TopBucketsSelector:
         started = time.perf_counter()
         space = space or CombinationSpace(query, statistics)
         estimator = BoundsEstimator(query, space, solver=self.solver)
-
-        combos = list(space.enumerate())
-        total_results = sum(c.nb_res for c in combos)
-
+        table = estimator.loose_table()
+        total_combinations = len(table)
+        total_results = table.total_results()
+        tight_computed = 0
         if query.has_attribute_constraints:
             # Hybrid queries (attribute constraints on edges): the purely-temporal
             # statistics over-count the results a combination can contribute, so the
             # count-based pruning of Definition 2 is no longer sound.  Keep every
             # combination — bounds are still computed so DTB and the local join's
             # early termination retain their score ordering.
-            estimator.pairwise.precompute_all_pairs()
-            selected = [estimator.loose_bounds(c) for c in combos]
-            elapsed = time.perf_counter() - started
-            return TopBucketsResult(
-                selected=selected,
-                strategy=self.strategy,
-                total_combinations=len(combos),
-                total_results=total_results,
-                selected_results=total_results,
-                pairs_bounded=estimator.pairwise.pairs_computed,
-                tight_bounds_computed=0,
-                elapsed_seconds=elapsed,
-            )
-
-        if self.strategy == "brute-force":
-            bounded = [estimator.tight_bounds(c) for c in combos]
-            selected = get_top_buckets(bounded, query.k)
-            tight_computed = len(bounded)
-        elif self.strategy == "loose":
-            estimator.pairwise.precompute_all_pairs()
-            bounded = [estimator.loose_bounds(c) for c in combos]
-            selected = get_top_buckets(bounded, query.k)
-            tight_computed = 0
-        else:  # two-phase
-            estimator.pairwise.precompute_all_pairs()
-            bounded = [estimator.loose_bounds(c) for c in combos]
-            survivors = get_top_buckets(bounded, query.k)
-            refined = [estimator.tight_bounds(c) for c in survivors]
-            selected = get_top_buckets(refined, query.k)
-            tight_computed = len(refined)
-
-        elapsed = time.perf_counter() - started
+            selected = table
+        else:
+            if self.strategy == "two-phase":
+                table = get_top_buckets(table, query.k)
+            if self.strategy != "loose":
+                table = estimator.tighten(table)
+                tight_computed = len(table)
+            selected = get_top_buckets(table, query.k)
         return TopBucketsResult(
             selected=selected,
             strategy=self.strategy,
-            total_combinations=len(combos),
+            total_combinations=total_combinations,
             total_results=total_results,
-            selected_results=sum(c.nb_res for c in selected),
-            pairs_bounded=estimator.pairwise.pairs_computed,
+            selected_results=selected.total_results(),
+            pairs_bounded=space.pair_count(),
             tight_bounds_computed=tight_computed,
-            elapsed_seconds=elapsed,
+            elapsed_seconds=time.perf_counter() - started,
         )
 
 

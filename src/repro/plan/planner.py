@@ -126,8 +126,10 @@ class AutoPlanner:
     """Full replan threshold: replan once the projected incremental cost of the
     next batches exceeds this multiple of a fresh phase (a)+(b) pass."""
     replan_out_of_range_fraction: float = 0.25
-    """Fraction of a batch outside the cached granule range that forces a replan
-    (clamped border buckets inflate bounds and erode streaming selectivity)."""
+    """Fraction of a batch outside the cached granule range that forces a replan.
+    A selectivity rule, not a correctness one: out-of-range intervals clamp into
+    the border buckets, whose boxes widen to cover them (``BucketMatrix.bucket_box``),
+    so every bound stays sound but gets looser and streaming prunes less."""
     cost_store: "CostStore | None" = None
     """Optional observed-cost store (:class:`~repro.plan.CostStore`).  When it
     holds enough observations for the query's workload fingerprint, learned
@@ -230,7 +232,8 @@ class AutoPlanner:
         replan wins, which yields the classic doubling schedule (O(log n)
         replans over an append-only stream).  A batch that mostly falls outside
         the cached granule range forces the replan immediately — clamped
-        statistics cannot discriminate such data at all.
+        statistics stay sound (border boxes widen) but cannot discriminate such
+        data at all.
         """
         if base_size <= 0:
             return True, "no base plan yet: full evaluation required"

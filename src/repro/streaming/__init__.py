@@ -6,9 +6,8 @@
   persistent top-k fresh per batch (statistics maintained incrementally via the
   context's cache, candidate bucket pairs pruned against the current k-th
   score, full replans on a doubling schedule);
-* :class:`IncrementalTopBucketsOp` / :class:`CandidateFilter` — the
-  streaming-specific phase operators (the pair-pruning
-  ``FilteredDistributeOp``/``PrunedJoinOp`` variants live in
+* :class:`CandidateFilter` — the streaming pruning rule (the pair-pruning
+  ``FilteredDistributeOp``/``PrunedJoinOp`` operators it plugs into live in
   :mod:`repro.core.operators`).
 
 Importing this package registers ``tkij-streaming`` in the plan registry.
@@ -16,7 +15,7 @@ Importing this package registers ``tkij-streaming`` in the plan registry.
 
 from .algorithm import StreamingTKIJ
 from .collection import AppendBatch, AppendLog, StreamingCollection, replay_batches
-from .operators import CandidateFilter, IncrementalTopBucketsOp
+from .operators import CandidateFilter
 from .parity import equivalent_top_k
 from .state import BatchReport, StreamState, StreamingRunResult
 
@@ -28,7 +27,6 @@ __all__ = [
     "replay_batches",
     "StreamingTKIJ",
     "CandidateFilter",
-    "IncrementalTopBucketsOp",
     "BatchReport",
     "StreamState",
     "StreamingRunResult",

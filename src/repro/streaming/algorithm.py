@@ -6,8 +6,8 @@ without recomputing phases (a)-(e) from scratch:
 * phase (a) is maintained incrementally through the context's
   :class:`~repro.plan.StatisticsCache` (``update`` applies the paper's §3.2
   ``update_statistics`` to the cached bucket matrices);
-* phase (b) reuses a cross-batch pairwise-bounds memo — granule boundaries are
-  fixed between replans, so bound primitives never change;
+* phase (b) re-bounds the combination space from the current bucket boxes
+  (one vectorised pass; border boxes widen to cover clamped appends);
 * phases (c)-(d) run only over *candidate* bucket combinations: those touching
   a bucket the current batch wrote into (all-old combinations cannot form new
   tuples) whose score upper bound can still crack the persistent top-k
@@ -56,7 +56,7 @@ from ..plan.registry import register
 from ..query.graph import RTJQuery
 from ..solver import BranchAndBoundSolver
 from .collection import StreamingCollection
-from .operators import CandidateFilter, IncrementalTopBucketsOp
+from .operators import CandidateFilter
 from .state import BatchReport, StreamState, StreamingRunResult
 
 __all__ = ["StreamingTKIJ"]
@@ -265,7 +265,6 @@ class StreamingTKIJ(Algorithm):
         state.results = pstate.results
         state.base_size = sum(len(collection) for collection in collections.values())
         state.appended_since_plan = 0
-        state.pairwise_bounds = {}
         state.initialized = True
         report = BatchReport(
             index=state.batches_ingested,
@@ -322,7 +321,7 @@ class StreamingTKIJ(Algorithm):
 
         if not cached:
             # The cache entry was lost (e.g. an out-of-band mutation): the
-            # recollected granularity invalidates the pairwise memo, so fall
+            # recollected granularity re-buckets every interval, so fall
             # back to a full evaluation of the current contents — reusing the
             # statistics get_or_collect just rebuilt, not collecting twice.
             state.replans += 1
@@ -373,7 +372,9 @@ class StreamingTKIJ(Algorithm):
         run_pipeline(
             [
                 StatisticsOp(num_granules, False, statistics),
-                IncrementalTopBucketsOp(state.pairwise_bounds, knobs["solver"]),
+                # Always loose, whatever the plan's strategy: joint bounds
+                # would be re-solved whenever a bucket's cardinality changes.
+                TopBucketsOp("loose", knobs["solver"]),
                 FilteredDistributeOp(state.knobs["assigner"], keep=candidate_filter),
                 # Reducers inherit the persistent k-th score as their pruning
                 # floor: tuples that cannot strictly beat it never get scored.

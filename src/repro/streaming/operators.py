@@ -1,34 +1,28 @@
-"""Streaming-specific phase operators.
+"""The streaming pruning rule.
 
-:class:`IncrementalTopBucketsOp` is the streaming phase (b): it bounds the
-bucket-combination space with *loose* (pairwise) bounds whose primitives are
-memoised across batches — granule boundaries are fixed between replans, so a
-bucket pair's bounds never change and only pairs involving newly non-empty
-buckets cost solver work on later batches — and prunes with the standard
-``get_top_buckets``.  :class:`CandidateFilter` is the streaming pruning rule
-applied by :class:`~repro.core.FilteredDistributeOp` on top of that selection:
-a combination survives only if (1) at least one of its buckets received
-intervals in the current batch (otherwise every tuple it can form was already
-considered) and (2) its score upper bound can still crack the current top-k.
+:class:`CandidateFilter` is applied by :class:`~repro.core.FilteredDistributeOp`
+on top of the standard loose TopBuckets selection: a combination survives only
+if (1) at least one of its buckets received intervals in the current batch
+(otherwise every tuple it can form was already considered) and (2) its score
+upper bound can still crack the current top-k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, MutableMapping
+from dataclasses import dataclass
+from typing import Mapping
 
-from ..core.bounds import BoundsEstimator, BucketCombination, CombinationSpace
-from ..core.operators import PhaseOperator, PhaseState
+import numpy as np
+
+from ..core.bounds import CombinationTable
 from ..core.statistics import BucketKey
-from ..core.top_buckets import TopBucketsResult, get_top_buckets
-from ..solver import BranchAndBoundSolver
 
-__all__ = ["CandidateFilter", "IncrementalTopBucketsOp"]
+__all__ = ["CandidateFilter"]
 
 
 @dataclass
 class CandidateFilter:
-    """The streaming keep-predicate over selected combinations, with counters.
+    """The streaming keep-mask over selected combinations, with counters.
 
     ``dirty`` maps each query vertex to the bucket keys that received intervals
     in the current batch; ``threshold`` is the score of the persistent k-th
@@ -36,7 +30,8 @@ class CandidateFilter:
     upper bound does not *strictly* exceed the threshold is pruned: its tuples
     can at best tie the incumbent k-th result, and top-k answers are defined up
     to boundary ties (see :func:`repro.streaming.equivalent_top_k`) — the
-    persistent heap already holds k results at or above that score.
+    persistent heap already holds k results at or above that score.  A clean
+    combination counts as ``clean_skipped`` whatever its bound.
     """
 
     dirty: Mapping[str, frozenset[BucketKey]]
@@ -45,59 +40,16 @@ class CandidateFilter:
     clean_skipped: int = 0
     bound_pruned: int = 0
 
-    def __call__(self, combination: BucketCombination) -> bool:
-        if not any(
-            bucket in self.dirty.get(vertex, frozenset())
-            for vertex, bucket in combination.bucket_items()
-        ):
-            self.clean_skipped += 1
-            return False
-        if self.threshold is not None and combination.upper_bound <= self.threshold:
-            self.bound_pruned += 1
-            return False
-        self.kept += 1
-        return True
-
-
-@dataclass
-class IncrementalTopBucketsOp(PhaseOperator):
-    """Phase (b) with cross-batch memoised pairwise bounds.
-
-    Always uses the loose strategy: pairwise bounds are the only primitives
-    that stay valid verbatim across batches (tight joint bounds would have to
-    be re-solved whenever any bucket's *cardinality* changes, which defeats
-    incrementality).  Queries with attribute constraints keep every bounded
-    combination, mirroring :class:`~repro.core.TopBucketsSelector` — the
-    count-based pruning of Definition 2 is unsound for them, while the
-    dirty/threshold filtering applied downstream remains exact.
-    """
-
-    shared_bounds: MutableMapping = field(default_factory=dict)
-    solver: BranchAndBoundSolver = field(default_factory=BranchAndBoundSolver)
-
-    name = "top_buckets"
-
-    def run(self, state: PhaseState) -> None:
-        assert state.statistics is not None, (
-            "StatisticsOp must run before IncrementalTopBucketsOp"
-        )
-        query = state.query
-        space = CombinationSpace(query, state.statistics)
-        estimator = BoundsEstimator(
-            query, space, solver=self.solver, shared_pairwise=self.shared_bounds
-        )
-        combos = [estimator.loose_bounds(c) for c in space.enumerate()]
-        total_results = sum(c.nb_res for c in combos)
-        if query.has_attribute_constraints:
-            selected = combos
-        else:
-            selected = get_top_buckets(combos, query.k)
-        state.top_buckets = TopBucketsResult(
-            selected=selected,
-            strategy="loose",
-            total_combinations=len(combos),
-            total_results=total_results,
-            selected_results=sum(c.nb_res for c in selected),
-            pairs_bounded=estimator.pairwise.pairs_computed,
-            tight_bounds_computed=0,
-        )
+    def __call__(self, table: CombinationTable) -> np.ndarray:
+        """Boolean mask of the rows of ``table`` to keep."""
+        touched = np.zeros(len(table), dtype=bool)
+        for v, vertex in enumerate(table.vertices):
+            fresh = self.dirty.get(vertex, frozenset())
+            flags = np.array([key in fresh for key in table.keys[v]], dtype=bool)
+            touched |= flags[table.positions[:, v]]
+        keep = touched if self.threshold is None else touched & (table.upper > self.threshold)
+        dirty, kept = int(touched.sum()), int(keep.sum())
+        self.clean_skipped += len(table) - dirty
+        self.bound_pruned += dirty - kept
+        self.kept += kept
+        return keep

@@ -2,8 +2,8 @@
 
 One :class:`StreamState` lives in the :class:`~repro.plan.ExecutionContext`
 (under :attr:`ExecutionContext.streams`) per evaluated stream: the persistent
-top-k, the knobs resolved at the last (re)plan, the shared pairwise-bounds memo
-and the growth counters the replan policy feeds on.  Each evaluation tick is
+top-k, the knobs resolved at the last (re)plan and the growth counters the
+replan policy feeds on.  Each evaluation tick is
 summarised as a :class:`BatchReport`; one :class:`StreamingRunResult` (the
 ``raw`` payload of the returned :class:`~repro.plan.RunReport`) aggregates the
 ticks processed by a single ``execute`` call.
@@ -39,9 +39,6 @@ class StreamState:
     appended_since_plan: int = 0
     batches_ingested: int = 0
     replans: int = 0
-    pairwise_bounds: dict = field(default_factory=dict)
-    """Shared pairwise-bounds memo, valid while granule boundaries stay fixed
-    (reset on every replan)."""
 
     def kth_score(self, k: int) -> float | None:
         """Score of the current k-th result, or ``None`` while fewer than k exist."""
@@ -50,15 +47,6 @@ class StreamState:
         return self.results[k - 1].score
 
     # ------------------------------------------------------------- checkpoints
-    def bounds_fingerprint(self) -> tuple[Any, int]:
-        """Identity of the pairwise-bounds memo's validity epoch.
-
-        The memo holds bound primitives that stay valid while granule
-        boundaries are fixed, i.e. within one plan epoch: the granularity knob
-        plus the memo's own population identify what a restored copy must match.
-        """
-        return (self.knobs.get("num_granules"), len(self.pairwise_bounds))
-
     def to_snapshot(self) -> dict[str, Any]:
         """A self-contained, picklable snapshot of the evaluator state.
 
@@ -80,8 +68,6 @@ class StreamState:
                 "appended_since_plan": self.appended_since_plan,
                 "batches_ingested": self.batches_ingested,
                 "replans": self.replans,
-                "pairwise_bounds": dict(self.pairwise_bounds),
-                "bounds_fingerprint": self.bounds_fingerprint(),
             }
         )
 
@@ -89,13 +75,8 @@ class StreamState:
     def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "StreamState":
         """Rebuild a state from :meth:`to_snapshot` output (validating the format).
 
-        The recorded bounds fingerprint is an *integrity* check on the snapshot
-        payload: a memo edited after the snapshot was taken (or mangled in
-        transit) no longer matches and is dropped rather than trusted.  It
-        cannot judge staleness against a restoring evaluator's future replans —
-        it does not need to: the evaluator resets the memo on every replan, and
-        the memo is a pure cache, so dropping it costs solver work on the next
-        batch, never correctness.
+        Keys the state does not know are ignored: version-1 snapshots written
+        before the pairwise-bounds memo was removed still carry it.
         """
         if not isinstance(snapshot, Mapping) or snapshot.get("kind") != STREAM_STATE_KIND:
             raise ValueError("not a stream-state snapshot")
@@ -104,7 +85,7 @@ class StreamState:
                 f"unsupported stream-state snapshot version {snapshot.get('version')!r}"
             )
         snapshot = copy.deepcopy(dict(snapshot))
-        state = cls(
+        return cls(
             results=list(snapshot["results"]),
             knobs=dict(snapshot["knobs"]),
             explanation=snapshot.get("explanation"),
@@ -113,11 +94,7 @@ class StreamState:
             appended_since_plan=snapshot["appended_since_plan"],
             batches_ingested=snapshot["batches_ingested"],
             replans=snapshot["replans"],
-            pairwise_bounds=dict(snapshot.get("pairwise_bounds", {})),
         )
-        if snapshot.get("bounds_fingerprint") != state.bounds_fingerprint():
-            state.pairwise_bounds = {}
-        return state
 
 
 @dataclass

@@ -79,7 +79,6 @@ class TestStreamStateSnapshot:
             appended_since_plan=12,
             batches_ingested=3,
             replans=1,
-            pairwise_bounds={("a", "b"): 0.5},
         )
         restored = StreamState.from_snapshot(state.to_snapshot())
         assert restored.results == state.results
@@ -88,25 +87,27 @@ class TestStreamStateSnapshot:
         assert restored.appended_since_plan == 12
         assert restored.batches_ingested == 3
         assert restored.replans == 1
-        assert restored.pairwise_bounds == state.pairwise_bounds
 
     def test_snapshot_has_value_semantics(self):
         state = StreamState(results=[ResultTuple(uids=(1,), score=0.5)], initialized=True)
         snapshot = state.to_snapshot()
         state.results.append(ResultTuple(uids=(2,), score=0.4))
-        state.pairwise_bounds["k"] = 1.0
         restored = StreamState.from_snapshot(snapshot)
         assert len(restored.results) == 1
-        assert restored.pairwise_bounds == {}
 
-    def test_tampered_bounds_memo_is_dropped_not_trusted(self):
-        state = StreamState(
-            knobs={"num_granules": 8}, pairwise_bounds={("a", "b"): 0.5}, initialized=True
-        )
+    def test_loads_version1_snapshot_with_bounds_memo(self):
+        """Snapshots written while the state carried a pairwise-bounds memo
+        (same version, two extra keys) still restore; the memo is ignored."""
+        state = StreamState(knobs={"num_granules": 8}, initialized=True, replans=2)
         snapshot = state.to_snapshot()
-        snapshot["pairwise_bounds"][("c", "d")] = 0.1  # fingerprint now stale
+        snapshot["pairwise_bounds"] = {(0, (0, 0), (1, 1)): (0.25, 0.75)}
+        snapshot["bounds_fingerprint"] = (8, 1)
         restored = StreamState.from_snapshot(snapshot)
-        assert restored.pairwise_bounds == {}
+        assert restored == state
+        assert set(restored.to_snapshot()) == set(snapshot) - {
+            "pairwise_bounds",
+            "bounds_fingerprint",
+        }
 
     def test_rejects_foreign_payloads(self):
         with pytest.raises(ValueError, match="stream-state"):

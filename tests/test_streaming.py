@@ -1,5 +1,6 @@
 """Tests for the streaming layer: collections, incremental evaluation, parity."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,33 +97,43 @@ class TestStreamingCollection:
 
 
 class TestCandidateFilter:
-    def _combo(self, upper_bound: float):
-        from repro.core import BucketCombination
+    def _table(self, *upper_bounds: float):
+        from repro.core import BucketCombination, CombinationTable
 
-        return BucketCombination(
-            vertices=("x1", "x2"),
-            buckets=((0, 0), (1, 1)),
-            nb_res=4,
-            lower_bound=0.0,
-            upper_bound=upper_bound,
+        return CombinationTable.of(
+            [
+                BucketCombination(
+                    vertices=("x1", "x2"),
+                    buckets=((0, 0), (1, 1)),
+                    nb_res=4,
+                    lower_bound=0.0,
+                    upper_bound=upper_bound,
+                )
+                for upper_bound in upper_bounds
+            ]
         )
 
     def test_clean_combination_pruned(self):
         keep = CandidateFilter({"x1": frozenset({(3, 3)})}, threshold=None)
-        assert keep(self._combo(1.0)) is False
+        assert keep(self._table(1.0)).tolist() == [False]
         assert (keep.clean_skipped, keep.bound_pruned, keep.kept) == (1, 0, 0)
 
     def test_dirty_combination_kept_without_threshold(self):
         keep = CandidateFilter({"x1": frozenset({(0, 0)})}, threshold=None)
-        assert keep(self._combo(0.2)) is True
+        assert keep(self._table(0.2)).tolist() == [True]
         assert keep.kept == 1
 
     def test_bound_pruned_at_or_below_threshold(self):
         keep = CandidateFilter({"x1": frozenset({(0, 0)})}, threshold=0.5)
-        assert keep(self._combo(0.5)) is False  # ties cannot improve the top-k
-        assert keep(self._combo(0.4)) is False
-        assert keep(self._combo(0.6)) is True
+        # ties cannot improve the top-k
+        assert keep(self._table(0.5, 0.4, 0.6)).tolist() == [False, False, True]
         assert (keep.clean_skipped, keep.bound_pruned, keep.kept) == (0, 2, 1)
+
+    def test_clean_wins_over_bound(self):
+        """A clean combination below the threshold counts as clean, as per object."""
+        keep = CandidateFilter({"x2": frozenset({(9, 9)})}, threshold=0.5)
+        assert keep(self._table(0.4, 0.9)).tolist() == [False, False]
+        assert (keep.clean_skipped, keep.bound_pruned, keep.kept) == (2, 0, 0)
 
 
 class TestStaticFallback:
@@ -284,6 +295,61 @@ class TestReplanPolicy:
             assert report.raw.replans >= 1
 
 
+class TestOutOfRangeAppends:
+    """Appends beyond the plan's granule range clamp into border buckets whose
+    boxes must still cover them (``BucketMatrix.bucket_box``)."""
+
+    @staticmethod
+    def _draw(rng, count, start_max, first_uid):
+        starts = np.floor(rng.uniform(0.0, start_max, count))
+        lengths = np.maximum(1.0, np.round(rng.uniform(1.0, 100.0, count)))
+        return [
+            Interval(first_uid + i, float(start), float(start + length))
+            for i, (start, length) in enumerate(zip(starts, lengths))
+        ]
+
+    @pytest.mark.parametrize("seed", [49, 111, 189])
+    def test_stray_appends_keep_the_answer_exact(self, seed):
+        # A few intervals of a batch land past the range the plan was built on —
+        # not always enough to trigger the out-of-range replan, but a clamped
+        # one can hold a true result (these seeds returned a wrong top-k).
+        rng = np.random.default_rng(seed)
+        streams = [
+            StreamingCollection(f"C{i}", self._draw(rng, 40, 2000.0, 0)) for i in range(3)
+        ]
+        query = build_query("Qo,m", streams, "P1", k=10)
+        algorithm = get_algorithm("tkij-streaming")
+        with make_context() as context:
+            report = algorithm.run(query, context, num_granules=20)
+            assert equivalent_top_k(report.results, naive_top_k(query))
+            for tick in range(2):
+                for stream in streams:
+                    stream.ingest(self._draw(rng, 6, 2300.0, 40 + 6 * tick))
+                report = algorithm.run(query, context, num_granules=20)
+                assert equivalent_top_k(report.results, naive_top_k(query))
+
+    def test_border_boxes_cover_clamped_intervals(self):
+        from repro.core import collect_statistics, update_statistics
+
+        base = IntervalCollection("c", [Interval(0, 100.0, 150.0), Interval(1, 300.0, 400.0)])
+        statistics = collect_statistics({"c": base}, num_granules=4)
+        matrix = statistics.matrix("c")
+        before = {key: matrix.bucket_box(key) for key in matrix.nonempty_buckets()}
+        assert before == {
+            key: matrix.granularity.bucket_box(key) for key in matrix.nonempty_buckets()
+        }
+        strays = [Interval(2, 20.0, 60.0), Interval(3, 390.0, 480.0), Interval(4, 450.0, 470.0)]
+        update_statistics(statistics, inserted={"c": strays})
+        for interval in strays:
+            box = matrix.bucket_box(matrix.granularity.bucket_of(interval))
+            assert box.start_low <= interval.start <= box.start_high
+            assert box.end_low <= interval.end <= box.end_high
+        # Deletions never shrink the recorded extents; inner edges never move.
+        update_statistics(statistics, deleted={"c": strays[:1]})
+        assert (matrix.low, matrix.high) == (20.0, 480.0)
+        assert matrix.bucket_box((1, 2)) == matrix.granularity.bucket_box((1, 2))
+
+
 class TestStreamStateIsolation:
     def test_distinct_ks_do_not_share_state(self, stream_collections):
         algorithm = get_algorithm("tkij-streaming")
@@ -338,3 +404,45 @@ def test_any_batch_partitioning_matches_single_shot(data):
 
     single_shot = build_query("Qo,m", _PROPERTY_COLLECTIONS, "P1", k=8)
     assert equivalent_top_k(report.results, naive_top_k(single_shot))
+
+
+_interval_shape = st.tuples(st.integers(-400, 900), st.integers(1, 120))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    base=st.lists(st.lists(_interval_shape, min_size=6, max_size=12), min_size=3, max_size=3),
+    ticks=st.lists(
+        st.lists(st.lists(_interval_shape, max_size=4), min_size=3, max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_any_append_sequence_any_range_growth_matches_naive(base, ticks):
+    """Whatever is appended, however far outside the planned range, every tick's
+    incremental answer equals the naive oracle's — with both replan rules
+    switched off, so clamped border buckets are all the evaluator has."""
+
+    def intervals(shapes, first_uid):
+        return [
+            Interval(first_uid + at, float(start), float(start + length))
+            for at, (start, length) in enumerate(shapes)
+        ]
+
+    # The base sits inside [0, 520]; appends may fall anywhere in [-400, 1020].
+    streams = [
+        StreamingCollection(f"C{i}", intervals([(s % 400, n) for s, n in shapes], 0))
+        for i, shapes in enumerate(base)
+    ]
+    query = build_query("Qo,m", streams, "P1", k=6)
+    algorithm = get_algorithm("tkij-streaming")
+    planner = AutoPlanner(replan_cost_factor=1e9, replan_out_of_range_fraction=1.0)
+    with make_context() as context:
+        report = algorithm.run(query, context, num_granules=6, planner=planner)
+        assert equivalent_top_k(report.results, naive_top_k(query))
+        for tick, batches in enumerate(ticks):
+            for stream, shapes in zip(streams, batches):
+                stream.ingest(intervals(shapes, 100 * (tick + 1)))
+            report = algorithm.run(query, context, num_granules=6, planner=planner)
+            assert equivalent_top_k(report.results, naive_top_k(query))
+        assert report.raw.replans == 0
