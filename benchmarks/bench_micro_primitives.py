@@ -5,12 +5,27 @@ laptop-scale experiment parameters are derived from: predicate scoring, R-tree
 threshold lookups, pairwise bound computation, and joint branch-and-bound bounds.
 """
 
+import time
+
 import numpy as np
 
-from repro.columnar import score_range_v
+from repro.columnar import IntervalColumns, score_range_v
+from repro.core import (
+    KERNELS,
+    TKIJ,
+    BoundsEstimator,
+    CombinationSpace,
+    LocalJoinConfig,
+    LocalTopKJoin,
+    assign,
+    collect_statistics,
+    get_top_buckets,
+)
+from repro.datagen import SyntheticConfig, generate_collections
+from repro.experiments import build_query
 from repro.index import CompiledPredicateQuery, ThresholdIndex
 from repro.solver import AggregateObjective, BranchAndBoundSolver, DomainSet, EdgeObjective, VariableBox
-from repro.temporal import AverageScore, Interval, PredicateParams
+from repro.temporal import AverageScore, Interval, IntervalCollection, PredicateParams
 from repro.temporal.predicates import meets, overlaps, starts
 
 P1 = PredicateParams.of(4, 16, 0, 10)
@@ -112,3 +127,173 @@ def bench_joint_branch_and_bound(benchmark):
     solver = BranchAndBoundSolver(max_nodes=64)
 
     benchmark(lambda: solver.bounds(objective, domains))
+
+
+# ----------------------------------------------------------------- unit costs
+# The arms below measure the constants of ``repro.plan.planner.UNIT_COSTS``: what
+# one bucket combination costs phases (b) and (c), what one extension step /
+# examined candidate costs each local-join kernel, and what the kernels pay around
+# their candidate loops.  Each arm prints its readings as
+# ``unit <name> = <seconds>`` — the names the planner's table cites — and stores
+# them in ``extra_info``.  The planner relies on the ratios between readings, not
+# on this host's absolute speed.
+
+UNIT_ROUNDS = 5
+KERNEL_LENGTHS = (8, 64, 512)
+SCAN_LENGTH = 32_768
+
+
+def _best_of(function, rounds=UNIT_ROUNDS):
+    """Minimum wall clock of ``function`` over ``rounds`` calls (and its last result)."""
+    best, result = float("inf"), None
+    for _ in range(rounds):
+        started = time.perf_counter()
+        result = function()
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
+def _report(benchmark, run):
+    units = benchmark.pedantic(run, rounds=1, iterations=1)
+    for name, seconds in units.items():
+        print(f"unit {name} = {seconds:.3g}")
+    benchmark.extra_info.update(units)
+
+
+def _uniform(count, size, start_max, seed):
+    """The paper's uniform workload (integer starts, lengths 1-100)."""
+    config = SyntheticConfig(size=size, start_max=start_max)
+    return list(generate_collections(count, config, seed=seed).values())
+
+
+def _table1_estimator(shape, granules):
+    collections = _uniform(3, 200, 100_000.0, seed=5)
+    query = build_query(shape, collections, "P1", k=20)
+    statistics = collect_statistics({c.name: c for c in collections}, granules)
+    return query, BoundsEstimator(query, CombinationSpace(query, statistics))
+
+
+def bench_unit_bounds_and_dtb(benchmark):
+    """Phases (b)+(c) per combination: the vectorised loose table with Algorithm 1,
+    and DTB (Algorithms 3-4) over the selected rows."""
+    query, estimator = _table1_estimator("Qo,m", granules=20)
+
+    def run():
+        loose_seconds, table = _best_of(estimator.loose_table)
+        select_seconds, selected = _best_of(lambda: get_top_buckets(table, query.k))
+        dtb_seconds, _ = _best_of(lambda: assign("dtb", selected, 8))
+        return {
+            "loose_per_combination": (loose_seconds + select_seconds) / len(table),
+            "dtb_per_combination": dtb_seconds / len(selected),
+        }
+
+    _report(benchmark, run)
+
+
+def _one_combination(left_length, right_length):
+    """One combination of a binary ``overlaps`` query over the uniform workload:
+    a ``left_length``-interval bucket joined with a ``right_length``-interval one."""
+    span = 10.0 * max(left_length, right_length)
+    (left,) = _uniform(1, left_length, span, seed=9)
+    (right,) = _uniform(1, right_length, span, seed=10)
+    right = IntervalCollection("R", list(right))
+    query = build_query("Qo*", [left, right], "P1", k=20, num_vertices=2)
+    statistics = collect_statistics({left.name: left, right.name: right}, 1)
+    table = BoundsEstimator(query, CombinationSpace(query, statistics)).loose_table()
+    intervals = {
+        (vertex, (0, 0)): IntervalColumns.from_intervals(list(query.collections[vertex]))
+        for vertex in query.vertices
+    }
+    return query, table, intervals
+
+
+def _kernel_readings():
+    """``{kernel: [(steps, candidates, scanned, seconds), ...]}`` over lengths and regimes.
+
+    Square buckets of each length run twice: with early termination (the pruned
+    regime real joins are in once their heap is full: every step resolves a
+    threshold box — an R-tree probe, a full-column mask over the ``scanned``
+    bucket, or a sorted window) and without (every step scores its whole
+    bucket, which separates the per-candidate cost from the per-step one).  One
+    pruned run against a long right bucket shows the vector kernel's scan.
+    """
+    shapes = [(length, length, pruned) for length in KERNEL_LENGTHS for pruned in (True, False)]
+    shapes.append((max(KERNEL_LENGTHS), SCAN_LENGTH, True))
+    readings = {kernel: [] for kernel in KERNELS}
+    for left_length, right_length, pruned in shapes:
+        query, table, intervals = _one_combination(left_length, right_length)
+        for kernel in KERNELS:
+            join = LocalTopKJoin(query, LocalJoinConfig(kernel=kernel, early_termination=pruned))
+            seconds, (_, stats) = _best_of(
+                lambda: join.run(table, intervals), rounds=3 if left_length <= 64 else 1
+            )
+            # A binary query takes one extension step per left interval.
+            scanned = left_length * right_length if pruned and kernel == "vector" else 0
+            readings[kernel].append((left_length, stats.candidates_examined, scanned, seconds))
+    return readings
+
+
+def _fit(rows, names):
+    """Relative least squares of ``seconds = sum(term * unit)`` (no length dominates)."""
+    seconds = np.array([row[-1] for row in rows])
+    terms = np.array([row[: len(names)] for row in rows], dtype=float)
+    fitted, *_ = np.linalg.lstsq(terms / seconds[:, None], np.ones(len(rows)), rcond=None)
+    return dict(zip(names, map(float, fitted)))
+
+
+def bench_unit_kernels(benchmark):
+    """Each kernel per examined candidate at bucket lengths 8 / 64 / 512 (pruned
+    regime), and the split the planner prices with: per extension step and per
+    candidate for the scalar kernel and for the columnar pair (vector and sweep
+    share their extension body, so they are fitted together), plus what the
+    vector kernel pays per scanned bucket element."""
+
+    def run():
+        readings = _kernel_readings()
+        units = {}
+        for kernel, rows in readings.items():
+            for steps, candidates, _, seconds in rows[: 2 * len(KERNEL_LENGTHS) : 2]:
+                units[f"{kernel}_per_candidate_at_{steps}"] = seconds / candidates
+        scalar = _fit(readings["scalar"], ("step", "candidate"))
+        columnar = _fit(readings["vector"] + readings["sweep"], ("step", "candidate", "scan"))
+        units.update(
+            scalar_step=scalar["step"],
+            scalar_candidate=scalar["candidate"],
+            columnar_step=columnar["step"],
+            columnar_candidate=columnar["candidate"],
+            vector_scan=columnar["scan"],
+        )
+        return units
+
+    _report(benchmark, run)
+
+
+def bench_unit_shuffle_and_sort(benchmark):
+    """What the kernels pay around their candidate loops: the scalar join ships one
+    record per replicated interval where the columnar ones ship one batch per
+    bucket, and the sweep join sorts every bucket's endpoints map-side."""
+    collections = _uniform(2, 2_000, 20_000.0, seed=13)
+    query = build_query("Qb*", collections, "P1", k=100, num_vertices=2)
+
+    def join_seconds(kernel):
+        with TKIJ(num_granules=40, join_config=LocalJoinConfig(kernel=kernel)) as evaluator:
+            results = [evaluator.execute(query) for _ in range(3)]
+        return (
+            min(result.phase_seconds["join"] for result in results),
+            results[0].join_metrics.shuffle_records,
+        )
+
+    def run():
+        # Few candidates either way at this granularity (their loops are priced by
+        # bench_unit_kernels' constants); the rest of the difference is the shuffle.
+        (scalar, records), (vector, _) = join_seconds("scalar"), join_seconds("vector")
+        batch = IntervalColumns.from_intervals(list(collections[0]))
+        sort_seconds, _ = _best_of(
+            lambda: IntervalColumns(batch.uids, batch.starts, batch.ends).sorted_views()
+        )
+        return {
+            "scalar_record": (scalar - vector) / records,
+            "sweep_sort": sort_seconds / len(batch),
+        }
+
+    _report(benchmark, run)

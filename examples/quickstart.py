@@ -6,11 +6,11 @@ paper's introduction), and evaluates the query through ``repro.plan``:
 
 * the **registry** (`get_algorithm`) dispatches to TKIJ without touching its
   internals — the same call runs `naive`, `allmatrix` or `rccis`;
-* ``mode="auto"`` lets the cost-based **AutoPlanner** pick granularity,
-  TopBuckets strategy and workload assigner from collected statistics, and the
-  report says why;
+* ``mode="auto"`` lets the cost-based **AutoPlanner** price granularity and
+  join kernel from exact bucket counts, and the report carries the priced
+  candidates and one reason per knob;
 * the shared **ExecutionContext** caches the query-independent statistics phase,
-  so the second query on the same dataset skips it entirely.
+  so the second query on the same dataset fetches its granularity from the cache.
 
 Run with:  python examples/quickstart.py
 """
@@ -82,12 +82,22 @@ def main() -> None:
     print(f"{'imbalance':>14}: {tkij_result.join_metrics.imbalance:8.2f} (max / avg reducer time)")
 
     print()
-    print("Plan (chosen by the AutoPlanner from collected statistics)")
+    print("Plan (priced by the AutoPlanner from exact bucket counts)")
     print("-" * 46)
-    print(report.explanation.summary())
+    explanation = report.explanation
+    print(
+        f"g={explanation.num_granules} strategy={explanation.strategy} "
+        f"assigner={explanation.assigner} kernel={explanation.kernel}"
+    )
+    for reason in explanation.reasons:
+        print(f"  - {reason}")
+    print()
+    print("Priced candidates, cheapest first")
+    print(explanation.priced_table(limit=5))
     print()
     print(
-        f"second query reused cached statistics: phase (a) took "
+        f"second query hit the statistics cache at its planned granularity: phase (a), "
+        f"the planner re-counting its other candidates included, took "
         f"{second.phase_seconds['statistics'] * 1000:.2f} ms "
         f"(first: {report.phase_seconds['statistics'] * 1000:.2f} ms)"
     )

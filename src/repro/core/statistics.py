@@ -90,8 +90,9 @@ class Granularity:
         """Time range ``[low, high]`` of granule ``index``."""
         if not 0 <= index < self.num_granules:
             raise IndexError(f"granule index {index} out of range")
-        low = self.time_min + index * self.width
-        high = self.time_min + (index + 1) * self.width
+        width = self.width
+        low = self.time_min + index * width
+        high = self.time_min + (index + 1) * width
         if index == self.num_granules - 1:
             high = max(high, self.time_max)
         return low, high
@@ -165,6 +166,8 @@ class BucketMatrix:
         its bucket's box and every bound derived from the box stays sound.
         """
         box = self.granularity.bucket_box(key)
+        if self.low == math.inf and self.high == -math.inf:
+            return box  # nothing folded in since collection: no border to widen
         last = self.granularity.num_granules - 1
         return VariableBox(
             min(box.start_low, self.low) if key[0] == 0 else box.start_low,

@@ -25,27 +25,33 @@ from ..solver import BranchAndBoundSolver
 from .bounds import BoundsEstimator, BucketCombination, CombinationSpace, CombinationTable
 from .statistics import DatasetStatistics
 
-__all__ = ["get_top_buckets", "TopBucketsResult", "TopBucketsSelector", "STRATEGIES"]
+__all__ = [
+    "get_top_buckets",
+    "top_bucket_rows",
+    "TopBucketsResult",
+    "TopBucketsSelector",
+    "STRATEGIES",
+]
 
 STRATEGIES = ("brute-force", "loose", "two-phase")
 
 
-def get_top_buckets(combinations: Sequence[BucketCombination], k: int) -> CombinationTable:
-    """Algorithm 1: select a sufficient set of combinations for the top-k.
+def top_bucket_rows(table: CombinationTable, k: int) -> np.ndarray:
+    """Algorithm 1 as row numbers of ``table``: a sufficient set for the top-k.
 
     A lower bound ``kthResLB`` on the score of the k-th result is derived from the
     combinations with the highest lower bounds; every combination whose upper bound
     exceeds that threshold is kept (plus enough combinations to cover ``k``
-    results).  The selection comes back in descending upper-bound order (ties in
-    key order) — the order DTB and the local join walk it in.
+    results).  Rows come back in descending upper-bound order (ties in key
+    order) — the order DTB and the local join walk them in.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    table = CombinationTable.of(combinations)
-    if not table.nb_res.all():
-        table = table.take(np.flatnonzero(table.nb_res))
-    if not len(table):
-        return table
+    live = np.flatnonzero(table.nb_res)
+    if not len(live):
+        return live
+    if len(live) < len(table):
+        table = table.take(live)
 
     by_lower = table.descending(table.lower)
     covered = np.cumsum(table.nb_res[by_lower])
@@ -60,7 +66,13 @@ def get_top_buckets(combinations: Sequence[BucketCombination], k: int) -> Combin
     # lower bounds *support* kthResLB are themselves retained (Definition 2 asks
     # the dominating set to be a subset of the selection).
     stop = (collected_before >= k) & (table.upper[by_upper] < kth_res_lb)
-    return table.take(by_upper[: np.argmax(stop)] if stop.any() else by_upper)
+    return live[by_upper[: np.argmax(stop)] if stop.any() else by_upper]
+
+
+def get_top_buckets(combinations: Sequence[BucketCombination], k: int) -> CombinationTable:
+    """Algorithm 1: the sufficient set itself (see :func:`top_bucket_rows`)."""
+    table = CombinationTable.of(combinations)
+    return table.take(top_bucket_rows(table, k))
 
 
 @dataclass

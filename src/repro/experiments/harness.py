@@ -139,8 +139,8 @@ class TKIJRunConfig:
     cluster (``serial``, ``thread`` or ``process``), so any figure driver can
     run its joins serially or in parallel.  ``plan`` selects who configures the
     evaluator: ``manual`` uses this config's knobs verbatim, ``auto`` lets the
-    cost-based :class:`repro.plan.AutoPlanner` choose granularity, strategy and
-    assigner from collected statistics.  The fault-tolerance knobs
+    cost-based :class:`repro.plan.AutoPlanner` price granularity and join
+    kernel from exact bucket counts.  The fault-tolerance knobs
     (``max_task_attempts``, ``speculative_slowdown``, ``fault_plan``) flow into
     the cluster config — see DESIGN.md §9 — so demo runs can inject
     deterministic chaos and still reproduce the fault-free figures.

@@ -10,9 +10,9 @@ This package is the dispatch substrate of the evaluation stack:
 * :class:`ExecutionContext` — cluster config, shared execution backend and the
   :class:`StatisticsCache` reusing TKIJ's query-independent phase (a) across
   queries (incrementally maintained on updates);
-* :class:`AutoPlanner` — cost-based choice of granularity, TopBuckets strategy
-  and workload assigner from collected statistics, recorded as a
-  :class:`PlanExplanation`;
+* :class:`AutoPlanner` — granularity and join kernel priced in seconds from
+  exact bucket counts and a table of measured unit costs, the priced
+  candidates recorded in a :class:`PlanExplanation`;
 * :class:`PlanFeedback` — the feedback loop around the planner: a
   :class:`PlanCache` memoizing auto plans by (query, statistics) fingerprint
   and a :class:`CostStore` of observed execution outcomes that calibrates the

@@ -106,11 +106,11 @@ class TKIJAlgorithm(Algorithm):
                 )
                 cached_plan = feedback.plan_cache.lookup(*fingerprints)
             if cached_plan is not None:
-                # Hot path: the memoized plan is served without re-probing.
+                # Hot path: the memoized plan is served without re-pricing.
                 chosen, explanation = cached_plan
                 explanation.reasons.append(
                     "plan reused from the plan cache (query and statistics "
-                    "fingerprints matched; probe skipped)"
+                    "fingerprints matched; nothing recounted or re-priced)"
                 )
             else:
                 if (
@@ -178,12 +178,14 @@ class TKIJAlgorithm(Algorithm):
             )
             statistics_seconds = time.perf_counter() - started
             result = evaluator.execute(plan.query, statistics=statistics)
-        # Auto mode: the planner's probe did (or reused) phase (a) work before
-        # this fetch — attribute it to the statistics phase, and report the run
-        # as cached only if the probe hit as well.
+        # Auto mode: the planner did phase (a) work before this fetch (its
+        # counting passes, and the fetch that warmed the entry just hit) —
+        # attribute it to the statistics phase, and report the run as cached
+        # only if the planner's own fetch hit as well.
         if plan.explanation is not None:
-            statistics_seconds += plan.explanation.inputs.get("probe_seconds", 0.0)
-            cached = cached and plan.explanation.inputs.get("probe_cached", 1.0) >= 1.0
+            statistics_seconds, cached = plan.explanation.charge_planning(
+                statistics_seconds, cached
+            )
         result.phase_seconds["statistics"] = statistics_seconds
         result.plan_explanation = plan.explanation
         feedback = context.feedback

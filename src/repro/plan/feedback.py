@@ -1,7 +1,7 @@
 """Feedback-driven planning: observed costs, memoized plans, fingerprints.
 
-The :class:`~repro.plan.AutoPlanner` costs plans from *static* bucket
-statistics; this module closes the loop with what actually happened
+The :class:`~repro.plan.AutoPlanner` prices plans from bucket statistics and a
+table of measured unit costs; this module closes the loop with what actually happened
 (DESIGN.md §14):
 
 * :func:`workload_fingerprint` / :func:`query_fingerprint` /
@@ -12,13 +12,13 @@ statistics; this module closes the loop with what actually happened
   appends) keyed by ``(workload fingerprint, knob tuple)`` accumulating
   observed :meth:`~repro.mapreduce.JobMetrics.observed_costs` outcomes per
   executed plan, from which the planner derives learned per-candidate kernel
-  cost ratios (falling back to the static heuristic cold);
+  cost ratios (falling back to the unit-cost table cold);
 * :class:`PlanCache` — a bounded LRU of whole auto plans keyed by
   ``(query fingerprint, statistics fingerprint)``, so the serving hot path
-  returns a memoized plan without re-probing.  The key deliberately excludes
+  returns a memoized plan without re-pricing.  The key deliberately excludes
   the non-deterministic ``PlanExplanation.inputs`` fields (``probe_seconds``,
   ``probe_cached``): two plannings of the same query over the same data are
-  the *same* plan however long the probe took;
+  the *same* plan however long the counting took;
 * :class:`PlanFeedback` — the bundle an :class:`~repro.plan.ExecutionContext`
   carries to opt its queries into both.
 
@@ -248,7 +248,7 @@ class CostStore:
 
         Only kernels with at least ``min_observations`` usable observations
         (positive ``candidates_examined``) participate — the cold-start
-        threshold below which the planner keeps its static heuristic.
+        threshold below which the planner keeps pricing from its unit-cost table.
         """
         samples: dict[str, list[float]] = {}
         with self._lock:
@@ -275,8 +275,8 @@ class CostStore:
         """The observed-cheapest kernel for ``workload``, or ``None`` cold.
 
         Requires at least two kernels past the observation threshold — a
-        single observed kernel carries no *ratio* to replace the static
-        thresholds with.  Ties break towards the lexicographically smaller
+        single observed kernel carries no *ratio* to set against the unit-cost
+        table's.  Ties break towards the lexicographically smaller
         kernel name, keeping calibration deterministic for a given log.
         """
         costs = self.kernel_costs(workload, min_observations)

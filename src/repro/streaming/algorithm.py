@@ -208,14 +208,21 @@ class StreamingTKIJ(Algorithm):
         """
         collections = collections_by_name(query)
         resolved = {knob: knobs[knob] for knob in _RESOLVED_KNOBS}
-        if knobs["mode"] == "auto":
-            planner = knobs["planner"]
-            if replanned and rebuild_statistics:
-                # The probe entry was maintained incrementally too, clamping
-                # out-of-range appends into border buckets; re-planning from it
-                # would bake that distortion into the chosen knobs.
-                context.statistics.invalidate(collections, planner.probe_granules)
-            chosen, explanation = planner.plan(query, context)
+        auto = knobs["mode"] == "auto"
+        if replanned:
+            # A replan escapes the incrementally maintained matrices, which
+            # clamp out-of-range appends into border buckets: drop every
+            # granularity the new plan may fetch (under auto mode any of the
+            # planner's candidates), so phase (a) rebuilds granule boundaries
+            # over the *current* time range — except an entry the caller has
+            # just rebuilt itself.
+            stale = set(knobs["planner"].granule_candidates) if auto else {knobs["num_granules"]}
+            if not rebuild_statistics:
+                stale.discard(state.knobs["num_granules"])
+            for num_granules in stale:
+                context.statistics.invalidate(collections, num_granules)
+        if auto:
+            chosen, explanation = knobs["planner"].plan(query, context)
             resolved.update(chosen)
             state.explanation = explanation
         # Resolve the effective join configuration for this plan epoch: an
@@ -230,21 +237,16 @@ class StreamingTKIJ(Algorithm):
             state.explanation.kernel = explicit_kernel
         state.knobs = resolved
         num_granules = resolved["num_granules"]
-        if replanned and rebuild_statistics:
-            # Force phase (a) to rebuild granule boundaries over the *current*
-            # time range: the clamped incremental matrices are exactly what the
-            # replan is escaping.  (Under auto mode the probe entry was just
-            # rebuilt fresh above; don't throw that work away if the planner
-            # chose the probe granularity.)
-            probe_fresh = (
-                knobs["mode"] == "auto"
-                and num_granules == knobs["planner"].probe_granules
-            )
-            if not probe_fresh:
-                context.statistics.invalidate(collections, num_granules)
         started = time.perf_counter()
         statistics, cached = context.statistics.get_or_collect(collections, num_granules)
         statistics_seconds = time.perf_counter() - started
+        if auto:
+            # The planner counted buckets and warmed this entry: its phase (a)
+            # work belongs to the statistics phase, and the tick reads as
+            # cached only if the planner's own fetch hit.
+            statistics_seconds, cached = state.explanation.charge_planning(
+                statistics_seconds, cached
+            )
 
         pstate = PhaseState(
             query=query, engine=engine, num_reducers=context.cluster.num_reducers

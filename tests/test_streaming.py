@@ -295,6 +295,48 @@ class TestReplanPolicy:
             assert report.raw.replans >= 1
 
 
+    def test_auto_replan_prices_freshly_collected_statistics(self, stream_collections):
+        # Under mode="auto" a replan must not price (or execute on) matrices
+        # that were maintained incrementally: every granularity the planner may
+        # fetch is dropped first, so the tick's plan and its granule boundaries
+        # come from the current time range.
+        streams = [StreamingCollection(c.name) for c in stream_collections]
+        query = build_query("Qo,m", streams, "P1", k=10)
+        algorithm = get_algorithm("tkij-streaming")
+        planner = AutoPlanner()
+        with make_context() as context:
+            for tick in range(2):
+                for stream, source in zip(streams, stream_collections):
+                    intervals = source.intervals[tick * 18 : (tick + 1) * 18]
+                    if tick == 1:
+                        intervals = [
+                            Interval(i.uid + 10_000, i.start + 5_000.0, i.end + 5_000.0)
+                            for i in intervals
+                        ]
+                    stream.ingest(intervals)
+                report = algorithm.run(query, context, mode="auto", planner=planner)
+                assert equivalent_top_k(report.results, naive_top_k(query))
+            batch = report.raw.batches[-1]
+            assert batch.replanned and report.raw.replans == 1
+            assert batch.statistics_cached is False
+            collections = {stream.name: stream for stream in streams}
+            for num_granules in planner.granule_candidates:
+                statistics = context.statistics.lookup(collections, num_granules)
+                if statistics is None:
+                    continue
+                for stream in streams:
+                    matrix = statistics.matrix(stream.name)
+                    assert (
+                        matrix.granularity.time_min,
+                        matrix.granularity.time_max,
+                    ) == stream.time_range()
+                    assert matrix.low == float("inf")  # nothing folded in since
+            chosen = context.statistics.lookup(collections, report.explanation.num_granules)
+            assert report.explanation.inputs["estimated_combinations"] == np.prod(
+                [chosen.nonempty_bucket_count(stream.name) for stream in streams]
+            )
+
+
 class TestOutOfRangeAppends:
     """Appends beyond the plan's granule range clamp into border buckets whose
     boxes must still cover them (``BucketMatrix.bucket_box``)."""
