@@ -37,7 +37,8 @@ def _run() -> ResultTable:
                 assigner=assigner,
                 join_seconds=result.phase_seconds["join"],
                 max_reduce_seconds=result.join_metrics.max_reduce_seconds,
-                shuffle_records=result.join_metrics.shuffle_records,
+                # Replicated intervals (the engine's records are bucket batches).
+                shuffle_records=result.join_metrics.shuffle_size,
                 min_kth_score=result.min_kth_score,
             )
     return table

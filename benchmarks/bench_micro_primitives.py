@@ -12,7 +12,6 @@ import numpy as np
 from repro.columnar import IntervalColumns, score_range_v
 from repro.core import (
     KERNELS,
-    TKIJ,
     BoundsEstimator,
     CombinationSpace,
     LocalJoinConfig,
@@ -269,31 +268,15 @@ def bench_unit_kernels(benchmark):
 
 
 def bench_unit_shuffle_and_sort(benchmark):
-    """What the kernels pay around their candidate loops: the scalar join ships one
-    record per replicated interval where the columnar ones ship one batch per
-    bucket, and the sweep join sorts every bucket's endpoints map-side."""
+    """What the sweep join pays around its candidate loops: it sorts every
+    bucket's endpoints map-side (all kernels ship the same bucket batches)."""
     collections = _uniform(2, 2_000, 20_000.0, seed=13)
-    query = build_query("Qb*", collections, "P1", k=100, num_vertices=2)
-
-    def join_seconds(kernel):
-        with TKIJ(num_granules=40, join_config=LocalJoinConfig(kernel=kernel)) as evaluator:
-            results = [evaluator.execute(query) for _ in range(3)]
-        return (
-            min(result.phase_seconds["join"] for result in results),
-            results[0].join_metrics.shuffle_records,
-        )
 
     def run():
-        # Few candidates either way at this granularity (their loops are priced by
-        # bench_unit_kernels' constants); the rest of the difference is the shuffle.
-        (scalar, records), (vector, _) = join_seconds("scalar"), join_seconds("vector")
         batch = IntervalColumns.from_intervals(list(collections[0]))
         sort_seconds, _ = _best_of(
             lambda: IntervalColumns(batch.uids, batch.starts, batch.ends).sorted_views()
         )
-        return {
-            "scalar_record": (scalar - vector) / records,
-            "sweep_sort": sort_seconds / len(batch),
-        }
+        return {"sweep_sort": sort_seconds / len(batch)}
 
     _report(benchmark, run)

@@ -207,8 +207,7 @@ def bench_shuffle_out_of_core(benchmark, record_table):
     table = benchmark.pedantic(out_of_core_table, rounds=1, iterations=1)
     record_table("shuffle_out_of_core", table)
     by_arm = {row["arm"]: row for row in table.rows}
-    # Measurement keys: ratio-compared like-for-like by check_regression.py
-    # instead of gating the metadata-equality match.
+    # Measurement keys, recorded beside the workload metadata.
     benchmark.extra_info.update(
         peak_rss_bytes=int(by_arm["budgeted"]["peak_rss_delta_mib"] * 2**20),
         bytes_spilled=int(by_arm["budgeted"]["spilled_mib"] * 2**20),

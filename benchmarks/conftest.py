@@ -34,9 +34,8 @@ def record_table():
 def _default_benchmark_meta(request):
     """Stamp workload/kernel/backend metadata into every BENCH_*.json payload.
 
-    The regression gate (``check_regression.py``) only compares benchmarks
-    whose ``extra_info`` matches the baseline's, so every payload must say
-    what configuration it measured.  Defaults describe the common case (the
+    Payloads are only comparable like-for-like, so every one must say what
+    configuration it measured.  Defaults describe the common case (the
     benchmark's own workload on the scalar kernel over the serial backend);
     benchmarks that sweep kernels or backends override them explicitly.
     """

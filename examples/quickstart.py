@@ -78,7 +78,7 @@ def main() -> None:
         print(f"{phase:>14}: {seconds * 1000:8.1f} ms")
     tkij_result = report.raw  # the full TKIJResult, phase by phase
     print(f"{'pruned':>14}: {tkij_result.top_buckets.pruned_results_fraction:8.1%} of candidate results")
-    print(f"{'shuffled':>14}: {tkij_result.join_metrics.shuffle_records:8d} records")
+    print(f"{'shuffled':>14}: {tkij_result.join_metrics.shuffle_size:8d} intervals")
     print(f"{'imbalance':>14}: {tkij_result.join_metrics.imbalance:8.2f} (max / avg reducer time)")
 
     print()

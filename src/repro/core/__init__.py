@@ -18,7 +18,6 @@ from .operators import (
     MergeOp,
     PhaseOperator,
     PhaseState,
-    PrunedJoinOp,
     StatisticsOp,
     TopBucketsOp,
     collections_by_name,
@@ -64,7 +63,6 @@ __all__ = [
     "MergeOp",
     "PhaseOperator",
     "PhaseState",
-    "PrunedJoinOp",
     "StatisticsOp",
     "TopBucketsOp",
     "collections_by_name",

@@ -26,12 +26,13 @@ import numpy as np
 from ..columnar import (
     FixedInterval,
     IntervalColumns,
+    as_columns,
     box_mask,
     combine_scores_v,
     compile_vector,
     sweep_positions,
 )
-from ..index import CompiledPredicateQuery, ThresholdIndex
+from ..index import CompiledPredicateQuery, Rect, ThresholdIndex
 from ..query.graph import QueryEdge, ResultTuple, RTJQuery
 from ..temporal.interval import Interval
 from .bounds import BucketCombination, CombinationTable
@@ -156,9 +157,19 @@ class LocalTopKJoin:
         # shared by both columnar kernels.
         self._vector_scorers = (
             {index: compile_vector(edge.predicate) for index, edge in enumerate(query.edges)}
-            if self.config.kernel in ("vector", "sweep")
+            if self.config.kernel != "scalar"
             else {}
         )
+        # The kernels read the same per-bucket columns and differ in how a
+        # threshold box becomes candidates and in the extension body scoring them.
+        self._resolve, self._extend_kernel = {
+            "scalar": (self._probe_index, self._extend),
+            "vector": (_mask_positions, self._extend_columnar),
+            "sweep": (sweep_positions, self._extend_columnar),
+        }[self.config.kernel]
+        # Scalar kernel: one R-tree per bucket batch of a run, keyed by the
+        # batch's id() — run() keeps every batch alive in its bucket cache.
+        self._indexes: dict[int, ThresholdIndex] = {}
 
     # ------------------------------------------------------------------ public
     def run(
@@ -171,9 +182,9 @@ class LocalTopKJoin:
         """Top-k results over the given combinations and their bucket contents.
 
         ``intervals`` maps each ``(vertex, bucket)`` to its contents, either as
-        interval objects or as a columnar :class:`IntervalColumns` batch (what
-        the columnar join operator ships); each kernel coerces to its native
-        representation once per bucket and caches the result for the run.
+        a columnar :class:`IntervalColumns` batch (what the join operator
+        ships) or as interval objects; every referenced bucket is coerced to
+        columns once and shared by all combinations referencing it.
 
         ``initial_threshold`` seeds the early-termination score floor before the
         local heap fills: tuples that cannot score *strictly above* it are
@@ -186,12 +197,8 @@ class LocalTopKJoin:
         k = k if k is not None else self.query.k
         heap = _TopKHeap(k)
         stats = LocalJoinStats()
-        columnar = self.config.kernel in ("vector", "sweep")
-        # Per-run bucket caches: R-tree indexes for the scalar kernel, columnar
-        # batches for the vector and sweep kernels (built once per bucket, then
-        # reused by every combination referencing it).
-        index_cache: dict[VertexBucket, ThresholdIndex] = {}
-        columns_cache: dict[VertexBucket, IntervalColumns] = {}
+        buckets: dict[VertexBucket, IntervalColumns] = {}
+        self._indexes = {}
         self._floor = initial_threshold if self.config.early_termination else 0.0
 
         # Only the rows actually processed become BucketCombination objects.
@@ -207,41 +214,42 @@ class LocalTopKJoin:
                 stats.combinations_skipped += len(ordered) - stats.combinations_processed
                 break
             stats.combinations_processed += 1
-            combination = table[row]
-            if columnar:
-                self._process_combination_v(
-                    combination, intervals, heap, stats, columns_cache
-                )
-            else:
-                self._process_combination(combination, intervals, heap, stats, index_cache)
+            self._process_combination(table[row], intervals, buckets, heap, stats)
         return heap.results(), stats
 
     # ----------------------------------------------------------------- internal
     def _process_combination(
         self,
         combination: BucketCombination,
-        intervals: Mapping[VertexBucket, Sequence[Interval]],
+        intervals: Mapping[VertexBucket, "Sequence[Interval] | IntervalColumns"],
+        buckets: dict[VertexBucket, IntervalColumns],
         heap: _TopKHeap,
         stats: LocalJoinStats,
-        index_cache: dict[VertexBucket, ThresholdIndex],
     ) -> None:
-        per_vertex: dict[str, Sequence[Interval]] = {}
+        per_vertex: dict[str, IntervalColumns] = {}
         for vertex, bucket in combination.bucket_items():
-            batch = intervals.get((vertex, bucket), ())
-            if isinstance(batch, IntervalColumns):
-                batch = batch.to_intervals()
-            per_vertex[vertex] = batch
-        if any(len(items) == 0 for items in per_vertex.values()):
+            key = (vertex, bucket)
+            columns = buckets.get(key)
+            if columns is None:
+                columns = buckets[key] = as_columns(intervals.get(key, ()))
+            per_vertex[vertex] = columns
+        if any(len(columns) == 0 for columns in per_vertex.values()):
             return
 
         edge_ubs = self._edge_upper_bounds(combination)
         first_vertex = self._join_order[0]
         empty_scores: list[float | None] = [None] * self._num_edges
-        for interval in per_vertex[first_vertex]:
-            assignment = {first_vertex: interval}
-            self._extend(
-                combination, per_vertex, assignment, empty_scores, 1, edge_ubs,
-                heap, stats, index_cache,
+        first = per_vertex[first_vertex]
+        # The scalar kernel scores Interval rows (in process the original
+        # objects), the columnar kernels lightweight records of the columns.
+        rows = (
+            first.to_intervals()
+            if self.config.kernel == "scalar"
+            else map(first.record, range(len(first)))
+        )
+        for row in rows:
+            self._extend_kernel(
+                per_vertex, {first_vertex: row}, empty_scores, 1, edge_ubs, heap, stats
             )
 
     def _edge_upper_bounds(self, combination: BucketCombination) -> list[float]:
@@ -249,17 +257,69 @@ class LocalTopKJoin:
             return [bounds[1] for bounds in combination.edge_bounds]
         return [1.0] * self._num_edges
 
+    def _candidates(
+        self,
+        columns: IntervalColumns,
+        assignment: Mapping[str, "Interval | FixedInterval"],
+        edge_scores: Sequence[float | None],
+        vertex: str,
+        connecting: Sequence[tuple[int, QueryEdge]],
+        edge_ubs: Sequence[float],
+        threshold: float,
+    ):
+        """Candidates for the next join-order vertex among its bucket ``columns``;
+        ``None`` means the whole bucket.
+
+        The residual score the driver edge must reach is boxed by its
+        :class:`CompiledPredicateQuery` and the kernel's resolver turns the box
+        into candidates: an R-tree probe returning intervals (scalar), a
+        boolean range filter over the bucket columns (vector) or a window over
+        its endpoint-sorted views (sweep) returning positions.  All three
+        select exactly the same intervals, in bucket order.
+        """
+        if not self.config.use_index or not connecting or threshold <= 0.0:
+            return None
+
+        driver_index, driver_edge = connecting[0]
+        fixed_var = driver_edge.source if driver_edge.target == vertex else driver_edge.target
+        # Residual score the driver edge must reach: actual scores for resolved
+        # edges, upper bounds for every other unresolved edge.
+        known = {
+            index: score for index, score in enumerate(edge_scores) if score is not None
+        }
+        required = self.query.aggregation.residual_threshold(
+            threshold, driver_index, known, edge_ubs
+        )
+        if required <= 0.0:
+            return None
+        if required > 1.0:
+            return _EMPTY_POSITIONS
+        box = self._threshold_queries[(driver_index, fixed_var)].box(
+            assignment[fixed_var], required
+        )
+        if box is None:
+            return _EMPTY_POSITIONS
+        return self._resolve(box, columns)
+
+    # ------------------------------------------------------------ scalar kernel
+    def _probe_index(self, box: Rect, columns: IntervalColumns) -> list[Interval]:
+        """Scalar resolver: probe the bucket's R-tree (built on first use in a run)."""
+        index = self._indexes.get(id(columns))
+        if index is None:
+            index = self._indexes[id(columns)] = ThresholdIndex.build(
+                columns.to_intervals(), leaf_capacity=self.config.index_leaf_capacity
+            )
+        return index.in_box(box)
+
     def _extend(
         self,
-        combination: BucketCombination,
-        per_vertex: Mapping[str, Sequence[Interval]],
+        per_vertex: Mapping[str, IntervalColumns],
         assignment: dict[str, Interval],
         edge_scores: list[float | None],
         depth: int,
         edge_ubs: Sequence[float],
         heap: _TopKHeap,
         stats: LocalJoinStats,
-        index_cache: dict[VertexBucket, ThresholdIndex],
     ) -> None:
         if depth == len(self._join_order):
             score = self.query.aggregation.combine(edge_scores)
@@ -272,10 +332,12 @@ class LocalTopKJoin:
         connecting = self._edges_at[depth]
         pruning = self.config.early_termination and (heap.is_full or self._floor > 0.0)
         threshold = max(self._floor, heap.kth_score) if pruning else 0.0
+        columns = per_vertex[vertex]
         candidates = self._candidates(
-            combination, per_vertex, assignment, edge_scores, vertex, connecting,
-            edge_ubs, threshold, index_cache,
+            columns, assignment, edge_scores, vertex, connecting, edge_ubs, threshold
         )
+        if candidates is None:
+            candidates = columns.to_intervals()
 
         aggregation = self.query.aggregation
         scorers = self._scorers
@@ -311,95 +373,13 @@ class LocalTopKJoin:
                 del assignment[vertex]
                 continue
             self._extend(
-                combination, per_vertex, assignment, new_scores, depth + 1,
-                edge_ubs, heap, stats, index_cache,
+                per_vertex, assignment, new_scores, depth + 1, edge_ubs, heap, stats
             )
             del assignment[vertex]
 
-    def _candidates(
+    # --------------------------------------------------------- columnar kernels
+    def _extend_columnar(
         self,
-        combination: BucketCombination,
-        per_vertex: Mapping[str, Sequence[Interval]],
-        assignment: Mapping[str, Interval],
-        edge_scores: Sequence[float | None],
-        vertex: str,
-        connecting: Sequence[tuple[int, QueryEdge]],
-        edge_ubs: Sequence[float],
-        threshold: float,
-        index_cache: dict[VertexBucket, ThresholdIndex],
-    ) -> Sequence[Interval]:
-        """Candidate intervals for the next join-order vertex."""
-        pool = per_vertex[vertex]
-        if not self.config.use_index or not connecting or threshold <= 0.0:
-            return pool
-
-        driver_index, driver_edge = connecting[0]
-        fixed_var = driver_edge.source if driver_edge.target == vertex else driver_edge.target
-        fixed_interval = assignment[fixed_var]
-        # Residual score the driver edge must reach: actual scores for resolved
-        # edges, upper bounds for every other unresolved edge.
-        known = {
-            index: score for index, score in enumerate(edge_scores) if score is not None
-        }
-        required = self.query.aggregation.residual_threshold(
-            threshold, driver_index, known, edge_ubs
-        )
-        if required <= 0.0:
-            return pool
-        if required > 1.0:
-            return ()
-
-        bucket = combination.bucket_of(vertex)
-        cache_key = (vertex, bucket)
-        index = index_cache.get(cache_key)
-        if index is None:
-            index = ThresholdIndex.build(pool, leaf_capacity=self.config.index_leaf_capacity)
-            index_cache[cache_key] = index
-        return index.candidates_compiled(
-            self._threshold_queries[(driver_index, fixed_var)], fixed_interval, required
-        )
-
-    # ------------------------------------------------------------ vector kernel
-    def _process_combination_v(
-        self,
-        combination: BucketCombination,
-        intervals: Mapping[VertexBucket, "Sequence[Interval] | IntervalColumns"],
-        heap: _TopKHeap,
-        stats: LocalJoinStats,
-        columns_cache: dict[VertexBucket, IntervalColumns],
-    ) -> None:
-        """Columnar twin of :meth:`_process_combination` (same tuples, same order)."""
-        per_vertex: dict[str, IntervalColumns] = {}
-        for vertex, bucket in combination.bucket_items():
-            key = (vertex, bucket)
-            columns = columns_cache.get(key)
-            if columns is None:
-                batch = intervals.get(key, ())
-                columns = (
-                    batch
-                    if isinstance(batch, IntervalColumns)
-                    else IntervalColumns.from_intervals(batch)
-                )
-                columns_cache[key] = columns
-            per_vertex[vertex] = columns
-        if any(len(columns) == 0 for columns in per_vertex.values()):
-            return
-
-        edge_ubs = self._edge_upper_bounds(combination)
-        first_vertex = self._join_order[0]
-        empty_scores: list[float | None] = [None] * self._num_edges
-        first = per_vertex[first_vertex]
-        extend = self._extend_sweep if self.config.kernel == "sweep" else self._extend_v
-        for position in range(len(first)):
-            assignment = {first_vertex: first.record(position)}
-            extend(
-                combination, per_vertex, assignment, empty_scores, 1, edge_ubs,
-                heap, stats,
-            )
-
-    def _extend_v(
-        self,
-        combination: BucketCombination,
         per_vertex: Mapping[str, IntervalColumns],
         assignment: dict[str, FixedInterval],
         edge_scores: list[float | None],
@@ -412,63 +392,17 @@ class LocalTopKJoin:
 
         Parity with the scalar :meth:`_extend` is exact by construction: the
         threshold is frozen at entry (as in the scalar loop), the candidate set
-        comes from the same threshold box (a boolean range filter instead of an
-        R-tree probe), candidates are visited in the same bucket insertion
-        order, and the comparator/aggregation kernels produce bit-identical
-        floats — so the same tuples pass the same pruning tests and the
-        counters agree exactly.
+        comes from the same threshold box (:meth:`_candidates`), candidates are
+        visited in the same bucket order, and the comparator/aggregation
+        kernels produce bit-identical floats — so the same tuples pass the same
+        pruning tests and the counters agree exactly.
         """
-        self._extend_columnar(
-            combination, per_vertex, assignment, edge_scores, depth, edge_ubs,
-            heap, stats, self._candidate_positions, self._extend_v,
-        )
-
-    def _extend_sweep(
-        self,
-        combination: BucketCombination,
-        per_vertex: Mapping[str, IntervalColumns],
-        assignment: dict[str, FixedInterval],
-        edge_scores: list[float | None],
-        depth: int,
-        edge_ubs: Sequence[float],
-        heap: _TopKHeap,
-        stats: LocalJoinStats,
-    ) -> None:
-        """Sweep twin of :meth:`_extend_v`: same frozen-threshold batch scoring,
-        but the threshold box is resolved to a window over the bucket's
-        endpoint-sorted views (``searchsorted``, :func:`repro.columnar.sweep_positions`)
-        instead of a full-column ``box_mask`` scan — ``O(log n + window)`` per
-        extension step instead of ``O(n)``.  The window resolver returns the
-        box-mask candidate set bit for bit, so parity (and the counters) are
-        inherited from the shared scoring body.
-        """
-        self._extend_columnar(
-            combination, per_vertex, assignment, edge_scores, depth, edge_ubs,
-            heap, stats, self._sweep_candidate_positions, self._extend_sweep,
-        )
-
-    def _extend_columnar(
-        self,
-        combination: BucketCombination,
-        per_vertex: Mapping[str, IntervalColumns],
-        assignment: dict[str, FixedInterval],
-        edge_scores: list[float | None],
-        depth: int,
-        edge_ubs: Sequence[float],
-        heap: _TopKHeap,
-        stats: LocalJoinStats,
-        resolve_positions,
-        extend,
-    ) -> None:
-        """Shared body of the columnar kernels, parameterised over the candidate
-        resolver (box-mask scan or sorted-endpoint window) and the recursive
-        continuation."""
         vertex = self._join_order[depth]
         connecting = self._edges_at[depth]
         pruning = self.config.early_termination and (heap.is_full or self._floor > 0.0)
         threshold = max(self._floor, heap.kth_score) if pruning else 0.0
         columns = per_vertex[vertex]
-        positions = resolve_positions(
+        positions = self._candidates(
             columns, assignment, edge_scores, vertex, connecting, edge_ubs, threshold
         )
         if positions is None:
@@ -539,98 +473,10 @@ class LocalTopKJoin:
             new_scores = edge_scores.copy()
             for edge_index, _ in connecting:
                 new_scores[edge_index] = float(parts[edge_index][row])
-            extend(
-                combination, per_vertex, assignment, new_scores, depth + 1,
-                edge_ubs, heap, stats,
+            self._extend_columnar(
+                per_vertex, assignment, new_scores, depth + 1, edge_ubs, heap, stats
             )
             del assignment[vertex]
-
-    def _threshold_box(
-        self,
-        assignment: Mapping[str, FixedInterval],
-        edge_scores: Sequence[float | None],
-        vertex: str,
-        connecting: Sequence[tuple[int, QueryEdge]],
-        edge_ubs: Sequence[float],
-        threshold: float,
-    ):
-        """Threshold box of the next extension step, shared by both resolvers.
-
-        Returns ``(box, whole_bucket)``: ``whole_bucket`` means no pruning box
-        applies (scan everything), otherwise ``box`` is the
-        :class:`CompiledPredicateQuery` box — ``None`` for "no candidate can
-        qualify".  Mirrors the decision cascade of the scalar
-        :meth:`_candidates` exactly.
-        """
-        if not self.config.use_index or not connecting or threshold <= 0.0:
-            return None, True
-
-        driver_index, driver_edge = connecting[0]
-        fixed_var = driver_edge.source if driver_edge.target == vertex else driver_edge.target
-        fixed_interval = assignment[fixed_var]
-        known = {
-            index: score for index, score in enumerate(edge_scores) if score is not None
-        }
-        required = self.query.aggregation.residual_threshold(
-            threshold, driver_index, known, edge_ubs
-        )
-        if required <= 0.0:
-            return None, True
-        if required > 1.0:
-            return None, False
-        box = self._threshold_queries[(driver_index, fixed_var)].box(
-            fixed_interval, required
-        )
-        return box, False
-
-    def _candidate_positions(
-        self,
-        columns: IntervalColumns,
-        assignment: Mapping[str, FixedInterval],
-        edge_scores: Sequence[float | None],
-        vertex: str,
-        connecting: Sequence[tuple[int, QueryEdge]],
-        edge_ubs: Sequence[float],
-        threshold: float,
-    ) -> np.ndarray | None:
-        """Columnar twin of :meth:`_candidates`: ``None`` means the whole bucket.
-
-        The same residual threshold is boxed by the same
-        :class:`CompiledPredicateQuery`; the boolean range filter over the
-        bucket columns selects exactly the intervals an R-tree probe with that
-        box would return, in insertion order.
-        """
-        box, whole_bucket = self._threshold_box(
-            assignment, edge_scores, vertex, connecting, edge_ubs, threshold
-        )
-        if whole_bucket:
-            return None
-        if box is None:
-            return _EMPTY_POSITIONS
-        return np.flatnonzero(box_mask(box, columns.starts, columns.ends))
-
-    def _sweep_candidate_positions(
-        self,
-        columns: IntervalColumns,
-        assignment: Mapping[str, FixedInterval],
-        edge_scores: Sequence[float | None],
-        vertex: str,
-        connecting: Sequence[tuple[int, QueryEdge]],
-        edge_ubs: Sequence[float],
-        threshold: float,
-    ) -> np.ndarray | None:
-        """Sweep twin of :meth:`_candidate_positions`: the same box, resolved to
-        a window over the bucket's endpoint-sorted views instead of a
-        full-column scan (identical positions in identical order, DESIGN.md
-        §11)."""
-        box, whole_bucket = self._threshold_box(
-            assignment, edge_scores, vertex, connecting, edge_ubs, threshold
-        )
-        if whole_bucket:
-            return None
-        if box is None:
-            return _EMPTY_POSITIONS
-        return sweep_positions(box, columns)
 
     def _attribute_mask(
         self,
@@ -653,6 +499,11 @@ class LocalTopKJoin:
                 keep[row] = False
         del assignment[vertex]
         return keep
+
+
+def _mask_positions(box: Rect, columns: IntervalColumns) -> np.ndarray:
+    """Vector resolver: boolean range filter over the whole bucket column."""
+    return np.flatnonzero(box_mask(box, columns.starts, columns.ends))
 
 
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)

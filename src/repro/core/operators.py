@@ -27,12 +27,11 @@ from ..mapreduce import (
     MapReduceJob,
     Mapper,
     Reducer,
-    default_record_size,
 )
 from ..mapreduce.cluster import JobMetrics
 from ..query.graph import ResultTuple, RTJQuery
 from ..solver import BranchAndBoundSolver
-from ..temporal.interval import Interval, IntervalCollection
+from ..temporal.interval import IntervalCollection
 from .bounds import CombinationTable
 from .distribution import WorkloadAssignment, assign
 from .local_join import LocalJoinConfig, LocalJoinStats, LocalTopKJoin
@@ -40,8 +39,8 @@ from .merge import run_merge_job
 from .statistics import (
     BucketKey,
     DatasetStatistics,
+    bucket_columns,
     collect_statistics,
-    collect_statistics_mapreduce,
 )
 from .top_buckets import TopBucketsResult, TopBucketsSelector
 
@@ -53,7 +52,6 @@ __all__ = [
     "DistributeOp",
     "FilteredDistributeOp",
     "JoinOp",
-    "PrunedJoinOp",
     "MergeOp",
     "run_pipeline",
     "collections_by_name",
@@ -91,8 +89,8 @@ class PhaseState:
     results: list[ResultTuple] = field(default_factory=list)
     phase_seconds: dict[str, float] = field(default_factory=dict)
     pruning: dict[str, int] = field(default_factory=dict)
-    """Work-avoidance counters written by the pruning operator variants
-    (``combinations_kept``/``combinations_pruned``/``intervals_skipped``)."""
+    """Work-avoidance counters: ``combinations_kept``/``combinations_pruned`` from
+    :class:`FilteredDistributeOp`, ``intervals_skipped`` from every :class:`JoinOp`."""
 
     def per_reducer_kth_score(self) -> dict[int, float | None]:
         """Score of each reducer's local k-th result (``None`` for empty reducers)."""
@@ -137,7 +135,6 @@ class StatisticsOp(PhaseOperator):
     """
 
     num_granules: int = 20
-    on_mapreduce: bool = False
     precollected: DatasetStatistics | None = None
 
     name = "statistics"
@@ -146,13 +143,9 @@ class StatisticsOp(PhaseOperator):
         if self.precollected is not None:
             state.statistics = self.precollected
             return
-        collections = collections_by_name(state.query)
-        if self.on_mapreduce:
-            state.statistics = collect_statistics_mapreduce(
-                collections, self.num_granules, state.engine
-            )
-        else:
-            state.statistics = collect_statistics(collections, self.num_granules)
+        state.statistics = collect_statistics(
+            collections_by_name(state.query), self.num_granules
+        )
 
 
 # ---------------------------------------------------------------- phase (b)
@@ -216,37 +209,13 @@ class FilteredDistributeOp(DistributeOp):
 
 # ---------------------------------------------------------------- phase (d)
 class _JoinMapper(Mapper):
-    """Routes each interval to every reducer that was assigned its bucket."""
+    """Routes each bucket's record batch to every reducer that was assigned it.
 
-    def __init__(
-        self,
-        bucket_of: Mapping[str, Mapping[int, BucketKey]],
-        routing: Mapping[tuple[str, BucketKey], tuple[int, ...]],
-    ) -> None:
-        self._bucket_of = bucket_of
-        self._routing = routing
-
-    def map(self, key, value):
-        vertex, interval = key, value
-        bucket = self._bucket_of[vertex].get(interval.uid)
-        if bucket is None:
-            return
-        reducers = self._routing.get((vertex, bucket), ())
-        for reducer in reducers:
-            self.counters.increment("join.intervals_shuffled")
-            yield (reducer, vertex, bucket), interval
-
-
-class _ColumnarJoinMapper(Mapper):
-    """Routes whole per-bucket record batches instead of single intervals.
-
-    The vector and sweep kernels score buckets as numpy record batches, so the
-    map input is pre-grouped into one :class:`IntervalColumns` per
-    ``(vertex, bucket)`` and the batch travels as a unit — on the process
-    backend this pickles dense arrays per bucket (including the sweep kernel's
-    endpoint-sorted views, when built) rather than a list of ``Interval``
-    objects.  The ``join.intervals_shuffled`` counter still counts intervals
-    (not batches), so replication accounting matches the scalar mapper exactly.
+    Routing is a function of the bucket, never of the interval, so the unit of
+    the shuffle is one uid-ordered :class:`IntervalColumns` per ``(vertex,
+    bucket)`` — on the process backend that pickles dense arrays per bucket
+    (including the sweep kernel's endpoint-sorted views, when built).  The
+    ``join.intervals_shuffled`` counter counts intervals, not batches.
     """
 
     def __init__(self, routing: Mapping[tuple[str, BucketKey], tuple[int, ...]]) -> None:
@@ -255,16 +224,16 @@ class _ColumnarJoinMapper(Mapper):
     def map(self, key, value):
         vertex, bucket = key
         columns: IntervalColumns = value
-        for reducer in self._routing.get((vertex, bucket), ()):
+        for reducer in self._routing[vertex, bucket]:
             self.counters.increment("join.intervals_shuffled", len(columns))
             yield (reducer, vertex, bucket), columns
 
 
-def columnar_record_size(key, value) -> int:
-    """Shuffle-size estimate of one columnar batch: the intervals it carries.
+def batch_record_size(key, value) -> int:
+    """Shuffle size of one bucket batch: the intervals it carries.
 
-    Module-level (picklable) so columnar join jobs keep shuffle-volume
-    accounting comparable with the per-interval scalar jobs.
+    Module-level (picklable); keeps ``JobMetrics.shuffle_size`` the replicated
+    interval volume, comparable with the baselines' per-interval jobs.
     """
     return len(value)
 
@@ -284,28 +253,19 @@ class _JoinReducer(Reducer):
         self._config = config
         self._initial_threshold = initial_threshold
         self._reducer_id: int | None = None
-        self._intervals: dict[
-            tuple[str, BucketKey], "list[Interval] | IntervalColumns"
-        ] = {}
+        self._buckets: dict[tuple[str, BucketKey], IntervalColumns] = {}
 
     def reduce(self, key, values):
-        # Bucket contents are canonicalised to uid order: the per-interval
-        # shuffle delivers values in map-task emit order (which depends on the
-        # mapper count), while columnar jobs ship whole pre-sorted batches.
-        # The local join's pruning thresholds evolve with the processing order,
-        # so a shared canonical order is what makes work counters identical
-        # across kernels — and across cluster shapes.
+        # A bucket normally arrives as the one uid-ordered batch the mapper
+        # shipped; spilled runs can deliver it in pieces, which are put back in
+        # uid order.  The local join's pruning thresholds evolve with the
+        # processing order, so a shared canonical order is what makes work
+        # counters identical across kernels — and across cluster shapes.
         reducer_id, vertex, bucket = key
         self._reducer_id = reducer_id
-        batch = list(values)
-        if batch and all(isinstance(value, IntervalColumns) for value in batch):
-            columns = IntervalColumns.concat(batch)
-            self._intervals[(vertex, bucket)] = (
-                columns.sort_by_uid() if len(batch) > 1 else columns
-            )
-        else:
-            batch.sort(key=lambda interval: interval.uid)
-            self._intervals[(vertex, bucket)] = batch
+        pieces = list(values)
+        columns = IntervalColumns.concat(pieces)
+        self._buckets[vertex, bucket] = columns.sort_by_uid() if len(pieces) > 1 else columns
         return iter(())
 
     def cleanup(self) -> Iterator:
@@ -317,7 +277,7 @@ class _JoinReducer(Reducer):
         join = LocalTopKJoin(self._query, self._config)
         results, stats = join.run(
             combinations,
-            self._intervals,
+            self._buckets,
             k=self._query.k,
             initial_threshold=self._initial_threshold,
         )
@@ -330,8 +290,13 @@ class _JoinReducer(Reducer):
 
 @dataclass
 class JoinOp(PhaseOperator):
-    """Phase (d): mappers route intervals to their assigned reducers, reducers
-    run the RTJ query locally and emit their top-k.
+    """Phase (d): each collection is split once into per-bucket record batches,
+    mappers route the batches some reducer was assigned, reducers run the RTJ
+    query locally and emit their top-k.
+
+    Buckets no reducer was assigned are never shipped; the intervals they hold
+    are counted in ``state.pruning["intervals_skipped"]`` (most of the data on
+    a streaming tick, whose assignment covers only a small candidate subset).
 
     ``initial_threshold`` seeds every reducer's early-termination floor (see
     :meth:`LocalTopKJoin.run`); the streaming evaluator passes its persistent
@@ -357,25 +322,29 @@ class JoinOp(PhaseOperator):
         routing: dict[tuple[str, BucketKey], tuple[int, ...]] = {
             item: tuple(reducers) for item, reducers in reducers_of.items()
         }
-        bucket_of, input_pairs = self._route_inputs(state, routing)
 
-        if self.join_config.kernel in ("vector", "sweep"):
-            mapper_factory = partial(_ColumnarJoinMapper, routing)
-            input_pairs = self._columnar_batches(bucket_of, input_pairs)
-            if self.join_config.kernel == "sweep":
-                # Endpoint-sorted views are built once per bucket *before* the
-                # shuffle and pickle with the batch (IntervalColumns ships them
-                # when built), so every replica reducer resolves windows
-                # without re-sorting its buckets.
-                for _, columns in input_pairs:
-                    columns.sorted_views()
-            record_size = columnar_record_size
-        else:
-            mapper_factory = partial(_JoinMapper, bucket_of, routing)
-            record_size = default_record_size
+        input_pairs: list[tuple[tuple[str, BucketKey], IntervalColumns]] = []
+        skipped = 0
+        for vertex in state.query.vertices:
+            collection = state.query.collections[vertex]
+            granularity = state.statistics.matrix(collection.name).granularity
+            for bucket, columns in bucket_columns(granularity, collection).items():
+                if (vertex, bucket) in routing:
+                    input_pairs.append(((vertex, bucket), columns))
+                else:
+                    skipped += len(columns)
+        state.pruning["intervals_skipped"] = skipped
+        if self.join_config.kernel == "sweep":
+            # Endpoint-sorted views are built once per bucket *before* the
+            # shuffle and pickle with the batch (IntervalColumns ships them
+            # when built), so every replica reducer resolves windows without
+            # re-sorting its buckets.
+            for _, columns in input_pairs:
+                columns.sorted_views()
+
         job = MapReduceJob(
             name="tkij-join",
-            mapper_factory=mapper_factory,
+            mapper_factory=partial(_JoinMapper, routing),
             reducer_factory=partial(
                 _JoinReducer,
                 state.query,
@@ -385,7 +354,7 @@ class JoinOp(PhaseOperator):
             ),
             partitioner=FirstElementPartitioner(),
             num_reducers=state.num_reducers,
-            record_size=record_size,
+            record_size=batch_record_size,
         )
         job_result = state.engine.run(job, input_pairs)
 
@@ -400,80 +369,6 @@ class JoinOp(PhaseOperator):
         state.local_results = local_results
         state.join_metrics = job_result.metrics
         state.local_join_stats = merged_stats
-
-    @staticmethod
-    def _columnar_batches(
-        bucket_of: Mapping[str, Mapping[int, BucketKey]],
-        input_pairs: Sequence[tuple[str, Interval]],
-    ) -> list[tuple[tuple[str, BucketKey], IntervalColumns]]:
-        """Group the per-interval map input into one record batch per bucket."""
-        grouped: dict[tuple[str, BucketKey], list[Interval]] = {}
-        for vertex, interval in input_pairs:
-            grouped.setdefault(
-                (vertex, bucket_of[vertex][interval.uid]), []
-            ).append(interval)
-        for rows in grouped.values():
-            rows.sort(key=lambda interval: interval.uid)
-        return [
-            (key, IntervalColumns.from_intervals(rows)) for key, rows in grouped.items()
-        ]
-
-    def _route_inputs(
-        self, state: PhaseState, routing: Mapping[tuple[str, BucketKey], tuple[int, ...]]
-    ) -> tuple[dict[str, dict[int, BucketKey]], list[tuple[str, Interval]]]:
-        """Per-interval bucket index plus the ``(vertex, interval)`` map input.
-
-        The base operator feeds every interval of every bound collection to the
-        map phase (mappers drop the ones whose bucket no reducer was assigned).
-        """
-        bucket_of: dict[str, dict[int, BucketKey]] = {}
-        input_pairs: list[tuple[str, Interval]] = []
-        for vertex in state.query.vertices:
-            collection = state.query.collections[vertex]
-            granularity = state.statistics.matrix(collection.name).granularity
-            per_interval: dict[int, BucketKey] = {}
-            for interval in collection:
-                per_interval[interval.uid] = granularity.bucket_of(interval)
-                input_pairs.append((vertex, interval))
-            bucket_of[vertex] = per_interval
-        return bucket_of, input_pairs
-
-
-@dataclass
-class PrunedJoinOp(JoinOp):
-    """Phase (d) variant that never ships intervals of unassigned bucket pairs.
-
-    The base :class:`JoinOp` routes every interval through the map phase and
-    lets mappers drop the unassigned ones; when the assignment covers only a
-    small candidate subset (the streaming case), that wastes map work and task
-    payload on data that cannot reach any reducer.  This variant filters the
-    map input to intervals whose ``(vertex, bucket)`` pair some reducer was
-    actually assigned, recording the skipped count in
-    ``state.pruning["intervals_skipped"]``.
-    """
-
-    name = "join"
-
-    def _route_inputs(
-        self, state: PhaseState, routing: Mapping[tuple[str, BucketKey], tuple[int, ...]]
-    ) -> tuple[dict[str, dict[int, BucketKey]], list[tuple[str, Interval]]]:
-        bucket_of: dict[str, dict[int, BucketKey]] = {}
-        input_pairs: list[tuple[str, Interval]] = []
-        skipped = 0
-        for vertex in state.query.vertices:
-            collection = state.query.collections[vertex]
-            granularity = state.statistics.matrix(collection.name).granularity
-            per_interval: dict[int, BucketKey] = {}
-            for interval in collection:
-                bucket = granularity.bucket_of(interval)
-                if (vertex, bucket) not in routing:
-                    skipped += 1
-                    continue
-                per_interval[interval.uid] = bucket
-                input_pairs.append((vertex, interval))
-            bucket_of[vertex] = per_interval
-        state.pruning["intervals_skipped"] = skipped
-        return bucket_of, input_pairs
 
 
 # ---------------------------------------------------------------- phase (e)

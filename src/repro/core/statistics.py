@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..columnar import IntervalColumns
 from ..mapreduce import ClusterConfig, MapReduceEngine, MapReduceJob, Mapper, Reducer
 from ..mapreduce.cluster import JobMetrics
 from ..solver.domain import VariableBox
@@ -33,6 +34,8 @@ __all__ = [
     "BucketMatrix",
     "DatasetStatistics",
     "bucket_counts",
+    "bucket_columns",
+    "batch_arrays",
     "collect_statistics",
     "collect_statistics_mapreduce",
     "update_statistics",
@@ -202,6 +205,12 @@ class DatasetStatistics:
         return len(self.matrices[collection_name].nonempty_buckets())
 
 
+def _flat_buckets(granularity: Granularity, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Bucket of every ``(start, end)`` pair, flattened to ``start granule * g + end granule``."""
+    start_granules, end_granules = granularity.granules_of(starts), granularity.granules_of(ends)
+    return start_granules * granularity.num_granules + end_granules
+
+
 def bucket_counts(
     granularity: Granularity, starts: np.ndarray, ends: np.ndarray
 ) -> dict[BucketKey, int]:
@@ -215,15 +224,44 @@ def bucket_counts(
     if len(starts) == 0:
         return {}
     num_granules = granularity.num_granules
-    flat = granularity.granules_of(starts) * num_granules + granularity.granules_of(ends)
-    counts = np.bincount(flat, minlength=num_granules * num_granules)
+    counts = np.bincount(
+        _flat_buckets(granularity, starts, ends), minlength=num_granules * num_granules
+    )
     return {
         (int(key) // num_granules, int(key) % num_granules): int(counts[key])
         for key in np.flatnonzero(counts)
     }
 
 
-def _batch_arrays(intervals: Iterable[Interval]) -> tuple[np.ndarray, np.ndarray]:
+def bucket_columns(
+    granularity: Granularity, collection: IntervalCollection
+) -> dict[BucketKey, IntervalColumns]:
+    """Split a collection into one uid-ordered record batch per non-empty bucket.
+
+    The same flattened granule expression as :func:`bucket_counts` (so a batch
+    holds exactly the intervals the matrix counts in its bucket, clamped
+    out-of-range ones included), one stable sort by ``(bucket, uid)`` and one
+    slice per bucket.  Uid order is the canonical bucket order every join kernel
+    and cluster shape relies on; batches keep their ``Interval`` rows in process.
+    """
+    rows = collection.intervals
+    if not rows:
+        return {}
+    num_granules = granularity.num_granules
+    uids = np.fromiter((x.uid for x in rows), dtype=np.int64, count=len(rows))
+    flat = _flat_buckets(granularity, collection.starts, collection.ends)
+    order = np.lexsort((uids, flat))
+    keys, first = np.unique(flat[order], return_index=True)
+    edges = [*first.tolist(), len(rows)]
+    batches: dict[BucketKey, IntervalColumns] = {}
+    for key, low, high in zip(keys.tolist(), edges, edges[1:]):
+        batches[key // num_granules, key % num_granules] = IntervalColumns.from_intervals(
+            [rows[position] for position in order[low:high].tolist()]
+        )
+    return batches
+
+
+def batch_arrays(intervals: Iterable[Interval]) -> tuple[np.ndarray, np.ndarray]:
     """Start/end columns of an interval batch (materialising iterators once)."""
     batch: Sequence[Interval] = (
         intervals if isinstance(intervals, (list, tuple)) else list(intervals)
@@ -254,7 +292,7 @@ def update_statistics(
     """
     for name, intervals in (inserted or {}).items():
         matrix = statistics.matrix(name)
-        starts, ends = _batch_arrays(intervals)
+        starts, ends = batch_arrays(intervals)
         for key, amount in bucket_counts(matrix.granularity, starts, ends).items():
             matrix.add(key, amount)
         if len(starts):
@@ -262,7 +300,7 @@ def update_statistics(
             matrix.high = max(matrix.high, float(ends.max()))
     for name, intervals in (deleted or {}).items():
         matrix = statistics.matrix(name)
-        starts, ends = _batch_arrays(intervals)
+        starts, ends = batch_arrays(intervals)
         for key, amount in bucket_counts(matrix.granularity, starts, ends).items():
             matrix.remove(key, amount)
     return statistics

@@ -36,14 +36,9 @@ from .operators import (
     PhaseState,
     StatisticsOp,
     TopBucketsOp,
-    collections_by_name,
     run_pipeline,
 )
-from .statistics import (
-    DatasetStatistics,
-    collect_statistics,
-    collect_statistics_mapreduce,
-)
+from .statistics import DatasetStatistics, collect_statistics
 from .top_buckets import STRATEGIES, TopBucketsResult
 
 __all__ = ["TKIJ", "TKIJResult"]
@@ -117,7 +112,6 @@ class TKIJ:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     join_config: LocalJoinConfig = field(default_factory=LocalJoinConfig)
     solver: BranchAndBoundSolver = field(default_factory=BranchAndBoundSolver)
-    statistics_on_mapreduce: bool = False
     backend: "ExecutionBackend | None" = None
 
     def __post_init__(self) -> None:
@@ -142,8 +136,6 @@ class TKIJ:
         self, collections: Mapping[str, IntervalCollection]
     ) -> DatasetStatistics:
         """Phase (a): bucket matrices for every collection (query-independent)."""
-        if self.statistics_on_mapreduce:
-            return collect_statistics_mapreduce(collections, self.num_granules, self.engine)
         return collect_statistics(collections, self.num_granules)
 
     def operators(
@@ -156,7 +148,7 @@ class TKIJ:
         before handing it to :func:`repro.core.operators.run_pipeline`.
         """
         return [
-            StatisticsOp(self.num_granules, self.statistics_on_mapreduce, statistics),
+            StatisticsOp(self.num_granules, statistics),
             TopBucketsOp(self.strategy, self.solver),
             DistributeOp(self.assigner),
             JoinOp(self.join_config),
@@ -181,8 +173,3 @@ class TKIJ:
             local_join_stats=state.local_join_stats,
             per_reducer_kth_score=state.per_reducer_kth_score(),
         )
-
-    @staticmethod
-    def _collections_by_name(query: RTJQuery) -> dict[str, IntervalCollection]:
-        """Distinct collections referenced by the query, keyed by collection name."""
-        return collections_by_name(query)

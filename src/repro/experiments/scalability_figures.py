@@ -78,7 +78,9 @@ def figure11_scalability(
                         size=size,
                         system=f"TKIJ-{params_name}",
                         total_seconds=result.total_seconds,
-                        shuffle_records=result.join_metrics.shuffle_records,
+                        # Replicated intervals, like the baselines' per-interval
+                        # records (the engine's record count is bucket batches).
+                        shuffle_records=result.join_metrics.shuffle_size,
                         results=len(result.results),
                     )
 

@@ -124,7 +124,8 @@ def figure8_workload_distribution(
                         join_seconds=result.phase_seconds["join"],
                         max_reduce_seconds=result.join_metrics.max_reduce_seconds,
                         min_kth_score=result.min_kth_score,
-                        shuffle_records=result.join_metrics.shuffle_records,
+                        # Replicated intervals (the engine's records are batches).
+                        shuffle_records=result.join_metrics.shuffle_size,
                     )
     return table
 

@@ -195,6 +195,13 @@ class ThresholdIndex:
     def __len__(self) -> int:
         return len(self.tree)
 
+    def in_box(self, box: Rect) -> list[Interval]:
+        """Indexed intervals whose ``(start, end)`` point lies in ``box``, in insertion order."""
+        found = self.tree.query(box)
+        if self.positions:
+            found.sort(key=lambda interval: self.positions[interval.uid])
+        return found
+
     def candidates_compiled(
         self,
         query: CompiledPredicateQuery,
@@ -203,15 +210,10 @@ class ThresholdIndex:
     ) -> list[Interval]:
         """Intervals whose score against ``fixed_interval`` may reach ``threshold``.
 
-        Hot-path variant taking a pre-built :class:`CompiledPredicateQuery`.
+        Variant taking a pre-built :class:`CompiledPredicateQuery`.
         """
         box = query.box(fixed_interval, threshold)
-        if box is None:
-            return []
-        found = self.tree.query(box)
-        if self.positions:
-            found.sort(key=lambda interval: self.positions[interval.uid])
-        return found
+        return [] if box is None else self.in_box(box)
 
     def candidates(
         self,
@@ -226,9 +228,7 @@ class ThresholdIndex:
         box = threshold_box(predicate, fixed_var, fixed_interval, target_var, threshold)
         if box is None:
             return []
-        found = self.tree.query(box)
-        if self.positions:
-            found.sort(key=lambda interval: self.positions[interval.uid])
+        found = self.in_box(box)
         if not exact:
             return found
         return [

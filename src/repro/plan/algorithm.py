@@ -70,7 +70,8 @@ class RunReport:
 
     @property
     def shuffle_records(self) -> int:
-        """Total records shuffled across all Map-Reduce phases."""
+        """Total engine records shuffled across all Map-Reduce phases (TKIJ's join
+        ships one record per bucket batch; interval volume is ``shuffle_size``)."""
         return sum(metrics.shuffle_records for metrics in self.metrics)
 
     @property

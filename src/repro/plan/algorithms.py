@@ -76,7 +76,6 @@ class TKIJAlgorithm(Algorithm):
         memory_budget_bytes: int | None = None,
         join_config: LocalJoinConfig | None = None,
         solver: BranchAndBoundSolver | None = None,
-        statistics_on_mapreduce: bool = False,
         planner: AutoPlanner | None = None,
     ) -> ExecutionPlan:
         if mode not in PLAN_MODES:
@@ -87,7 +86,6 @@ class TKIJAlgorithm(Algorithm):
             "assigner": assigner,
             "join_config": join_config or LocalJoinConfig(),
             "solver": solver or BranchAndBoundSolver(),
-            "statistics_on_mapreduce": statistics_on_mapreduce,
         }
         explanation = None
         if mode == "auto":
@@ -163,7 +161,6 @@ class TKIJAlgorithm(Algorithm):
             cluster=self._resolve_cluster(plan),
             join_config=resolve_join_config(knobs),
             solver=knobs["solver"],
-            statistics_on_mapreduce=knobs["statistics_on_mapreduce"],
             backend=context.get_backend(),
         )
         with evaluator:

@@ -57,9 +57,6 @@ UNIT_COSTS: dict[str, float] = {
     "columnar_candidate": 0.48e-6,
     "vector_scan": 1.3e-9,  # per bucket element per step
     "sweep_sort": 0.1e-6,  # per interval
-    # Shuffle: the scalar join ships one record per replicated interval where the
-    # columnar joins ship one batch per bucket (::bench_unit_shuffle_and_sort).
-    "scalar_record": 4.8e-6,
 }
 """Measured unit costs in seconds.  Each group cites the arm of
 ``benchmarks/bench_micro_primitives.py`` that prints its constants under these
@@ -94,7 +91,7 @@ class PricedPlan:
     distribution_seconds: float
     """``t_c``: assigning the selected combinations to reducers."""
     join_seconds: float
-    """``t_d``: candidate loops, per-bucket set-up and shuffle."""
+    """``t_d``: candidate loops and per-bucket set-up."""
 
     @property
     def seconds(self) -> float:
@@ -478,17 +475,10 @@ class AutoPlanner:
         bounds = len(table) * UNIT_COSTS["loose_per_combination"]
         distribution = len(selected) * UNIT_COSTS["dtb_per_combination"]
 
-        buckets = sum(len(space.buckets_of(vertex)) for vertex in query.vertices)
-        # A bucket reaches every reducer holding one of its combinations.
-        replicas = min(
-            cluster.num_reducers, max(1, len(selected) * len(query.vertices) // max(1, buckets))
-        )
         plans = []
         for kernel in kernels:
             join = reducers * kernel_seconds(kernel, work.steps, work.candidates, work.scanned)
-            if kernel == "scalar":
-                join += total_intervals * replicas * UNIT_COSTS["scalar_record"]
-            elif kernel == "sweep":
+            if kernel == "sweep":
                 join += total_intervals * UNIT_COSTS["sweep_sort"]
             plans.append(PricedPlan(num_granules, kernel, len(table), bounds, distribution, join))
         return plans

@@ -7,8 +7,8 @@
   context's cache, candidate bucket pairs pruned against the current k-th
   score, full replans on a doubling schedule);
 * :class:`CandidateFilter` — the streaming pruning rule (the pair-pruning
-  ``FilteredDistributeOp``/``PrunedJoinOp`` operators it plugs into live in
-  :mod:`repro.core.operators`).
+  ``FilteredDistributeOp`` operator it plugs into lives in
+  :mod:`repro.core.operators`; ``JoinOp`` ships only the buckets it keeps).
 
 Importing this package registers ``tkij-streaming`` in the plan registry.
 """

@@ -40,12 +40,12 @@ from ..core.operators import (
     JoinOp,
     MergeOp,
     PhaseState,
-    PrunedJoinOp,
     StatisticsOp,
     TopBucketsOp,
     collections_by_name,
     run_pipeline,
 )
+from ..core.statistics import batch_arrays, bucket_counts
 from ..core.top_buckets import STRATEGIES
 from ..mapreduce import MapReduceEngine
 from ..plan.algorithm import Algorithm, ExecutionPlan, RunReport
@@ -253,7 +253,7 @@ class StreamingTKIJ(Algorithm):
         )
         run_pipeline(
             [
-                StatisticsOp(num_granules, False, statistics),
+                StatisticsOp(num_granules, statistics),
                 TopBucketsOp(resolved["strategy"], knobs["solver"]),
                 DistributeOp(resolved["assigner"]),
                 JoinOp(resolved["join_config"]),
@@ -334,14 +334,16 @@ class StreamingTKIJ(Algorithm):
                 rebuild_statistics=False,
             )
 
+        # Which buckets the batch wrote into and how much of it the cached
+        # granule range clamps, from the batch's endpoint columns.
+        dirty_buckets: dict[str, frozenset] = {}
         out_of_range = 0
         for name, intervals in committed.items():
             granularity = statistics.matrix(name).granularity
-            out_of_range += sum(
-                1
-                for interval in intervals
-                if interval.start < granularity.time_min
-                or interval.end > granularity.time_max
+            starts, ends = batch_arrays(intervals)
+            dirty_buckets[name] = frozenset(bucket_counts(granularity, starts, ends))
+            out_of_range += int(
+                ((starts < granularity.time_min) | (ends > granularity.time_max)).sum()
             )
         replan, reason = knobs["planner"].should_replan(
             base_size=state.base_size,
@@ -357,12 +359,7 @@ class StreamingTKIJ(Algorithm):
             )
 
         dirty = {
-            vertex: frozenset(
-                statistics.matrix(query.collections[vertex].name).granularity.bucket_of(
-                    interval
-                )
-                for interval in committed[query.collections[vertex].name]
-            )
+            vertex: dirty_buckets[query.collections[vertex].name]
             for vertex in query.vertices
             if query.collections[vertex].name in committed
         }
@@ -373,16 +370,14 @@ class StreamingTKIJ(Algorithm):
         )
         run_pipeline(
             [
-                StatisticsOp(num_granules, False, statistics),
+                StatisticsOp(num_granules, statistics),
                 # Always loose, whatever the plan's strategy: joint bounds
                 # would be re-solved whenever a bucket's cardinality changes.
                 TopBucketsOp("loose", knobs["solver"]),
                 FilteredDistributeOp(state.knobs["assigner"], keep=candidate_filter),
                 # Reducers inherit the persistent k-th score as their pruning
                 # floor: tuples that cannot strictly beat it never get scored.
-                PrunedJoinOp(
-                    state.knobs["join_config"], initial_threshold=threshold or 0.0
-                ),
+                JoinOp(state.knobs["join_config"], initial_threshold=threshold or 0.0),
                 MergeOp(),
             ],
             pstate,

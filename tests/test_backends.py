@@ -290,7 +290,9 @@ class TestTransferParity:
         assert result.metrics.shuffle_bytes > 0
 
 
-def _tkij_transfer_report(query, backend_name, transfer=None, memory_budget_bytes=None):
+def _tkij_transfer_report(
+    query, kernel, backend_name, transfer=None, memory_budget_bytes=None
+):
     from repro.core import LocalJoinConfig
 
     cluster = ClusterConfig(
@@ -304,13 +306,14 @@ def _tkij_transfer_report(query, backend_name, transfer=None, memory_budget_byte
     with TKIJ(
         num_granules=6,
         cluster=cluster,
-        join_config=LocalJoinConfig(kernel="vector"),
+        join_config=LocalJoinConfig(kernel=kernel),
     ) as tkij:
         return tkij.execute(query)
 
 
 class TestTKIJTransferParity:
-    """End-to-end TKIJ with the vector kernel across shm/spill arms."""
+    """End-to-end TKIJ across shm/spill arms: every kernel ships bucket batches,
+    so a budgeted scalar run spills (and stays exact) like a columnar one."""
 
     ARMS = (
         ("serial", "shm", None),
@@ -320,13 +323,14 @@ class TestTKIJTransferParity:
         ("process", "shm", 2048),
     )
 
-    def test_all_arms_match_the_inline_reference(self, tiny_collections):
+    @pytest.mark.parametrize("kernel", ["vector", "scalar"])
+    def test_all_arms_match_the_inline_reference(self, tiny_collections, kernel):
         import glob
 
         query = build_query("Qs,m", tiny_collections, "P1", k=10)
-        reference = _tkij_transfer_report(query, "serial")
+        reference = _tkij_transfer_report(query, kernel, "serial")
         for backend_name, transfer, budget in self.ARMS:
-            report = _tkij_transfer_report(query, backend_name, transfer, budget)
+            report = _tkij_transfer_report(query, kernel, backend_name, transfer, budget)
             label = f"{backend_name}/{transfer}/budget={budget}"
             assert [(r.uids, r.score) for r in report.results] == [
                 (r.uids, r.score) for r in reference.results

@@ -19,8 +19,9 @@ from repro.core import (
 from repro.index import Rect
 from repro.experiments import build_query
 from repro.mapreduce import ClusterConfig
+from repro.query import QueryBuilder
 from repro.streaming.parity import equivalent_top_k
-from repro.temporal import PredicateParams
+from repro.temporal import AttributeDiffers, Interval, IntervalCollection, PredicateParams
 
 P1 = PredicateParams.of(4, 16, 0, 10)
 P2 = PredicateParams.of(0, 16, 2, 8)
@@ -144,6 +145,15 @@ def _stats_tuple(stats):
     )
 
 
+def _shuffle_tuple(metrics):
+    return (
+        metrics.shuffle_records,
+        metrics.shuffle_size,
+        metrics.shuffle_bytes,
+        metrics.counters.get("join.intervals_shuffled"),
+    )
+
+
 class TestKernelParity:
     """Scalar vs vector vs sweep kernel: tie-aware-identical top-k, identical counters.
 
@@ -200,13 +210,63 @@ class TestKernelParity:
             assert _stats_tuple(scalar.local_join_stats) == _stats_tuple(
                 report.local_join_stats
             ), kernel
-            # The columnar mapper ships batches but accounts shuffled intervals.
-            assert scalar.join_metrics.counters.get(
-                "join.intervals_shuffled"
-            ) == report.join_metrics.counters.get("join.intervals_shuffled"), kernel
+            assert _shuffle_tuple(scalar.join_metrics) == _shuffle_tuple(
+                report.join_metrics
+            ), kernel
         # And the answer is the true one.
         expected = naive_top_k(build_query("Qo,m", tiny_collections, P1, k=10))
         assert equivalent_top_k(reports["sweep"].results, expected)
+
+    @pytest.mark.parametrize("shape", ["chain", "self-join", "hybrid"])
+    def test_shuffle_accounting_is_kernel_and_backend_independent(
+        self, tiny_collections, shape
+    ):
+        """Every kernel ships the same bucket batches: records, interval volume,
+        bytes, results and work counters match the serial scalar run exactly."""
+        first, second, _ = tiny_collections
+        if shape == "chain":
+            query = build_query("Qs,m", tiny_collections, P1, k=10)
+        elif shape == "self-join":
+            query = build_query("Qs,m", [first, second, first], P1, k=10)
+        else:
+            tagged = [
+                IntervalCollection(
+                    collection.name,
+                    [
+                        Interval(x.uid, x.start, x.end, payload={"side": (x.uid + shift) % 3})
+                        for x in collection
+                    ],
+                )
+                for shift, collection in enumerate((first, second))
+            ]
+            query = (
+                QueryBuilder(name="hybrid", params=P1)
+                .add_collection("x", tagged[0])
+                .add_collection("y", tagged[1])
+                .add_predicate("x", "y", "before", attributes=[AttributeDiffers("side")])
+                .top(10)
+                .build()
+            )
+        outcomes = {}
+        for backend in ("serial", "process"):
+            for kernel in KERNELS:
+                with TKIJ(
+                    num_granules=4,
+                    cluster=ClusterConfig(backend=backend, max_workers=2),
+                    join_config=LocalJoinConfig(kernel=kernel),
+                ) as evaluator:
+                    outcomes[backend, kernel] = evaluator.execute(query)
+        reference = outcomes["serial", "scalar"]
+        metrics = reference.join_metrics
+        assert metrics.shuffle_size == metrics.counters.get("join.intervals_shuffled")
+        assert metrics.shuffle_records < metrics.shuffle_size  # batches, not intervals
+        assert equivalent_top_k(reference.results, naive_top_k(query))
+        for cell, report in outcomes.items():
+            assert equivalent_top_k(reference.results, report.results), cell
+            assert _stats_tuple(reference.local_join_stats) == _stats_tuple(
+                report.local_join_stats
+            ), cell
+            assert _shuffle_tuple(metrics) == _shuffle_tuple(report.join_metrics), cell
 
     @pytest.mark.parametrize("kernel", ["vector", "sweep"])
     def test_initial_threshold_respected_by_columnar_kernels(

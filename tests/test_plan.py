@@ -411,8 +411,6 @@ class TestPricedPlans:
                         + raw.top_buckets.selected_count * UNIT_COSTS["dtb_per_combination"]
                         + kernel_seconds(kernel, examined * buckets / total, examined, examined)
                     )
-                    if kernel == "scalar":
-                        score += raw.join_metrics.shuffle_records * UNIT_COSTS["scalar_record"]
                     scores[num_granules, kernel] = score
             knobs, _ = AutoPlanner().plan(query, context)
         # Sweep and vector examine the same candidates; they share a score.

@@ -1,9 +1,22 @@
 """Tests for statistics collection (granules, bucket matrices, the Map-Reduce job)."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core import Granularity, collect_statistics, collect_statistics_mapreduce
-from repro.core.statistics import BucketMatrix
+from repro.core import (
+    Granularity,
+    collect_statistics,
+    collect_statistics_mapreduce,
+    update_statistics,
+)
+from repro.core.statistics import (
+    BucketMatrix,
+    DatasetStatistics,
+    bucket_columns,
+    bucket_counts,
+)
 from repro.mapreduce import ClusterConfig, MapReduceEngine
 from repro.temporal import Interval, IntervalCollection
 
@@ -128,3 +141,73 @@ class TestCollectStatistics:
             assert dict(direct.matrix(name).counts) == dict(distributed.matrix(name).counts)
         assert distributed.collection_metrics is not None
         assert distributed.collection_metrics.shuffle_records == len(collection) + len(other)
+
+
+_ENDPOINTS = st.lists(
+    st.tuples(st.integers(min_value=-40, max_value=40), st.integers(min_value=0, max_value=25)),
+    max_size=40,
+)
+
+
+class TestBucketColumns:
+    """The one bucket split of phase (d): a partition of the collection by position."""
+
+    @given(
+        base=_ENDPOINTS,
+        appended=_ENDPOINTS,
+        num_granules=st.integers(min_value=1, max_value=6),
+        payload_every=st.integers(min_value=0, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(base=[], appended=[], num_granules=3, payload_every=0, seed=0)
+    @example(base=[(5, 0)] * 4, appended=[(5, 0)], num_granules=3, payload_every=2, seed=1)
+    @example(
+        base=[(0, 10), (0, 10), (10, 0)], appended=[(-30, 90)], num_granules=4,
+        payload_every=1, seed=2,
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_batches_partition_the_collection(
+        self, base, appended, num_granules, payload_every, seed
+    ):
+        # Uids in shuffled order, so uid order differs from insertion order; the
+        # appended intervals may fall outside the range the granules were cut on.
+        uids = np.random.default_rng(seed).permutation(len(base) + len(appended)).tolist()
+        rows = [
+            Interval(
+                uid,
+                float(start),
+                float(start + length),
+                payload={"tag": uid} if payload_every and uid % payload_every == 0 else None,
+            )
+            for uid, (start, length) in zip(uids, base + appended)
+        ]
+        collection = IntervalCollection("c", rows[: len(base)])
+        if base:
+            statistics = collect_statistics({"c": collection}, num_granules)
+        else:
+            statistics = DatasetStatistics(
+                {"c": BucketMatrix("c", Granularity(0.0, 1.0, num_granules))}, num_granules
+            )
+        collection.extend(rows[len(base) :])
+        update_statistics(statistics, inserted={"c": rows[len(base) :]})
+        matrix = statistics.matrix("c")
+        granularity = matrix.granularity
+
+        batches = bucket_columns(granularity, collection)
+
+        lengths = {key: len(batch) for key, batch in batches.items()}
+        assert lengths == matrix.counts
+        assert lengths == bucket_counts(granularity, collection.starts, collection.ends)
+        by_uid = {x.uid: x for x in rows}
+        seen = []
+        for key, batch in batches.items():
+            assert np.all(np.diff(batch.uids) > 0)
+            members = [by_uid[uid] for uid in batch.uids.tolist()]
+            assert batch.to_intervals() == members
+            assert batch.starts.tolist() == [x.start for x in members]
+            assert batch.ends.tolist() == [x.end for x in members]
+            payloads = [x.payload for x in members]
+            assert batch.payloads == (tuple(payloads) if any(payloads) else None)
+            assert all(granularity.bucket_of(x) == key for x in members)
+            seen.extend(batch.uids.tolist())
+        assert sorted(seen) == sorted(uids)

@@ -1,9 +1,17 @@
 """End-to-end integration tests: TKIJ against the naive oracle."""
 
+import numpy as np
 import pytest
 
 from repro import TKIJ, ClusterConfig, LocalJoinConfig
 from repro.baselines import naive_top_k
+from repro.core import (
+    FilteredDistributeOp,
+    PhaseState,
+    collect_statistics_mapreduce,
+    collections_by_name,
+    run_pipeline,
+)
 from repro.experiments import PARAMETERS, build_query
 from repro.solver import BranchAndBoundSolver
 
@@ -138,13 +146,35 @@ class TestExecutionReport:
         assert [r.score for r in first.results] == [r.score for r in second.results]
 
     def test_statistics_via_mapreduce(self, qsm_query):
-        tkij = TKIJ(
-            num_granules=4,
-            cluster=ClusterConfig(num_reducers=4),
-            statistics_on_mapreduce=True,
+        tkij = TKIJ(num_granules=4, cluster=ClusterConfig(num_reducers=4))
+        statistics = collect_statistics_mapreduce(
+            collections_by_name(qsm_query), tkij.num_granules, tkij.engine
         )
-        result = tkij.execute(qsm_query)
+        result = tkij.execute(qsm_query, statistics=statistics)
         assert_matches_naive(result, qsm_query)
+
+    def test_join_ships_only_assigned_buckets(self, qbb_query):
+        # A one-shot run whose assignment covers only the best few combinations.
+        tkij = TKIJ(num_granules=4, cluster=ClusterConfig(num_reducers=4, num_mappers=2))
+        state = PhaseState(query=qbb_query, engine=tkij.engine, num_reducers=4)
+        operators = tkij.operators()
+        operators[2] = FilteredDistributeOp(
+            tkij.assigner, keep=lambda table: np.arange(len(table)) < 3
+        )
+        run_pipeline(operators, state)
+        counts = {
+            (vertex, bucket): count
+            for vertex in qbb_query.vertices
+            for bucket, count in state.statistics.matrix(qbb_query.collections[vertex].name)
+        }
+        assigned = set().union(*state.assignment.buckets_per_reducer.values())
+        shipped = sum(counts[item] for item in assigned)
+        assert 0 < shipped < sum(counts.values())
+        assert state.pruning["intervals_skipped"] == sum(counts.values()) - shipped
+        # One map record per assigned bucket; the shuffle is its replication.
+        metrics = state.join_metrics
+        assert sum(task.input_records for task in metrics.map_tasks) == len(assigned)
+        assert metrics.shuffle_size == state.assignment.replication_cost(counts)
 
     def test_per_reducer_kth_scores(self, qbb_query):
         result = run_tkij(qbb_query)
