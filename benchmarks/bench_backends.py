@@ -66,14 +66,18 @@ def backend_speedup_table(
         reference = reports["serial"]
         for backend in backends:
             report = reports[backend]
-            # Parity: every backend returns byte-identical results and shuffle.
+            # Parity: every backend returns byte-identical results, shuffle
+            # accounting, local-join work and per-reducer k-th scores.
+            label = f"{backend} diverges from serial at size {size}"
             assert [(r.uids, r.score) for r in report.results] == [
                 (r.uids, r.score) for r in reference.results
-            ], f"{backend} results diverge from serial at size {size}"
-            assert (
-                report.join_metrics.shuffle_records
-                == reference.join_metrics.shuffle_records
-            ), f"{backend} shuffle diverges from serial at size {size}"
+            ], label
+            for metric in ("shuffle_records", "shuffle_bytes"):
+                assert getattr(report.join_metrics, metric) == getattr(
+                    reference.join_metrics, metric
+                ), (label, metric)
+            assert report.local_join_stats == reference.local_join_stats, label
+            assert report.per_reducer_kth_score == reference.per_reducer_kth_score, label
             table.add_row(
                 size=size,
                 backend=backend,

@@ -166,7 +166,7 @@ class AllMatrixJoin:
         job = MapReduceJob(
             name="allmatrix-join",
             mapper_factory=partial(_AllMatrixMapper, partitions, reducers_by_vertex_partition),
-            reducer_factory=partial(_AllMatrixReducer, bool_query, bool_query.k),
+            reducer_factory=partial(_AllMatrixReducer, bool_query.without_data(), bool_query.k),
             partitioner=FirstElementPartitioner(),
             num_reducers=max(1, len(reducer_tuples)),
         )

@@ -229,7 +229,9 @@ class RCCISJoin:
         join_job = MapReduceJob(
             name="rccis-join",
             mapper_factory=_JoinMapper,
-            reducer_factory=partial(_JoinReducer, bool_query, bool_query.k, granule_of),
+            reducer_factory=partial(
+                _JoinReducer, bool_query.without_data(), bool_query.k, granule_of
+            ),
             partitioner=FirstElementPartitioner(),
             num_reducers=self.config.num_granules,
         )

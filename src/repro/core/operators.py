@@ -239,20 +239,25 @@ def batch_record_size(key, value) -> int:
 
 
 class _JoinReducer(Reducer):
-    """Collects its buckets, then runs the local top-k join in ``cleanup``."""
+    """Collects its buckets, then runs the local top-k join in ``cleanup``.
+
+    One reducer's worth of state: its id, its rows of the assignment and a
+    data-free query (:meth:`RTJQuery.without_data`) — all a reduce task ships.
+    """
 
     def __init__(
         self,
         query: RTJQuery,
-        assignment: WorkloadAssignment,
         config: LocalJoinConfig,
-        initial_threshold: float = 0.0,
+        initial_threshold: float,
+        reducer_id: int,
+        combinations: CombinationTable,
     ) -> None:
         self._query = query
-        self._assignment = assignment
         self._config = config
         self._initial_threshold = initial_threshold
-        self._reducer_id: int | None = None
+        self._reducer_id = reducer_id
+        self._combinations = combinations
         self._buckets: dict[tuple[str, BucketKey], IntervalColumns] = {}
 
     def reduce(self, key, values):
@@ -261,22 +266,18 @@ class _JoinReducer(Reducer):
         # uid order.  The local join's pruning thresholds evolve with the
         # processing order, so a shared canonical order is what makes work
         # counters identical across kernels — and across cluster shapes.
-        reducer_id, vertex, bucket = key
-        self._reducer_id = reducer_id
+        _, vertex, bucket = key
         pieces = list(values)
         columns = IntervalColumns.concat(pieces)
         self._buckets[vertex, bucket] = columns.sort_by_uid() if len(pieces) > 1 else columns
         return iter(())
 
     def cleanup(self) -> Iterator:
-        if self._reducer_id is None:
-            return
-        combinations = self._assignment.combinations_per_reducer.get(self._reducer_id, [])
-        if not combinations:
+        if not self._buckets or not self._combinations:
             return
         join = LocalTopKJoin(self._query, self._config)
         results, stats = join.run(
-            combinations,
+            self._combinations,
             self._buckets,
             k=self._query.k,
             initial_threshold=self._initial_threshold,
@@ -286,6 +287,22 @@ class _JoinReducer(Reducer):
         self.counters.increment("join.combinations_processed", stats.combinations_processed)
         self.counters.increment("join.combinations_skipped", stats.combinations_skipped)
         yield "local_top_k", (self._reducer_id, results, stats)
+
+
+@dataclass
+class _JoinJob(MapReduceJob):
+    """The join job: reducer ``r``'s factory carries ``r``'s rows only.
+
+    ``reducer_factory`` holds what every reducer shares and takes the reducer
+    id and rows as its last two arguments; the engine never ships the job, so
+    the whole ``assignment`` stays on the driver.
+    """
+
+    assignment: WorkloadAssignment | None = None
+
+    def reducer_factory_for(self, partition: int) -> Callable[[], Reducer]:
+        rows = self.assignment.combinations_per_reducer[partition]
+        return partial(self.reducer_factory, partition, rows)
 
 
 @dataclass
@@ -342,19 +359,19 @@ class JoinOp(PhaseOperator):
             for _, columns in input_pairs:
                 columns.sorted_views()
 
-        job = MapReduceJob(
+        job = _JoinJob(
             name="tkij-join",
             mapper_factory=partial(_JoinMapper, routing),
             reducer_factory=partial(
                 _JoinReducer,
-                state.query,
-                assignment,
+                state.query.without_data(),
                 self.join_config,
                 self.initial_threshold,
             ),
             partitioner=FirstElementPartitioner(),
             num_reducers=state.num_reducers,
             record_size=batch_record_size,
+            assignment=assignment,
         )
         job_result = state.engine.run(job, input_pairs)
 

@@ -4,11 +4,14 @@ The engine decomposes every job into independent *tasks* — one
 :class:`MapTask` per input split and one :class:`ReduceTask` per shuffle
 partition — and hands them to an :class:`ExecutionBackend` for execution.
 Tasks are plain picklable callables (see DESIGN.md §3): everything a worker
-needs (the job description, its slice of the data) travels inside the task,
-and everything the engine needs back (outputs, per-task timing, counters)
-travels inside the :class:`TaskResult`.  Backends MUST return results in task
-order; the engine merges outputs and counters deterministically from that
-order, which is what makes every backend produce byte-identical results.
+needs travels inside the task, and nothing else — a map task carries the job
+name, the mapper factory and its split; a reduce task the job name, the
+factory of *its* partition's reducer (``MapReduceJob.reducer_factory_for``)
+and its partition.  Everything the engine needs back (outputs, per-task
+timing, counters) travels inside the :class:`TaskResult`.  Backends MUST
+return results in task order; the engine merges outputs and counters
+deterministically from that order, which is what makes every backend produce
+byte-identical results.
 
 For the process backend the pickling requirement is real: job factories must
 be module-level classes or :func:`functools.partial` objects over them —
@@ -20,11 +23,11 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 from ..cluster import TaskMetrics
 from ..counters import Counters
-from ..job import KeyValue, MapReduceJob
+from ..job import KeyValue, Mapper, Reducer
 
 __all__ = [
     "TaskResult",
@@ -101,12 +104,13 @@ class MapTask:
 
     phase = "map"
 
-    job: MapReduceJob
+    job_name: str
+    mapper_factory: Callable[[], Mapper]
     task_id: int
     split: Sequence[KeyValue]
 
     def __call__(self) -> TaskResult:
-        mapper = self.job.mapper_factory()
+        mapper = self.mapper_factory()
         counters = Counters()
         mapper.setup(counters)
         metrics = TaskMetrics(task_id=self.task_id, input_records=len(self.split))
@@ -156,12 +160,13 @@ class ReduceTask:
 
     phase = "reduce"
 
-    job: MapReduceJob
+    job_name: str
+    reducer_factory: Callable[[], Reducer]
     task_id: int
     partition: Any
 
     def __call__(self) -> TaskResult:
-        reducer = self.job.reducer_factory()
+        reducer = self.reducer_factory()
         counters = Counters()
         reducer.setup(counters)
         metrics = TaskMetrics(
@@ -192,7 +197,7 @@ class GuardedTask:
     failed attempt's outputs and counters are dropped here — exactly-once
     semantics are enforced at the capture point, not by the merge.
 
-    Attribute access falls through to the wrapped task (``job``, ``task_id``,
+    Attribute access falls through to the wrapped task (``job_name``, ``task_id``,
     ``split``/``partition``, ``phase``), so backends and fault plans can
     introspect a guarded task exactly like a raw one.
     """

@@ -332,7 +332,7 @@ class MapReduceEngine:
         # the engine's own lists, pickle freezes compact tuples, shm converts
         # columnar values to shared-segment descriptors.
         tasks = [
-            MapTask(job=job, task_id=task_id, split=self.transfer.prepare_split(split))
+            MapTask(job.name, job.mapper_factory, task_id, self.transfer.prepare_split(split))
             for task_id, split in enumerate(splits)
         ]
         sink = _ShuffleSink(job, self.cluster, self._spill, metrics)
@@ -363,9 +363,10 @@ class MapReduceEngine:
             partitions[task_id] = None
             tasks.append(
                 ReduceTask(
-                    job=job,
-                    task_id=task_id,
-                    partition=self.transfer.prepare_partition(payload),
+                    job.name,
+                    job.reducer_factory_for(task_id),
+                    task_id,
+                    self.transfer.prepare_partition(payload),
                 )
             )
         outputs: list[KeyValue] = []

@@ -326,7 +326,7 @@ class FaultInjectingBackend(ExecutionBackend):
         wrapped: list[Task] = []
         for task in tasks:
             rule = self.plan.rule_for(
-                task.job.name,
+                task.job_name,
                 task.phase,
                 task.task_id,
                 getattr(task, "attempt", 0),

@@ -8,14 +8,18 @@ reducers chosen by DTB rather than by hash) and a record-size estimator used for
 shuffle-volume accounting.
 
 **Picklability contract.**  Map splits and reduce partitions may execute on a
-process pool (``ClusterConfig(backend="process")``), in which case the whole
-job description is pickled into every task.  ``mapper_factory``,
-``reducer_factory``, ``partitioner`` and ``record_size`` must therefore be
-importable module-level objects: classes, functions, or
+process pool (``ClusterConfig(backend="process")``), in which case each task
+is pickled — and a task carries only what it reads, never the whole job: a
+map task the job name, ``mapper_factory`` and its split; a reduce task the job
+name, :meth:`MapReduceJob.reducer_factory_for` of its partition (the shared
+``reducer_factory`` unless the job overrides the hook) and its partition.
+``partitioner`` and ``record_size`` run on the driver.  Factories must
+therefore be importable module-level objects: classes, functions, or
 :func:`functools.partial` over them.  A lambda or a locally-defined closure
 works on the serial and thread backends but raises a pickling error on the
 process backend — prefer ``functools.partial(MyMapper, arg1, arg2)`` to
-``lambda: MyMapper(arg1, arg2)`` everywhere.
+``lambda: MyMapper(arg1, arg2)`` everywhere.  Whatever a factory closes over
+is pickled into every task that ships it, so bind the least it needs.
 """
 
 from __future__ import annotations
@@ -168,3 +172,12 @@ class MapReduceJob:
 
     def make_partitioner(self) -> Partitioner:
         return self.partitioner if self.partitioner is not None else HashPartitioner()
+
+    def reducer_factory_for(self, partition: int) -> Callable[[], Reducer]:
+        """Factory of the reducer folding partition ``partition``.
+
+        The one factory a reduce task ships.  The default is the shared
+        ``reducer_factory``; a job whose reducers each read their own slice of
+        driver-side state overrides this, so a task carries its slice only.
+        """
+        return self.reducer_factory

@@ -220,6 +220,16 @@ class RTJQuery:
         """Copy of the query bound to different collections (same vertex names)."""
         return replace(self, collections=dict(collections))
 
+    def without_data(self) -> "RTJQuery":
+        """Copy bound to empty collections of the same names.
+
+        Keeps vertices, edges, ``k``, aggregation and name — everything a
+        reducer reads — so a task shipping the query pickles no interval.
+        """
+        return self.with_collections(
+            {vertex: IntervalCollection(c.name) for vertex, c in self.collections.items()}
+        )
+
     def join_order(self) -> list[str]:
         """A join order: BFS over the undirected query graph from the first vertex.
 

@@ -289,22 +289,25 @@ class TestRetries:
 
 class TestGuardedTask:
     def test_success_passes_through(self):
-        task = MapTask(job=wordcount_job(), task_id=0, split=((0, "a b"),))
+        task = MapTask("wordcount", CountingMapper, task_id=0, split=((0, "a b"),))
         outcome = GuardedTask(task=task, attempt=0)()
         assert outcome.outputs == [("a", 1), ("b", 1)]
 
     def test_attribute_passthrough(self):
-        task = MapTask(job=wordcount_job(), task_id=7, split=())
+        task = MapTask("wordcount", CountingMapper, task_id=7, split=())
         guarded = GuardedTask(task=task, attempt=2)
         assert guarded.task_id == 7
         assert guarded.phase == "map"
-        assert guarded.job.name == "wordcount"
+        assert guarded.job_name == "wordcount"
+        assert guarded.mapper_factory is CountingMapper
         assert guarded.attempt == 2
         with pytest.raises(AttributeError):
             guarded.partition  # noqa: B018 - map tasks have no partition
+        with pytest.raises(AttributeError):
+            guarded.reducer_factory  # noqa: B018 - nor a reducer
 
     def test_pickle_roundtrip(self):
-        task = MapTask(job=wordcount_job(), task_id=1, split=((0, "x"),))
+        task = MapTask("wordcount", CountingMapper, task_id=1, split=((0, "x"),))
         guarded = pickle.loads(pickle.dumps(GuardedTask(task=task, attempt=1)))
         assert guarded.attempt == 1
         assert guarded().outputs == [("x", 1)]
@@ -315,8 +318,7 @@ class TestGuardedTask:
                 raise InjectedFault("synthetic")
                 yield  # pragma: no cover
 
-        job = MapReduceJob(name="j", mapper_factory=Raises, reducer_factory=SumReducer)
-        outcome = GuardedTask(task=MapTask(job=job, task_id=0, split=((0, "x"),)), attempt=3)()
+        outcome = GuardedTask(task=MapTask("j", Raises, task_id=0, split=((0, "x"),)), attempt=3)()
         assert isinstance(outcome, TaskFailure)
         assert outcome.error_type == "InjectedFault"
         assert outcome.attempt == 3
