@@ -66,6 +66,10 @@ class LocalJoinConfig:
     index_leaf_capacity: int = 32
     kernel: str = "scalar"
 
+    def __post_init__(self) -> None:
+        if self.kernel not in KERNELS:
+            raise ValueError(f"unknown join kernel {self.kernel!r}; expected one of {KERNELS}")
+
 
 @dataclass
 class LocalJoinStats:
@@ -121,10 +125,6 @@ class LocalTopKJoin:
     def __init__(self, query: RTJQuery, config: LocalJoinConfig | None = None) -> None:
         self.query = query
         self.config = config or LocalJoinConfig()
-        if self.config.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown join kernel {self.config.kernel!r}; expected one of {KERNELS}"
-            )
         self._floor = 0.0
         self._num_edges = len(query.edges)
         self._join_order = query.join_order()

@@ -5,10 +5,11 @@ paper's tables/figures at a chosen scale and prints (or saves) the measured
 series.  All query evaluation dispatches through the algorithm registry
 (:data:`repro.plan.REGISTRY`): ``--list-algorithms`` shows what is registered,
 the generic ``run`` experiment evaluates one query with ``--algorithm``, and
-``--plan auto`` hands TKIJ's knobs to the cost-based planner on any
-TKIJ-running experiment.  ``--output PATH`` writes the table under
-``benchmarks/results/`` (absolute paths are honoured; ``.csv``/``.md`` select
-the format).
+``--plan auto`` hands TKIJ's knobs to the cost-based planner.  Each experiment
+reads some of the engine, plan and fault option groups (:data:`EXPERIMENTS`);
+passing a flag of a group it does not read is an error, not a no-op.
+``--output PATH`` writes the table under ``benchmarks/results/`` (absolute
+paths are honoured; ``.csv``/``.md`` select the format).
 
 Two serving subcommands ride on the same entry point: ``python -m
 repro.experiments serve`` starts the long-lived query server of
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from ..core import KERNELS
-from ..mapreduce import BACKEND_NAMES, TRANSFER_NAMES, FaultPlan
+from ..mapreduce import BACKEND_NAMES, TRANSFER_NAMES, ClusterConfig, FaultPlan
 from ..plan import PLAN_MODES, REGISTRY, available_algorithms
 from .harness import ResultTable, run_single_query
 from .network_figures import (
@@ -44,13 +46,17 @@ from .synthetic_figures import (
 from .workloads import QUERIES
 
 __all__ = [
+    "ENGINE_FLAGS",
     "EXPERIMENTS",
-    "FAULT_EXPERIMENTS",
-    "ENGINELESS_EXPERIMENTS",
+    "Experiment",
+    "OPTION_GROUPS",
+    "add_engine_flags",
     "build_parser",
+    "engine_cluster",
+    "experiment_cluster",
     "list_algorithms_table",
     "load_fault_plan",
-    "validate_fault_options",
+    "validate_options",
     "run_experiment",
     "main",
 ]
@@ -95,163 +101,253 @@ def _byte_size(argument: str) -> int:
     return value
 
 
-def _backend_kwargs(args: argparse.Namespace) -> dict[str, object]:
-    """Execution-backend options forwarded to every engine-running driver."""
-    return {
-        "backend": args.backend,
-        "max_workers": args.max_workers,
-        "transfer": args.transfer,
-        "memory_budget_bytes": args.memory_budget,
-    }
-
-
-def _run_kwargs(args: argparse.Namespace) -> dict[str, object]:
-    """Backend plus planning options, for drivers that accept ``--plan auto``."""
-    return {**_backend_kwargs(args), "plan": args.plan, "kernel": args.kernel}
-
-
-def _fault_kwargs(args: argparse.Namespace) -> dict[str, object]:
-    """Fault-tolerance options, for the experiments that support chaos demos."""
-    return {
-        # None means "not passed": resolve to the engine default here, so the
-        # default lives in exactly one place besides ClusterConfig.
-        "max_task_attempts": 4 if args.max_task_attempts is None else args.max_task_attempts,
-        "speculative_slowdown": args.speculative_slowdown,
-        "fault_plan": load_fault_plan(args.fault_plan),
-    }
-
-
 def load_fault_plan(source: "str | FaultPlan | None") -> FaultPlan | None:
     """Resolve the ``--fault-plan`` option (a JSON path) into a :class:`FaultPlan`.
 
-    Already-built plans and ``None`` pass through, so drivers can be called
-    programmatically with either form.  Malformed files raise ``ValueError``
-    with the parse error (surfaced as an argparse error by :func:`main`).
+    Already-built plans and ``None`` pass through.  Malformed files raise
+    ``ValueError`` with the parse error (surfaced as an argparse error by
+    :func:`main`).
     """
     if source is None or isinstance(source, FaultPlan):
         return source
     return FaultPlan.load(source)
 
 
-FAULT_EXPERIMENTS = frozenset({"run", "streaming"})
-"""Experiments that accept the fault-tolerance options (the chaos demos)."""
+ENGINE_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
+    "--backend": (
+        "backend",
+        {
+            "choices": list(BACKEND_NAMES),
+            "help": "execution backend for map/reduce tasks (default serial)",
+        },
+    ),
+    "--max-workers": (
+        "max_workers",
+        {
+            "type": _positive_int,
+            "help": "worker pool size for the thread/process backends (default: CPU count)",
+        },
+    ),
+    "--transfer": (
+        "transfer",
+        {
+            "choices": list(TRANSFER_NAMES),
+            "help": (
+                "shuffle transfer strategy: 'inline' (same-address-space zero copy), "
+                "'pickle' (by-value across processes) or 'shm' (columnar batches via "
+                "shared memory); default follows the backend"
+            ),
+        },
+    ),
+    "--memory-budget": (
+        "memory_budget_bytes",
+        {
+            "type": _byte_size,
+            "metavar": "BYTES",
+            "help": (
+                "shuffle memory budget (accepts k/m/g suffixes, e.g. 64m); partitions "
+                "beyond it spill to sorted on-disk runs and reducers stream the merge"
+            ),
+        },
+    ),
+    "--max-task-attempts": (
+        "max_task_attempts",
+        {
+            "type": _positive_int,
+            "help": (
+                "per-task attempt budget of the engine (default 4, like Hadoop's "
+                "maxattempts); a task failing every attempt aborts the job"
+            ),
+        },
+    ),
+    "--fault-plan": (
+        "fault_plan",
+        {
+            "metavar": "PATH",
+            "help": (
+                "JSON fault plan injected into every Map-Reduce task (deterministic "
+                "chaos demo; see DESIGN.md §9 for the format)"
+            ),
+        },
+    ),
+}
+"""The engine flags of both CLIs: flag -> (:class:`ClusterConfig` field, argparse
+options).  Each defaults to ``None``, meaning "not passed": the ``ClusterConfig``
+default applies."""
 
-ENGINELESS_EXPERIMENTS = frozenset({"fig7", "fig12"})
-"""Experiments that only characterise data and never run the engine."""
+
+def add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """Define every :data:`ENGINE_FLAGS` entry on ``parser``."""
+    for flag, (field, options) in ENGINE_FLAGS.items():
+        parser.add_argument(flag, dest=field, default=None, **options)
 
 
-def validate_fault_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject conflicting fault/experiment knob combinations with clear errors."""
-    fault_flags = [
-        flag
-        for flag, value in (
-            ("--fault-plan", args.fault_plan),
-            ("--speculative-slowdown", args.speculative_slowdown),
-            ("--max-task-attempts", args.max_task_attempts),
-        )
-        if value is not None
-    ]
-    if fault_flags and args.experiment in ENGINELESS_EXPERIMENTS:
+def engine_cluster(args: argparse.Namespace, **fields: Any) -> ClusterConfig:
+    """The :class:`ClusterConfig` the parsed engine flags (plus ``fields``) set.
+
+    ``None`` values are left out so the ``ClusterConfig`` defaults apply;
+    ``--fault-plan`` is loaded here (``ValueError`` on a malformed file).
+    """
+    values = {field: getattr(args, field) for field, _ in ENGINE_FLAGS.values()}
+    values.update(fields)
+    values["fault_plan"] = load_fault_plan(values["fault_plan"])
+    return ClusterConfig(**{name: value for name, value in values.items() if value is not None})
+
+
+OPTION_GROUPS: dict[str, dict[str, str]] = {
+    "engine": {
+        flag: ENGINE_FLAGS[flag][0]
+        for flag in ("--backend", "--max-workers", "--transfer", "--memory-budget")
+    },
+    "fault": {
+        "--max-task-attempts": "max_task_attempts",
+        "--fault-plan": "fault_plan",
+        "--speculative-slowdown": "speculative_slowdown",
+    },
+    "plan": {"--plan": "plan", "--kernel": "kernel"},
+}
+"""Option group -> its flags (flag -> parsed attribute).  An experiment reads a
+group or rejects every flag of it (see :class:`Experiment`)."""
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its driver call and the option groups it reads."""
+
+    run: Callable[[argparse.Namespace, ClusterConfig], ResultTable]
+    reads: frozenset[str] = frozenset()
+    """Subset of :data:`OPTION_GROUPS`; empty for experiments that only
+    characterise data and never run the engine."""
+
+
+def _plan(args: argparse.Namespace) -> dict[str, Any]:
+    """The TKIJ planning options, for experiments that read the plan group."""
+    return {"plan": args.plan or "manual", "kernel": args.kernel}
+
+
+_ENGINE = frozenset({"engine"})
+_PLANNED = frozenset({"engine", "plan"})
+_CHAOS = frozenset({"engine", "plan", "fault"})
+
+EXPERIMENTS: dict[str, Experiment] = {
+    # fig7 and fig12 only characterise the data; they never run the engine.
+    # fig8/fig9/fig10 sweep an assigner/strategy/granularity knob and are
+    # therefore always manually planned (auto would override the knob under
+    # study).
+    "fig7": Experiment(lambda args, cluster: figure7_score_distribution(size=args.size)),
+    "fig8": Experiment(
+        lambda args, cluster: figure8_workload_distribution(
+            sizes=args.sizes or (args.size,),
+            k=args.k,
+            num_granules=args.granules,
+            cluster=cluster,
+        ),
+        _ENGINE,
+    ),
+    "fig9": Experiment(
+        lambda args, cluster: figure9_topbuckets_strategies(
+            size=args.size, num_granules=args.granules, k=args.k, cluster=cluster
+        ),
+        _ENGINE,
+    ),
+    "fig10": Experiment(
+        lambda args, cluster: figure10_granules(size=args.size, k=args.k, cluster=cluster),
+        _ENGINE,
+    ),
+    "fig11": Experiment(
+        lambda args, cluster: figure11_scalability(
+            sizes=args.sizes or (args.size,),
+            k=args.k,
+            num_granules=args.granules,
+            cluster=cluster,
+            **_plan(args),
+        ),
+        _PLANNED,
+    ),
+    "fig12": Experiment(lambda args, cluster: figure12_network_distribution()),
+    "fig13": Experiment(
+        lambda args, cluster: figure13_network_scalability(
+            k=args.k, num_granules=args.granules, cluster=cluster, **_plan(args)
+        ),
+        _PLANNED,
+    ),
+    "fig14": Experiment(
+        lambda args, cluster: figure14_network_effect_k(
+            num_granules=args.granules, cluster=cluster, **_plan(args)
+        ),
+        _PLANNED,
+    ),
+    "effect-k": Experiment(
+        lambda args, cluster: effect_of_k_synthetic(
+            size=args.size, num_granules=args.granules, cluster=cluster, **_plan(args)
+        ),
+        _PLANNED,
+    ),
+    "statistics": Experiment(
+        lambda args, cluster: statistics_collection_times(
+            sizes=args.sizes or (1_000, 5_000, 20_000),
+            num_granules=args.granules,
+            cluster=cluster,
+        ),
+        _ENGINE,
+    ),
+    # Streaming: ingest the workload batch by batch through tkij-streaming,
+    # comparing each batch against full recomputation.
+    "streaming": Experiment(
+        lambda args, cluster: figure_streaming(
+            batch_counts=args.stream_batches or (5, 10),
+            batch_sizes=args.stream_batch_size or (40,),
+            query_name=args.query,
+            k=args.k,
+            num_granules=args.granules,
+            cluster=cluster,
+            **_plan(args),
+        ),
+        _CHAOS,
+    ),
+    # Generic registry dispatch: one query, any registered algorithm.
+    "run": Experiment(
+        lambda args, cluster: run_single_query(
+            algorithm=args.algorithm,
+            query_name=args.query,
+            size=args.size,
+            k=args.k,
+            options={"mode": args.plan, "num_granules": args.granules, "kernel": args.kernel},
+            cluster=cluster,
+        ),
+        _CHAOS,
+    ),
+}
+"""Experiment name -> driver call (given the parsed options and the cluster the
+engine flags describe) and the option groups it reads."""
+
+
+def validate_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject passed flags the experiment would ignore, and conflicting knobs."""
+    reads = EXPERIMENTS[args.experiment].reads
+    for group, flags in OPTION_GROUPS.items():
+        passed = [flag for flag, dest in flags.items() if getattr(args, dest) is not None]
+        if not passed or group in reads:
+            continue
+        if not reads:
+            parser.error(
+                f"{'/'.join(passed)} cannot apply to {args.experiment!r}: "
+                "it only characterises data and never runs the engine"
+            )
+        readers = sorted(name for name, entry in EXPERIMENTS.items() if group in entry.reads)
         parser.error(
-            f"{'/'.join(fault_flags)} cannot apply to {args.experiment!r}: "
-            "it only characterises data and never runs the engine"
+            f"{'/'.join(passed)} is only supported by the {'/'.join(readers)} experiments"
         )
-    if fault_flags and args.experiment not in FAULT_EXPERIMENTS:
-        parser.error(
-            f"{'/'.join(fault_flags)} is only supported by the "
-            f"{'/'.join(sorted(FAULT_EXPERIMENTS))} experiments"
-        )
-    if args.speculative_slowdown is not None and args.backend == "serial":
+    if args.speculative_slowdown is not None and args.backend in (None, "serial"):
         parser.error(
             "--speculative-slowdown needs a pool backend "
             "(--backend thread or process); the serial backend cannot race a backup"
         )
-    shuffle_flags = [
-        flag
-        for flag, value in (
-            ("--transfer", args.transfer),
-            ("--memory-budget", args.memory_budget),
-        )
-        if value is not None
-    ]
-    if shuffle_flags and args.experiment in ENGINELESS_EXPERIMENTS:
-        parser.error(
-            f"{'/'.join(shuffle_flags)} cannot apply to {args.experiment!r}: "
-            "it only characterises data and never runs the engine"
-        )
 
 
-EXPERIMENTS: dict[str, Callable[[argparse.Namespace], ResultTable]] = {
-    # fig7 and fig12 only characterise the data; they never run the engine and
-    # therefore take no backend/plan options.  fig8/fig9/fig10 sweep an
-    # assigner/strategy/granularity knob and are therefore always manually
-    # planned (auto would override the knob under study).
-    "fig7": lambda args: figure7_score_distribution(size=args.size),
-    "fig8": lambda args: figure8_workload_distribution(
-        sizes=args.sizes or (args.size,),
-        k=args.k,
-        num_granules=args.granules,
-        **_backend_kwargs(args),
-    ),
-    "fig9": lambda args: figure9_topbuckets_strategies(
-        size=args.size, num_granules=args.granules, k=args.k, **_backend_kwargs(args)
-    ),
-    "fig10": lambda args: figure10_granules(
-        size=args.size, k=args.k, **_backend_kwargs(args)
-    ),
-    "fig11": lambda args: figure11_scalability(
-        sizes=args.sizes or (args.size,),
-        k=args.k,
-        num_granules=args.granules,
-        **_run_kwargs(args),
-    ),
-    "fig12": lambda args: figure12_network_distribution(),
-    "fig13": lambda args: figure13_network_scalability(
-        k=args.k, num_granules=args.granules, **_run_kwargs(args)
-    ),
-    "fig14": lambda args: figure14_network_effect_k(
-        num_granules=args.granules, **_run_kwargs(args)
-    ),
-    "effect-k": lambda args: effect_of_k_synthetic(
-        size=args.size, num_granules=args.granules, **_run_kwargs(args)
-    ),
-    "statistics": lambda args: statistics_collection_times(
-        sizes=args.sizes or (1_000, 5_000, 20_000),
-        num_granules=args.granules,
-        **_backend_kwargs(args),
-    ),
-    # Streaming: ingest the workload batch by batch through tkij-streaming,
-    # comparing each batch against full recomputation.
-    "streaming": lambda args: figure_streaming(
-        batch_counts=args.stream_batches or (5, 10),
-        batch_sizes=args.stream_batch_size or (40,),
-        query_name=args.query,
-        k=args.k,
-        num_granules=args.granules,
-        **_run_kwargs(args),
-        **_fault_kwargs(args),
-    ),
-    # Generic registry dispatch: one query, any registered algorithm.
-    "run": lambda args: run_single_query(
-        algorithm=args.algorithm,
-        query_name=args.query,
-        size=args.size,
-        k=args.k,
-        options={
-            "mode": args.plan,
-            "num_granules": args.granules,
-            "kernel": args.kernel,
-            "transfer": args.transfer,
-            "memory_budget_bytes": args.memory_budget,
-        },
-        backend=args.backend,
-        max_workers=args.max_workers,
-        transfer=args.transfer,
-        memory_budget_bytes=args.memory_budget,
-        **_fault_kwargs(args),
-    ),
-}
-"""Experiment name -> driver invocation (parameterised by the parsed CLI options)."""
+def experiment_cluster(args: argparse.Namespace) -> ClusterConfig:
+    """The cluster an experiment runs on: the engine flags plus ``--speculative-slowdown``."""
+    return engine_cluster(args, speculative_slowdown=args.speculative_slowdown)
 
 
 def list_algorithms_table() -> ResultTable:
@@ -299,8 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--plan",
         choices=list(PLAN_MODES),
-        default="manual",
-        help="who configures TKIJ: 'manual' uses the CLI knobs, 'auto' the cost-based planner",
+        default=None,
+        help=(
+            "who configures TKIJ: 'manual' (the default) uses the CLI knobs, "
+            "'auto' the cost-based planner"
+        ),
     )
     parser.add_argument(
         "--kernel",
@@ -335,58 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated per-collection batch sizes for the 'streaming' experiment",
     )
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="serial",
-        help="execution backend for map/reduce tasks",
-    )
-    parser.add_argument(
-        "--max-workers",
-        type=_positive_int,
-        default=None,
-        help="worker pool size for the thread/process backends (default: CPU count)",
-    )
-    parser.add_argument(
-        "--transfer",
-        choices=list(TRANSFER_NAMES),
-        default=None,
-        help=(
-            "shuffle transfer strategy: 'inline' (same-address-space zero copy), "
-            "'pickle' (by-value across processes) or 'shm' (columnar batches via "
-            "shared memory); default follows the backend, or --plan auto"
-        ),
-    )
-    parser.add_argument(
-        "--memory-budget",
-        type=_byte_size,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "shuffle memory budget (accepts k/m/g suffixes, e.g. 64m); partitions "
-            "beyond it spill to sorted on-disk runs and reducers stream the merge"
-        ),
-    )
-    parser.add_argument(
-        "--max-task-attempts",
-        type=_positive_int,
-        default=None,
-        help=(
-            "per-task attempt budget of the engine (default 4, like Hadoop's "
-            "maxattempts); a task failing every attempt aborts the job "
-            "(run/streaming only)"
-        ),
-    )
-    parser.add_argument(
-        "--fault-plan",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help=(
-            "JSON fault plan injected into every Map-Reduce task (deterministic "
-            "chaos demo; see DESIGN.md §9 for the format; run/streaming only)"
-        ),
-    )
+    add_engine_flags(parser)
     parser.add_argument(
         "--speculative-slowdown",
         type=_slowdown_factor,
@@ -411,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_experiment(name: str, args: argparse.Namespace) -> ResultTable:
     """Run one named experiment with the parsed options."""
-    return EXPERIMENTS[name](args)
+    return EXPERIMENTS[name].run(args, experiment_cluster(args))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -432,14 +480,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if args.experiment is None:
         parser.error("an experiment is required (or pass --list-algorithms)")
-    validate_fault_options(parser, args)
-    if args.fault_plan is not None:
-        try:
-            args.fault_plan = load_fault_plan(args.fault_plan)
-        except ValueError as error:
-            parser.error(str(error))
+    validate_options(parser, args)
     try:
-        table = run_experiment(args.experiment, args)
+        cluster = experiment_cluster(args)
+    except ValueError as error:
+        parser.error(str(error))
+    try:
+        table = EXPERIMENTS[args.experiment].run(args, cluster)
     except (ValueError, KeyError) as error:
         # Driver-level validation failures (a bad k, an unknown query, an
         # impossible knob combination) are user errors, not crashes: report

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..core import LocalJoinConfig, TKIJ, TKIJResult
+from ..core import LocalJoinConfig, TKIJResult
 from ..datagen.synthetic import SyntheticConfig, generate_collections
-from ..mapreduce import ClusterConfig, ExecutionBackend, FaultPlan
+from ..mapreduce import ClusterConfig
 from ..plan import ExecutionContext, RunReport, get_algorithm
 from ..query.graph import RTJQuery
 from ..solver import BranchAndBoundSolver
@@ -133,26 +133,19 @@ def _fmt(value: Any) -> str:
 
 @dataclass(frozen=True)
 class TKIJRunConfig:
-    """One TKIJ configuration point of an experiment.
+    """One TKIJ configuration point of an experiment: what TKIJ computes.
 
-    ``backend``/``max_workers`` select the execution backend of the simulated
-    cluster (``serial``, ``thread`` or ``process``), so any figure driver can
-    run its joins serially or in parallel.  ``plan`` selects who configures the
-    evaluator: ``manual`` uses this config's knobs verbatim, ``auto`` lets the
-    cost-based :class:`repro.plan.AutoPlanner` price granularity and join
-    kernel from exact bucket counts.  The fault-tolerance knobs
-    (``max_task_attempts``, ``speculative_slowdown``, ``fault_plan``) flow into
-    the cluster config — see DESIGN.md §9 — so demo runs can inject
-    deterministic chaos and still reproduce the fault-free figures.
+    How the engine runs (reducers, backend, shuffle transfer, memory budget,
+    fault knobs) is the :class:`~repro.mapreduce.ClusterConfig` of the
+    :class:`~repro.plan.ExecutionContext` the run executes in.  ``plan``
+    selects who configures the evaluator: ``manual`` uses this config's knobs
+    verbatim, ``auto`` lets the cost-based :class:`repro.plan.AutoPlanner`
+    price granularity and join kernel from exact bucket counts.
     """
 
     num_granules: int = 20
     strategy: str = "loose"
     assigner: str = "dtb"
-    num_reducers: int = 8
-    num_mappers: int = 4
-    backend: str = "serial"
-    max_workers: int | None = None
     use_index: bool = True
     early_termination: bool = True
     solver_max_nodes: int = 64
@@ -160,39 +153,6 @@ class TKIJRunConfig:
     kernel: str | None = None
     """Local-join kernel.  ``None`` defers: scalar under manual planning, the
     planner's pick under ``plan="auto"``.  An explicit value always wins."""
-    max_task_attempts: int = 4
-    speculative_slowdown: float | None = None
-    fault_plan: FaultPlan | None = None
-    transfer: str | None = None
-    """Shuffle transfer strategy (``inline``/``pickle``/``shm``).  ``None``
-    defers: the backend default under manual planning, the planner's pick under
-    ``plan="auto"``.  An explicit value always wins."""
-    memory_budget_bytes: int | None = None
-    """Shuffle memory budget; partitions exceeding it spill to sorted on-disk
-    runs and the reduce phase streams over their merge (DESIGN.md §10)."""
-
-    def make_cluster(self) -> ClusterConfig:
-        """The simulated-cluster description of this configuration."""
-        return ClusterConfig(
-            num_reducers=self.num_reducers,
-            num_mappers=self.num_mappers,
-            backend=self.backend,
-            max_workers=self.max_workers,
-            max_task_attempts=self.max_task_attempts,
-            speculative_slowdown=self.speculative_slowdown,
-            fault_plan=self.fault_plan,
-            transfer=self.transfer,
-            memory_budget_bytes=self.memory_budget_bytes,
-        )
-
-    def make_context(self, backend: ExecutionBackend | None = None) -> ExecutionContext:
-        """A fresh execution context for this configuration.
-
-        ``backend`` injects an already-created (shared) execution backend; the
-        caller keeps ownership of it.  Close the context (or use it as a context
-        manager) to release any backend it created itself.
-        """
-        return ExecutionContext(cluster=self.make_cluster(), backend=backend)
 
     def plan_knobs(self) -> dict[str, Any]:
         """The TKIJ plan knobs encoded by this configuration."""
@@ -211,37 +171,12 @@ class TKIJRunConfig:
         if self.kernel is not None:
             # Forwarded as an explicit knob so it beats the auto planner's pick.
             knobs["kernel"] = self.kernel
-        if self.transfer is not None:
-            knobs["transfer"] = self.transfer
-        if self.memory_budget_bytes is not None:
-            knobs["memory_budget_bytes"] = self.memory_budget_bytes
         return knobs
-
-    def make_runner(self, backend: ExecutionBackend | None = None) -> TKIJ:
-        """Instantiate the TKIJ evaluator for this configuration.
-
-        ``backend`` injects an already-created (shared) execution backend; the
-        caller keeps ownership of it.
-        """
-        return TKIJ(
-            num_granules=self.num_granules,
-            strategy=self.strategy,
-            assigner=self.assigner,
-            cluster=self.make_cluster(),
-            join_config=LocalJoinConfig(
-                use_index=self.use_index,
-                early_termination=self.early_termination,
-                kernel=self.kernel or "scalar",
-            ),
-            solver=BranchAndBoundSolver(max_nodes=self.solver_max_nodes),
-            backend=backend,
-        )
 
 
 def run_tkij(
     query: RTJQuery,
     config: TKIJRunConfig | None = None,
-    backend: ExecutionBackend | None = None,
     context: ExecutionContext | None = None,
 ) -> TKIJResult:
     """Run one query under one configuration and return the execution report.
@@ -249,27 +184,11 @@ def run_tkij(
     Dispatches through the algorithm registry (``repro.plan.REGISTRY['tkij']``).
     Pass ``context`` to share worker pools *and* the statistics cache across many
     queries (figure drivers do — phase (a) then runs once per dataset); without
-    it a transient context lives only for this call (``backend`` optionally
-    injects a caller-owned worker pool into it).
-
-    With a shared ``context`` the *context's* cluster is authoritative: the
-    config's execution fields (``backend``/``max_workers``) are ignored, and a
-    disagreement on the cluster shape (``num_reducers``/``num_mappers``) —
-    which would silently change the measured metrics — is rejected.
+    it a transient default :class:`ExecutionContext` lives only for this call.
     """
     config = config or TKIJRunConfig()
     owns_context = context is None
-    if context is not None and (
-        config.num_reducers != context.cluster.num_reducers
-        or config.num_mappers != context.cluster.num_mappers
-    ):
-        raise ValueError(
-            f"config cluster shape ({config.num_reducers}r/{config.num_mappers}m) "
-            f"disagrees with the shared context "
-            f"({context.cluster.num_reducers}r/{context.cluster.num_mappers}m); "
-            "build the context from the same configuration"
-        )
-    context = context or config.make_context(backend)
+    context = context or ExecutionContext()
     try:
         report = get_algorithm("tkij").run(query, context, **config.plan_knobs())
         return report.raw
@@ -295,25 +214,18 @@ def run_single_query(
     k: int = 20,
     params_name: str = "P1",
     options: Mapping[str, Any] | None = None,
-    backend: str = "serial",
-    max_workers: int | None = None,
-    num_reducers: int = 8,
+    cluster: ClusterConfig | None = None,
     seed: int = 7,
-    max_task_attempts: int = 4,
-    speculative_slowdown: float | None = None,
-    fault_plan: FaultPlan | None = None,
-    transfer: str | None = None,
-    memory_budget_bytes: int | None = None,
 ) -> ResultTable:
     """Generic driver: one Table-1 query, one registered algorithm, one report.
 
     Boolean-only algorithms automatically get the Boolean parameter set (PB).
     ``options`` holds generic knob candidates (``mode``, ``num_granules``, ...);
     each algorithm picks the subset it understands via ``plan_knobs``, so this
-    driver needs no per-algorithm branches.  ``fault_plan`` (with
-    ``max_task_attempts``/``speculative_slowdown``) turns the run into a chaos
-    demo: faults are injected into every Map-Reduce task, retried away, and the
-    discarded attempts are tabulated alongside the usual metrics.
+    driver needs no per-algorithm branches.  ``cluster`` says how the engine
+    runs; its ``fault_plan`` (or ``speculative_slowdown``) turns the run into a
+    chaos demo: faults are injected into every Map-Reduce task, retried away,
+    and the discarded attempts are tabulated alongside the usual metrics.
     """
     from .workloads import build_query
 
@@ -323,17 +235,8 @@ def run_single_query(
         generate_collections(3, SyntheticConfig(size=size), seed=seed).values()
     )
     query = build_query(query_name, collections, params, k=k)
-    config = TKIJRunConfig(
-        num_reducers=num_reducers,
-        backend=backend,
-        max_workers=max_workers,
-        max_task_attempts=max_task_attempts,
-        speculative_slowdown=speculative_slowdown,
-        fault_plan=fault_plan,
-        transfer=transfer,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    with config.make_context() as context:
+    cluster = cluster or ClusterConfig()
+    with ExecutionContext(cluster=cluster) as context:
         plan = algo.plan(query, context, **algo.plan_knobs(options or {}))
         report = algo.execute(plan)
 
@@ -345,9 +248,12 @@ def run_single_query(
         # Only scalar knobs tabulate usefully (not solver/join-config objects).
         if isinstance(value, (int, float, str, bool)):
             table.add_row(metric=f"knob_{knob}", value=value)
+    for setting in ("transfer", "memory_budget_bytes"):
+        if getattr(cluster, setting) is not None:
+            table.add_row(metric=f"knob_{setting}", value=getattr(cluster, setting))
     for metric, value in report.describe().items():
         table.add_row(metric=metric, value=value)
-    if fault_plan is not None or speculative_slowdown is not None:
+    if cluster.fault_plan is not None or cluster.speculative_slowdown is not None:
         failed = sum(len(metrics.failed_attempts) for metrics in report.metrics)
         retried = sum(metrics.retried_tasks for metrics in report.metrics)
         launches = sum(metrics.speculative_launches for metrics in report.metrics)

@@ -17,6 +17,8 @@ from ..datagen.network import (
     generate_network_collection,
     sample_collection,
 )
+from ..mapreduce import ClusterConfig
+from ..plan import ExecutionContext
 from ..temporal.interval import IntervalCollection
 from .harness import ResultTable, TKIJRunConfig, run_tkij
 from .workloads import build_query
@@ -87,12 +89,9 @@ def figure13_network_scalability(
     params_name: str = "P3",
     config: NetworkTraceConfig | None = None,
     seed: int = 13,
-    backend: str = "serial",
-    max_workers: int | None = None,
     plan: str = "manual",
     kernel: str | None = None,
-    transfer: str | None = None,
-    memory_budget_bytes: int | None = None,
+    cluster: ClusterConfig | None = None,
 ) -> ResultTable:
     """Running time while the sampled fraction of the trace grows (Figure 13)."""
     base = generate_network_collection(config, seed=seed)
@@ -100,13 +99,7 @@ def figure13_network_scalability(
         title=f"Figure 13 — network scalability ({params_name}, g={num_granules}, k={k})",
         columns=["query", "fraction", "size", "total_seconds", "topbuckets_seconds", "nonempty_buckets"],
     )
-    run_config = TKIJRunConfig(
-        backend=backend,
-        max_workers=max_workers,
-        transfer=transfer,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    with run_config.make_context() as context:
+    with ExecutionContext(cluster=cluster or ClusterConfig()) as context:
         for fraction in fractions:
             sampled = sample_collection(base, fraction, seed=seed)
             collections = [
@@ -140,12 +133,9 @@ def figure14_network_effect_k(
     params_name: str = "P3",
     config: NetworkTraceConfig | None = None,
     seed: int = 13,
-    backend: str = "serial",
-    max_workers: int | None = None,
     plan: str = "manual",
     kernel: str | None = None,
-    transfer: str | None = None,
-    memory_budget_bytes: int | None = None,
+    cluster: ClusterConfig | None = None,
 ) -> ResultTable:
     """Running time as k grows on the network trace (Figure 14)."""
     collections = network_collections(config, seed=seed)
@@ -153,13 +143,7 @@ def figure14_network_effect_k(
         title=f"Figure 14 — network data, effect of k ({params_name}, g={num_granules})",
         columns=["query", "k", "total_seconds", "selected_combinations"],
     )
-    run_config = TKIJRunConfig(
-        backend=backend,
-        max_workers=max_workers,
-        transfer=transfer,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    with run_config.make_context() as context:
+    with ExecutionContext(cluster=cluster or ClusterConfig()) as context:
         for query_name in queries:
             for k in ks:
                 query = build_query(query_name, collections, params_name, k=k)

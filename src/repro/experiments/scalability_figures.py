@@ -12,7 +12,7 @@ from typing import Sequence
 from ..core.statistics import collect_statistics_mapreduce
 from ..datagen.synthetic import SyntheticConfig, generate_collections
 from ..mapreduce import ClusterConfig, MapReduceEngine
-from ..plan import get_algorithm
+from ..plan import ExecutionContext, get_algorithm
 from .harness import ResultTable, TKIJRunConfig, run_algorithm, run_tkij
 from .workloads import build_query
 
@@ -32,28 +32,17 @@ def figure11_scalability(
     queries: Sequence[str] = ("Qb,b", "Qo,o", "Qs,m"),
     k: int = 100,
     num_granules: int = 10,
-    num_reducers: int = 8,
     seed: int = 7,
-    backend: str = "serial",
-    max_workers: int | None = None,
     plan: str = "manual",
     kernel: str | None = None,
-    transfer: str | None = None,
-    memory_budget_bytes: int | None = None,
+    cluster: ClusterConfig | None = None,
 ) -> ResultTable:
     """TKIJ (scored P1 and Boolean PB) against All-Matrix / RCCIS while |Ci| grows."""
     table = ResultTable(
         title=f"Figure 11 — scalability (g={num_granules}, k={k})",
         columns=["query", "size", "system", "total_seconds", "shuffle_records", "results"],
     )
-    base = TKIJRunConfig(
-        num_reducers=num_reducers,
-        backend=backend,
-        max_workers=max_workers,
-        transfer=transfer,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    with base.make_context() as context:
+    with ExecutionContext(cluster=cluster or ClusterConfig()) as context:
         for query_name in queries:
             baseline_name = _BASELINE_FOR_QUERY.get(query_name, "rccis")
             baseline = get_algorithm(baseline_name)
@@ -64,14 +53,7 @@ def figure11_scalability(
 
                 for params_name in ("P1", "PB"):
                     query = build_query(query_name, collections, params_name, k=k)
-                    config = TKIJRunConfig(
-                        num_granules=num_granules,
-                        num_reducers=num_reducers,
-                        plan=plan,
-                        kernel=kernel,
-                        transfer=transfer,
-                        memory_budget_bytes=memory_budget_bytes,
-                    )
+                    config = TKIJRunConfig(num_granules=num_granules, plan=plan, kernel=kernel)
                     result = run_tkij(query, config, context=context)
                     table.add_row(
                         query=query_name,
@@ -102,23 +84,14 @@ def statistics_collection_times(
     num_granules: int = 20,
     num_collections: int = 3,
     seed: int = 7,
-    backend: str = "serial",
-    max_workers: int | None = None,
-    transfer: str | None = None,
-    memory_budget_bytes: int | None = None,
+    cluster: ClusterConfig | None = None,
 ) -> ResultTable:
     """Statistics-collection time versus collection size (Section 4, "Statistics collection")."""
     table = ResultTable(
         title=f"Statistics collection (g={num_granules}, {num_collections} collections)",
         columns=["size", "seconds", "shuffle_records", "nonempty_buckets"],
     )
-    cluster = ClusterConfig(
-        backend=backend,
-        max_workers=max_workers,
-        transfer=transfer,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    with MapReduceEngine(cluster) as engine:
+    with MapReduceEngine(cluster or ClusterConfig()) as engine:
         for size in sizes:
             collections = generate_collections(
                 num_collections, SyntheticConfig(size=size), seed=seed

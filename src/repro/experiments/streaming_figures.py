@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..datagen.synthetic import SyntheticConfig, generate_collections
-from ..mapreduce import FaultPlan
-from ..plan import get_algorithm
+from ..mapreduce import ClusterConfig
+from ..plan import ExecutionContext, get_algorithm
 from ..streaming import StreamingCollection, equivalent_top_k
-from .harness import ResultTable, TKIJRunConfig
+from .harness import ResultTable
 from .workloads import build_query
 
 __all__ = ["figure_streaming"]
@@ -33,29 +33,23 @@ def figure_streaming(
     params_name: str = "P1",
     k: int = 50,
     num_granules: int = 8,
-    num_reducers: int = 8,
-    backend: str = "serial",
-    max_workers: int | None = None,
     plan: str = "manual",
     kernel: str | None = None,
-    transfer: str | None = None,
-    memory_budget_bytes: int | None = None,
     compare_full: bool = True,
     seed: int = 7,
-    max_task_attempts: int = 4,
-    speculative_slowdown: float | None = None,
-    fault_plan: FaultPlan | None = None,
+    cluster: ClusterConfig | None = None,
 ) -> ResultTable:
     """Per-batch streaming evaluation across a batch-count × batch-size sweep.
 
-    The fault knobs make this the streaming chaos demo: injected task faults
-    are retried inside every tick and the per-batch series stays identical to
-    a fault-free sweep (only latencies move).
+    A ``cluster`` with a fault plan makes this the streaming chaos demo:
+    injected task faults are retried inside every tick and the per-batch
+    series stays identical to a fault-free sweep (only latencies move).
     """
+    cluster = cluster or ClusterConfig()
     table = ResultTable(
         title=(
             f"Streaming — {query_name} ({params_name}), k={k}, g={num_granules}, "
-            f"plan={plan}, backend={backend}"
+            f"plan={plan}, backend={cluster.backend}"
         ),
         columns=[
             "batches", "batch_size", "batch", "inserted", "replanned",
@@ -63,16 +57,6 @@ def figure_streaming(
             "intervals_skipped", "tuples_scored",
             "full_seconds", "full_tuples_scored", "speedup", "matches_full",
         ],
-    )
-    config = TKIJRunConfig(
-        num_reducers=num_reducers,
-        backend=backend,
-        max_workers=max_workers,
-        max_task_attempts=max_task_attempts,
-        speculative_slowdown=speculative_slowdown,
-        fault_plan=fault_plan,
-        transfer=transfer,
-        memory_budget_bytes=memory_budget_bytes,
     )
     streaming_algorithm = get_algorithm("tkij-streaming")
     static_algorithm = get_algorithm("tkij")
@@ -95,11 +79,11 @@ def figure_streaming(
                 StreamingCollection(collection.name) for collection in collections
             ]
             query = build_query(query_name, streams, params_name, k=k)
-            context = config.make_context()
+            context = ExecutionContext(cluster=cluster)
             # The comparison arm gets its own context: its statistics cache
             # misses on every batch (the dataset grew), which is exactly the
             # from-scratch recomputation being measured.
-            full_context = config.make_context() if compare_full else None
+            full_context = ExecutionContext(cluster=cluster) if compare_full else None
             try:
                 for tick in range(num_batches):
                     for stream in streams:

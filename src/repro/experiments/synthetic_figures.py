@@ -12,6 +12,8 @@ from typing import Sequence
 
 from ..baselines.naive import all_pair_scores
 from ..datagen.synthetic import SyntheticConfig, generate_collections
+from ..mapreduce import ClusterConfig
+from ..plan import ExecutionContext
 from ..temporal.predicates import predicate_by_name
 from .harness import ResultTable, TKIJRunConfig, run_tkij
 from .workloads import PARAMETERS, build_query, star_spec
@@ -73,13 +75,9 @@ def figure8_workload_distribution(
     k: int = 100,
     num_granules: int = 10,
     params_name: str = "P2",
-    num_reducers: int = 8,
     assigners: Sequence[str] = ("lpt", "dtb"),
     seed: int = 7,
-    backend: str = "serial",
-    max_workers: int | None = None,
-    transfer: str | None = None,
-    memory_budget_bytes: int | None = None,
+    cluster: ClusterConfig | None = None,
 ) -> ResultTable:
     """LPT vs DTB: join time (8a), max reducer time (8b), min k-th score (8c).
 
@@ -98,24 +96,13 @@ def figure8_workload_distribution(
             "shuffle_records",
         ],
     )
-    base = TKIJRunConfig(
-        num_reducers=num_reducers,
-        backend=backend,
-        max_workers=max_workers,
-        transfer=transfer,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    with base.make_context() as context:
+    with ExecutionContext(cluster=cluster or ClusterConfig()) as context:
         for size in sizes:
             collections = _collections(3, size, seed=seed)
             for query_name in queries:
                 for assigner in assigners:
                     query = build_query(query_name, collections, params_name, k=k)
-                    config = TKIJRunConfig(
-                        num_granules=num_granules,
-                        assigner=assigner,
-                        num_reducers=num_reducers,
-                    )
+                    config = TKIJRunConfig(num_granules=num_granules, assigner=assigner)
                     result = run_tkij(query, config, context=context)
                     table.add_row(
                         size=size,
@@ -140,10 +127,7 @@ def figure9_topbuckets_strategies(
     params_name: str = "P1",
     strategies: Sequence[str] = ("brute-force", "two-phase", "loose"),
     seed: int = 7,
-    backend: str = "serial",
-    max_workers: int | None = None,
-    transfer: str | None = None,
-    memory_budget_bytes: int | None = None,
+    cluster: ClusterConfig | None = None,
 ) -> ResultTable:
     """Detailed stage times of the three TopBuckets strategies on Qb*, Qo*, Qm*.
 
@@ -164,13 +148,7 @@ def figure9_topbuckets_strategies(
             "selected_combinations",
         ],
     )
-    base = TKIJRunConfig(
-        backend=backend,
-        max_workers=max_workers,
-        transfer=transfer,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    with base.make_context() as context:
+    with ExecutionContext(cluster=cluster or ClusterConfig()) as context:
         for family in families:
             for n in num_vertices:
                 collections = _collections(n, size, seed=seed)
@@ -201,10 +179,7 @@ def figure10_granules(
     k: int = 100,
     params_name: str = "P1",
     seed: int = 7,
-    backend: str = "serial",
-    max_workers: int | None = None,
-    transfer: str | None = None,
-    memory_budget_bytes: int | None = None,
+    cluster: ClusterConfig | None = None,
 ) -> ResultTable:
     """Effect of the number of granules: total time (10a), imbalance (10b), detail (10c).
 
@@ -224,13 +199,7 @@ def figure10_granules(
             "selected_combinations",
         ],
     )
-    base = TKIJRunConfig(
-        backend=backend,
-        max_workers=max_workers,
-        transfer=transfer,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    with base.make_context() as context:
+    with ExecutionContext(cluster=cluster or ClusterConfig()) as context:
         for query_name in queries:
             collections = _collections(3, size, seed=seed)
             for g in granules:
@@ -257,25 +226,16 @@ def effect_of_k_synthetic(
     num_granules: int = 10,
     params_name: str = "P1",
     seed: int = 7,
-    backend: str = "serial",
-    max_workers: int | None = None,
     plan: str = "manual",
     kernel: str | None = None,
-    transfer: str | None = None,
-    memory_budget_bytes: int | None = None,
+    cluster: ClusterConfig | None = None,
 ) -> ResultTable:
     """Section 4.2.6: running time as k varies (expected to stay nearly flat)."""
     table = ResultTable(
         title=f"Effect of k (synthetic, |Ci|={size}, g={num_granules})",
         columns=["query", "k", "total_seconds", "selected_combinations"],
     )
-    base = TKIJRunConfig(
-        backend=backend,
-        max_workers=max_workers,
-        transfer=transfer,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    with base.make_context() as context:
+    with ExecutionContext(cluster=cluster or ClusterConfig()) as context:
         for query_name in queries:
             collections = _collections(3, size, seed=seed)
             for k in ks:

@@ -25,7 +25,19 @@ from .context import ExecutionContext
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .planner import PlanExplanation
 
-__all__ = ["Algorithm", "ExecutionPlan", "RunReport"]
+__all__ = ["Algorithm", "ExecutionPlan", "RunReport", "positive_int"]
+
+
+def positive_int(name: str, value: Any) -> int:
+    """``value`` when it is a positive ``int``; ``ValueError`` otherwise.
+
+    The shared check of count-valued plan knobs (``num_granules``,
+    ``num_partitions``), which may arrive from the wire as any JSON value:
+    ``bool`` is rejected although it subclasses ``int``.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 @dataclass

@@ -24,7 +24,7 @@ from ..core.operators import collections_by_name
 from ..core.tkij import TKIJ
 from ..query.graph import RTJQuery
 from ..solver import BranchAndBoundSolver
-from .algorithm import Algorithm, ExecutionPlan, RunReport
+from .algorithm import Algorithm, ExecutionPlan, RunReport, positive_int
 from .context import ExecutionContext
 from .feedback import query_fingerprint, statistics_fingerprint, workload_fingerprint
 from .planner import AutoPlanner
@@ -47,7 +47,8 @@ def resolve_join_config(knobs: Mapping[str, Any]) -> LocalJoinConfig:
 
     ``kernel`` may come from the CLI/driver (explicit) or from the planner
     (auto mode); either way it overrides whatever the ``join_config`` object
-    carries, so one knob controls the kernel everywhere.
+    carries, so one knob controls the kernel everywhere.  An unknown kernel
+    raises ``ValueError`` here (:class:`LocalJoinConfig` validates it).
     """
     join_config: LocalJoinConfig = knobs["join_config"]
     kernel = knobs.get("kernel")
@@ -72,8 +73,6 @@ class TKIJAlgorithm(Algorithm):
         strategy: str = "loose",
         assigner: str = "dtb",
         kernel: str | None = None,
-        transfer: str | None = None,
-        memory_budget_bytes: int | None = None,
         join_config: LocalJoinConfig | None = None,
         solver: BranchAndBoundSolver | None = None,
         planner: AutoPlanner | None = None,
@@ -81,7 +80,7 @@ class TKIJAlgorithm(Algorithm):
         if mode not in PLAN_MODES:
             raise ValueError(f"unknown plan mode {mode!r}; expected one of {PLAN_MODES}")
         knobs: dict[str, Any] = {
-            "num_granules": num_granules,
+            "num_granules": positive_int("num_granules", num_granules),
             "strategy": strategy,
             "assigner": assigner,
             "join_config": join_config or LocalJoinConfig(),
@@ -126,31 +125,9 @@ class TKIJAlgorithm(Algorithm):
             knobs["kernel"] = kernel
             if explanation is not None:
                 explanation.kernel = kernel
-        if transfer is not None:
-            # Same precedence for the shuffle transfer strategy.
-            knobs["transfer"] = transfer
-            if explanation is not None:
-                explanation.transfer = transfer
-        if memory_budget_bytes is not None:
-            knobs["memory_budget_bytes"] = memory_budget_bytes
+        # Resolved when planning, so a bad kernel is rejected before any task runs.
+        knobs["join_config"] = resolve_join_config(knobs)
         return ExecutionPlan(self.name, query, context, knobs, explanation)
-
-    @staticmethod
-    def _resolve_cluster(plan: ExecutionPlan):
-        """The context's cluster with the plan's transfer/budget knobs applied.
-
-        The context owns the cluster shape (reducers, mappers, backend); the
-        plan may override only how shuffled data moves and when it spills, so
-        several plans can share one context (and its worker pool) while
-        choosing different transfer strategies.
-        """
-        cluster = plan.context.cluster
-        overrides = {
-            knob: plan.knobs[knob]
-            for knob in ("transfer", "memory_budget_bytes")
-            if plan.knobs.get(knob) is not None
-        }
-        return replace(cluster, **overrides) if overrides else cluster
 
     def execute(self, plan: ExecutionPlan) -> RunReport:
         context, knobs = plan.context, plan.knobs
@@ -158,8 +135,8 @@ class TKIJAlgorithm(Algorithm):
             num_granules=knobs["num_granules"],
             strategy=knobs["strategy"],
             assigner=knobs["assigner"],
-            cluster=self._resolve_cluster(plan),
-            join_config=resolve_join_config(knobs),
+            cluster=context.cluster,
+            join_config=knobs["join_config"],
             solver=knobs["solver"],
             backend=context.get_backend(),
         )
@@ -193,7 +170,7 @@ class TKIJAlgorithm(Algorithm):
                 "num_granules": knobs["num_granules"],
                 "strategy": knobs["strategy"],
                 "assigner": knobs["assigner"],
-                "kernel": resolve_join_config(knobs).kernel,
+                "kernel": knobs["join_config"].kernel,
             }
             outcome = {
                 "elapsed_seconds": result.total_seconds,
@@ -219,15 +196,7 @@ class TKIJAlgorithm(Algorithm):
 
     def plan_knobs(self, options: Mapping[str, Any]) -> dict[str, Any]:
         picked = {}
-        for knob in (
-            "mode",
-            "num_granules",
-            "strategy",
-            "assigner",
-            "kernel",
-            "transfer",
-            "memory_budget_bytes",
-        ):
+        for knob in ("mode", "num_granules", "strategy", "assigner", "kernel"):
             if options.get(knob) is not None:
                 picked[knob] = options[knob]
         return picked
@@ -294,7 +263,10 @@ class AllMatrixAlgorithm(_BaselineAlgorithm):
         num_partitions: int = 4,
     ) -> ExecutionPlan:
         return ExecutionPlan(
-            self.name, query, context, {"num_partitions": num_partitions}
+            self.name,
+            query,
+            context,
+            {"num_partitions": positive_int("num_partitions", num_partitions)},
         )
 
     def _make_join(self, plan: ExecutionPlan) -> AllMatrixJoin:
@@ -324,7 +296,9 @@ class RCCISAlgorithm(_BaselineAlgorithm):
     ) -> ExecutionPlan:
         # Default to one granule per reducer, matching the paper's protocol.
         granules = num_granules if num_granules is not None else context.cluster.num_reducers
-        return ExecutionPlan(self.name, query, context, {"num_granules": granules})
+        return ExecutionPlan(
+            self.name, query, context, {"num_granules": positive_int("num_granules", granules)}
+        )
 
     def _make_join(self, plan: ExecutionPlan) -> RCCISJoin:
         return RCCISJoin(

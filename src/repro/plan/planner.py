@@ -110,9 +110,6 @@ class PlanExplanation:
     strategy: str
     assigner: str
     kernel: str = "scalar"
-    transfer: str | None = None
-    """Shuffle transfer strategy when the caller fixed one (the planner never
-    does: ``None`` leaves the engine's backend-derived default in place)."""
     inputs: dict[str, float] = field(default_factory=dict)
     reasons: list[str] = field(default_factory=list)
     candidates: list[PricedPlan] = field(default_factory=list)
@@ -129,8 +126,6 @@ class PlanExplanation:
             "assigner": self.assigner,
             "kernel": self.kernel,
         }
-        if self.transfer is not None:
-            summary["transfer"] = self.transfer
         summary.update(self.inputs)
         return summary
 
@@ -140,8 +135,6 @@ class PlanExplanation:
             f"g={self.num_granules} strategy={self.strategy} assigner={self.assigner} "
             f"kernel={self.kernel}"
         )
-        if self.transfer is not None:
-            choices += f" transfer={self.transfer}"
         if not self.reasons:
             return choices
         return f"{choices} ({'; '.join(self.reasons)})"

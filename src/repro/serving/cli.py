@@ -1,12 +1,12 @@
 """Command-line entry points of the serving layer.
 
 ``repro-serve`` (the console script) and ``python -m repro.experiments serve``
-both land in :func:`serve_main`: build a cluster config from the familiar
-experiment flags, wrap it in a warm :class:`~repro.plan.ExecutionContext`,
-and serve until a ``shutdown`` request or Ctrl-C.  ``python -m
-repro.experiments load`` (:func:`load_main`) is the matching client-side
-loader: connect to a running server and register synthetic collections
-through the wire protocol.
+both land in :func:`serve_main`: build a cluster config from the engine
+flags shared with the experiments CLI, wrap it in a warm
+:class:`~repro.plan.ExecutionContext`, and serve until a ``shutdown`` request
+or Ctrl-C.  ``python -m repro.experiments load`` (:func:`load_main`) is the
+matching client-side loader: connect to a running server and register
+synthetic collections through the wire protocol.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from ..experiments.cli import _byte_size, _positive_int, load_fault_plan
-from ..mapreduce import BACKEND_NAMES, TRANSFER_NAMES, ClusterConfig
+from ..experiments.cli import ENGINE_FLAGS, _positive_int, add_engine_flags, engine_cluster
 from ..plan import ExecutionContext
 from .client import QueryClient, ServingError
 from .server import QueryServer
@@ -41,23 +40,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--port", type=int, default=7781, help="bind port (0 picks an ephemeral port)"
     )
+    add_engine_flags(parser)
     parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="serial",
-        help="execution backend of the shared worker pool",
+        "--reducers", type=_positive_int, default=None, help="reduce tasks per job (default 8)"
     )
     parser.add_argument(
-        "--max-workers",
-        type=_positive_int,
-        default=None,
-        help="worker pool size for the thread/process backends (default: CPU count)",
-    )
-    parser.add_argument(
-        "--reducers", type=_positive_int, default=8, help="reduce tasks per job"
-    )
-    parser.add_argument(
-        "--mappers", type=_positive_int, default=4, help="map waves per job"
+        "--mappers", type=_positive_int, default=None, help="map waves per job (default 4)"
     )
     parser.add_argument(
         "--max-inflight",
@@ -76,32 +64,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="deadline applied to queries that do not carry their own (default: none)",
-    )
-    parser.add_argument(
-        "--transfer",
-        choices=list(TRANSFER_NAMES),
-        default=None,
-        help="shuffle transfer strategy (default follows the backend)",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        type=_byte_size,
-        default=None,
-        metavar="BYTES",
-        help="shuffle memory budget (k/m/g suffixes accepted); excess spills to disk",
-    )
-    parser.add_argument(
-        "--max-task-attempts",
-        type=_positive_int,
-        default=4,
-        help="per-task attempt budget of the engine",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="JSON fault plan applied to every served query (chaos soak testing)",
     )
     parser.add_argument(
         "--workers",
@@ -179,25 +141,14 @@ def build_load_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: serve flags that configure the in-process engine; in supervisor mode each
-#: worker builds its own default context, so these cannot take effect there.
-_ENGINE_FLAG_DEFAULTS = (
-    ("backend", "serial"),
-    ("max_workers", None),
-    ("reducers", 8),
-    ("mappers", 4),
-    ("transfer", None),
-    ("memory_budget", None),
-    ("max_task_attempts", 4),
-    ("fault_plan", None),
-)
-
-
 def _serve_supervised(args: argparse.Namespace) -> int:
     """The ``--workers N`` (N > 1) path: supervised multi-worker frontend."""
-    for name, default in _ENGINE_FLAG_DEFAULTS:
-        if getattr(args, name) != default:
-            flag = "--" + name.replace("_", "-")
+    # Each supervised worker builds its own default context, so no flag that
+    # configures the in-process engine can take effect there.
+    engine_dests = [(flag, field) for flag, (field, _) in ENGINE_FLAGS.items()]
+    engine_dests += [("--reducers", "reducers"), ("--mappers", "mappers")]
+    for flag, dest in engine_dests:
+        if getattr(args, dest) is not None:
             print(
                 f"error: {flag} configures the in-process engine and is not "
                 "supported with --workers > 1",
@@ -248,20 +199,13 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     if args.max_queue < 0:
         print("error: --max-queue must be non-negative", file=sys.stderr)
         return 1
+    if args.plan_cache_entries < 0:
+        print("error: --plan-cache-entries must be non-negative", file=sys.stderr)
+        return 1
     if args.workers > 1:
         return _serve_supervised(args)
     try:
-        fault_plan = load_fault_plan(args.fault_plan)
-        cluster = ClusterConfig(
-            backend=args.backend,
-            max_workers=args.max_workers,
-            num_reducers=args.reducers,
-            num_mappers=args.mappers,
-            max_task_attempts=args.max_task_attempts,
-            fault_plan=fault_plan,
-            transfer=args.transfer,
-            memory_budget_bytes=args.memory_budget,
-        )
+        cluster = engine_cluster(args, num_reducers=args.reducers, num_mappers=args.mappers)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -48,7 +48,7 @@ from ..core.operators import (
 from ..core.statistics import batch_arrays, bucket_counts
 from ..core.top_buckets import STRATEGIES
 from ..mapreduce import MapReduceEngine
-from ..plan.algorithm import Algorithm, ExecutionPlan, RunReport
+from ..plan.algorithm import Algorithm, ExecutionPlan, RunReport, positive_int
 from ..plan.algorithms import PLAN_MODES, resolve_join_config
 from ..plan.context import ExecutionContext
 from ..plan.planner import AutoPlanner
@@ -94,7 +94,7 @@ class StreamingTKIJ(Algorithm):
         knobs: dict[str, Any] = {
             "mode": mode,
             "stream_id": stream_id,
-            "num_granules": num_granules,
+            "num_granules": positive_int("num_granules", num_granules),
             "strategy": strategy,
             "assigner": assigner,
             # The kernel is resolved per (re)plan in _full_tick: an explicit
@@ -105,6 +105,8 @@ class StreamingTKIJ(Algorithm):
             "solver": solver or BranchAndBoundSolver(),
             "planner": planner or AutoPlanner(),
         }
+        # Validates an explicit kernel before a batch is committed or a task runs.
+        knobs["join_config"] = resolve_join_config(knobs)
         return ExecutionPlan(self.name, query, context, knobs)
 
     # ---------------------------------------------------------------- execute

@@ -5,9 +5,8 @@ import json
 import pytest
 
 from repro.experiments.cli import (
-    ENGINELESS_EXPERIMENTS,
     EXPERIMENTS,
-    FAULT_EXPERIMENTS,
+    OPTION_GROUPS,
     build_parser,
     list_algorithms_table,
     load_fault_plan,
@@ -156,9 +155,15 @@ class TestFaultOptions:
     """Error paths and the chaos-demo happy path of the fault-tolerance flags."""
 
     def test_fault_experiment_sets_are_consistent(self):
-        assert FAULT_EXPERIMENTS <= set(EXPERIMENTS)
-        assert ENGINELESS_EXPERIMENTS <= set(EXPERIMENTS)
-        assert not FAULT_EXPERIMENTS & ENGINELESS_EXPERIMENTS
+        fault = {name for name, entry in EXPERIMENTS.items() if "fault" in entry.reads}
+        engineless = {name for name, entry in EXPERIMENTS.items() if not entry.reads}
+        assert fault == {"run", "streaming"}
+        assert engineless == {"fig7", "fig12"}
+        # Every group an experiment reads is a known group, and reading the
+        # fault or plan group implies running the engine.
+        for entry in EXPERIMENTS.values():
+            assert entry.reads <= set(OPTION_GROUPS)
+            assert not entry.reads or "engine" in entry.reads
 
     def test_load_fault_plan_passthrough(self, chaos_plan_file):
         plan = load_fault_plan(chaos_plan_file)
@@ -245,6 +250,80 @@ class TestFaultOptions:
         assert "positive integer" in capsys.readouterr().err
 
 
+class TestOptionGroups:
+    """Each experiment reads the engine/plan/fault option groups its record names
+    and rejects a passed flag of any other group instead of ignoring it."""
+
+    @pytest.mark.parametrize(
+        "experiment, flags",
+        [
+            ("fig10", ["--kernel", "vector"]),
+            ("fig10", ["--plan", "auto"]),
+            ("fig8", ["--plan", "manual"]),
+            ("fig9", ["--kernel", "sweep"]),
+            ("statistics", ["--plan", "auto"]),
+            ("fig7", ["--backend", "process"]),
+            ("fig7", ["--transfer", "pickle"]),
+            ("fig12", ["--max-workers", "2"]),
+            ("fig12", ["--kernel", "vector"]),
+            ("fig11", ["--backend", "thread", "--speculative-slowdown", "2.0"]),
+        ],
+    )
+    def test_flag_the_experiment_does_not_read_is_rejected(self, experiment, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([experiment, *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flags[-2] in err
+        assert "Traceback" not in err
+
+    DRIVERS = (
+        "figure7_score_distribution",
+        "figure8_workload_distribution",
+        "figure9_topbuckets_strategies",
+        "figure10_granules",
+        "figure11_scalability",
+        "figure12_network_distribution",
+        "figure13_network_scalability",
+        "figure14_network_effect_k",
+        "effect_of_k_synthetic",
+        "statistics_collection_times",
+        "figure_streaming",
+        "run_single_query",
+    )
+
+    def test_every_engine_experiment_receives_the_built_cluster(self, monkeypatch, capsys):
+        from repro.experiments import cli
+        from repro.experiments.harness import ResultTable
+        from repro.mapreduce import ClusterConfig
+
+        calls = []
+
+        def spy(name):
+            def driver(**kwargs):
+                calls.append((name, kwargs))
+                return ResultTable(name, ["metric"])
+
+            return driver
+
+        for name in self.DRIVERS:
+            monkeypatch.setattr(cli, name, spy(name))
+        flags = ["--backend", "thread", "--max-workers", "2"]
+        flags += ["--transfer", "pickle", "--memory-budget", "64k"]
+        expected = ClusterConfig(
+            backend="thread", max_workers=2, transfer="pickle", memory_budget_bytes=64 << 10
+        )
+        assert cli.engine_cluster(build_parser().parse_args(["fig8", *flags])) == expected
+        engine_experiments = [n for n, e in EXPERIMENTS.items() if "engine" in e.reads]
+        assert len(engine_experiments) == 10
+        for experiment in engine_experiments:
+            calls.clear()
+            assert main([experiment, *flags]) == 0
+            assert len(calls) == 1, experiment
+            assert calls[0][1]["cluster"] == expected, experiment
+        capsys.readouterr()
+
+
 class TestErrorExitCodes:
     """Runtime failures exit non-zero with a message on stderr, not a traceback."""
 
@@ -285,6 +364,22 @@ class TestServeDispatch:
         assert "--backend" in err
         assert "--workers" in err
         assert "Traceback" not in err
+
+    def test_serve_rejects_negative_plan_cache_entries(self, capsys):
+        code = main(["serve", "--plan-cache-entries", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--plan-cache-entries" in err
+        assert "Traceback" not in err
+
+    def test_serve_rejects_passed_engine_flag_at_its_default_with_multiple_workers(
+        self, capsys
+    ):
+        # Passing the flag counts as using it, even at its default value (as
+        # for the experiments CLI's --max-task-attempts).
+        code = main(["serve", "--workers", "2", "--max-task-attempts", "4"])
+        assert code == 1
+        assert "--max-task-attempts" in capsys.readouterr().err
 
     def test_serve_reports_bind_failure_cleanly(self, capsys):
         import socket

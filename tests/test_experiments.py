@@ -14,6 +14,8 @@ from repro.experiments import (
     statistics_collection_times,
 )
 from repro.experiments.harness import summarize
+from repro.mapreduce import ClusterConfig
+from repro.plan import ExecutionContext
 
 
 class TestResultTable:
@@ -77,17 +79,20 @@ class TestResultTable:
 
 
 class TestRunConfig:
-    def test_make_runner_applies_settings(self):
-        config = TKIJRunConfig(num_granules=7, strategy="two-phase", assigner="lpt", num_reducers=3)
-        runner = config.make_runner()
-        assert runner.num_granules == 7
-        assert runner.strategy == "two-phase"
-        assert runner.assigner == "lpt"
-        assert runner.cluster.num_reducers == 3
+    def test_plan_knobs_apply_settings(self):
+        config = TKIJRunConfig(
+            num_granules=7, strategy="two-phase", assigner="lpt", kernel="vector"
+        )
+        knobs = config.plan_knobs()
+        assert knobs["num_granules"] == 7
+        assert knobs["strategy"] == "two-phase"
+        assert knobs["assigner"] == "lpt"
+        assert knobs["kernel"] == knobs["join_config"].kernel == "vector"
 
     def test_run_tkij_and_summarize(self, tiny_collections):
         query = build_query("Qb,b", tiny_collections, "P1", k=5)
-        result = run_tkij(query, TKIJRunConfig(num_granules=3, num_reducers=2))
+        with ExecutionContext(cluster=ClusterConfig(num_reducers=2)) as context:
+            result = run_tkij(query, TKIJRunConfig(num_granules=3), context=context)
         assert len(result.results) == 5
         table = summarize({"run": result}, ["seconds_total", "min_kth_score"])
         assert table.column("run") == ["run"]

@@ -16,6 +16,7 @@ from repro.experiments import (
     figure13_network_scalability,
     figure14_network_effect_k,
 )
+from repro.mapreduce import ClusterConfig
 
 TINY_NETWORK = NetworkTraceConfig(num_sessions=150, num_clients=20, num_servers=5)
 
@@ -23,7 +24,11 @@ TINY_NETWORK = NetworkTraceConfig(num_sessions=150, num_clients=20, num_servers=
 class TestSyntheticDrivers:
     def test_figure8_driver(self):
         table = figure8_workload_distribution(
-            sizes=(60,), queries=("Qb,b", "Qo,o"), k=10, num_granules=4, num_reducers=3
+            sizes=(60,),
+            queries=("Qb,b", "Qo,o"),
+            k=10,
+            num_granules=4,
+            cluster=ClusterConfig(num_reducers=3),
         )
         assert len(table.rows) == 4  # 1 size x 2 queries x 2 assigners
         assert {row["assigner"] for row in table.rows} == {"DTB", "LPT"}

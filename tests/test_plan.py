@@ -477,7 +477,6 @@ class TestPricedPlans:
             knobs, explanation = AutoPlanner().plan(query, context)
         assert knobs["kernel"] == "vector"
         assert "transfer" not in knobs
-        assert explanation.transfer is None
 
     def test_warm_repeat_prices_the_retained_entry_without_recounting(self, monkeypatch):
         from repro.plan import planner
@@ -585,13 +584,3 @@ class TestRunReport:
         # The join phase runs one reducer per granule.
         join_metrics = report.metrics[1]
         assert len(join_metrics.reduce_tasks) == 6
-
-
-class TestHarnessContextGuard:
-    def test_run_tkij_rejects_cluster_shape_mismatch(self, tiny_collections):
-        from repro.experiments import TKIJRunConfig, run_tkij
-
-        query = build_query("Qo,m", tiny_collections, "P1", k=5)
-        with make_context() as context:  # 4 reducers / 2 mappers
-            with pytest.raises(ValueError, match="disagrees"):
-                run_tkij(query, TKIJRunConfig(num_reducers=16), context=context)

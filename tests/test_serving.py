@@ -19,6 +19,7 @@ from repro.mapreduce import (
     Mapper,
     QueryCancelledError,
     Reducer,
+    SerialBackend,
     active_token,
     cancel_scope,
 )
@@ -595,6 +596,53 @@ class TestProtocolSurface:
             background.stop()
 
 
+# ------------------------------------------------------- plan-knob validation
+class _CountingBackend(SerialBackend):
+    """Serial backend that counts every task attempt handed to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.attempts = 0
+
+    def run_tasks(self, tasks):
+        self.attempts += len(tasks)
+        return super().run_tasks(tasks)
+
+
+class TestPlanKnobValidation:
+    """A bad plan knob from the wire is a ``BAD_REQUEST`` raised while planning,
+    before any Map-Reduce task attempt runs."""
+
+    @pytest.mark.parametrize(
+        "algorithm, options",
+        [
+            ("tkij", {"kernel": "nope"}),
+            ("tkij-streaming", {"kernel": "nope"}),
+            ("tkij", {"num_granules": "abc"}),
+            ("tkij", {"num_granules": 2.5}),
+            ("tkij", {"num_granules": True}),
+            ("tkij-streaming", {"num_granules": "abc"}),
+            ("tkij-streaming", {"num_granules": 2.5}),
+            ("tkij-streaming", {"num_granules": True}),
+            ("rccis", {"num_granules": "abc"}),
+            ("allmatrix", {"num_partitions": 2.5}),
+        ],
+    )
+    def test_bad_knob_is_rejected_before_any_task_attempt(self, algorithm, options):
+        backend = _CountingBackend()
+        server = QueryServer(ExecutionContext(backend=backend))
+        with BackgroundServer(server) as (host, port), QueryClient(host, port) as client:
+            register_collections(
+                client, make_collections(size=40), streaming=algorithm == "tkij-streaming"
+            )
+            with pytest.raises(ServingError) as excinfo:
+                client.query(
+                    "Qo,m", list(NAMES), params="PB", k=5, algorithm=algorithm, options=options
+                )
+        assert excinfo.value.code == "BAD_REQUEST"
+        assert backend.attempts == 0
+
+
 # ------------------------------------------------------------------- doc drift
 class TestDocumentationCoverage:
     def test_protocol_doc_covers_every_verb(self):
@@ -606,6 +654,17 @@ class TestDocumentationCoverage:
         doc = (REPO_ROOT / "docs" / "PROTOCOL.md").read_text(encoding="utf-8")
         for code in ERROR_CODES:
             assert f"`{code}`" in doc, f"error code {code} is undocumented"
+
+    @pytest.mark.parametrize("algorithm", ["tkij", "tkij-streaming"])
+    def test_protocol_doc_lists_the_options_plan_knobs_pick(self, algorithm):
+        doc = (REPO_ROOT / "docs" / "PROTOCOL.md").read_text(encoding="utf-8")
+        sentence = re.search(rf"`{algorithm}` accepts(.*?)(?:;|\(defaulting)", doc, re.DOTALL)
+        assert sentence is not None, f"no options sentence for {algorithm}"
+        documented = set(re.findall(r"`([a-z_]+)`", sentence.group(1)))
+        unpicked = {"transfer", "memory_budget_bytes", "num_partitions", "join_config"}
+        candidates = documented | unpicked | {"stream_id"}
+        picked = get_algorithm(algorithm).plan_knobs({key: 1 for key in candidates})
+        assert set(picked) == documented
 
     def test_console_script_is_declared_and_importable(self):
         pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
