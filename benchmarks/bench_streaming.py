@@ -1,10 +1,11 @@
 """Streaming evaluation — incremental maintenance vs. per-batch full recompute.
 
-Replays a 10-batch append-only workload through ``tkij-streaming`` and, after
-every batch, re-evaluates the accumulated snapshot with the static ``tkij``
-algorithm.  The recorded table is the per-batch series (latency, candidate and
-pruned bucket-pair counts, join work, speedup, parity); the assertions are the
-streaming layer's contract:
+Replays a 10-batch append-only workload through ``tkij-streaming``, planned
+manually and by the AutoPlanner (whose full ticks are ``tkij``'s own plan and
+execute), and after every batch re-evaluates the accumulated snapshot with the
+static ``tkij`` algorithm.  The recorded table is the per-batch series
+(latency, candidate and pruned bucket-pair counts, join work, speedup, parity);
+the assertions are the streaming layer's contract:
 
 * every batch's incremental answer is equivalent to full recomputation;
 * the candidate pruning actually fires (pruned bucket pairs > 0);
@@ -13,6 +14,8 @@ streaming layer's contract:
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.experiments import ResultTable, figure_streaming
 
@@ -29,6 +32,7 @@ def streaming_table(
     query_name: str = QUERY,
     k: int = K,
     num_granules: int = GRANULES,
+    plan: str = "manual",
 ) -> ResultTable:
     """The per-batch incremental-vs-full series of one streamed workload."""
     return figure_streaming(
@@ -37,14 +41,16 @@ def streaming_table(
         query_name=query_name,
         k=k,
         num_granules=num_granules,
+        plan=plan,
         compare_full=True,
     )
 
 
-def bench_streaming_incremental(benchmark, record_table):
-    benchmark.extra_info.update(workload="streaming", kernel="scalar", backend="serial")
-    table = benchmark.pedantic(streaming_table, rounds=1, iterations=1)
-    record_table("streaming_incremental", table)
+@pytest.mark.parametrize("plan", ["manual", "auto"])
+def bench_streaming_incremental(benchmark, record_table, plan):
+    benchmark.extra_info.update(workload="streaming", kernel="scalar", backend="serial", plan=plan)
+    table = benchmark.pedantic(streaming_table, kwargs={"plan": plan}, rounds=1, iterations=1)
+    record_table(f"streaming_incremental_{plan}", table)
 
     assert len(table.rows) == NUM_BATCHES
     # Parity: every batch's incremental top-k is equivalent to full recompute.

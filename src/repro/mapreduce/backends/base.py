@@ -249,16 +249,11 @@ class ExecutionBackend(ABC):
     pool start-up cost is amortised over many jobs.
 
     ``requires_pickling`` declares whether tasks cross a process boundary.
-    It is the legacy form of the transfer contract: the engine now resolves a
-    full :class:`~repro.mapreduce.transfer.TransferStrategy` per job — from
-    ``ClusterConfig.transfer`` when set, else from the backend's ``transfer``
-    default, else ``"pickle"``/``"inline"`` according to this flag — so
-    backends written against the old boolean keep their exact behaviour:
-    ``False`` (serial/thread) yields the zero-copy ``inline`` strategy whose
-    tasks read the very containers the engine built, ``True`` (process) the
-    ``pickle`` strategy with its defensive ``tuple``/``dict`` freezes.
-    ``transfer`` lets a backend prefer a specific strategy by name instead
-    (e.g. ``"shm"`` to ship columnar batches through shared memory).
+    The engine resolves its :class:`~repro.mapreduce.transfer.TransferStrategy`
+    from ``ClusterConfig.transfer`` when set, else from this flag: ``False``
+    (serial/thread) yields the zero-copy ``inline`` strategy whose tasks read
+    the very containers the engine built, ``True`` (process) the ``pickle``
+    strategy with its defensive ``tuple``/``dict`` freezes.
 
     ``speculative_slowdown`` opts a pool backend into speculative execution of
     straggler tasks: once a task has run longer than ``slowdown × median`` of
@@ -273,8 +268,6 @@ class ExecutionBackend(ABC):
 
     name: str = "abstract"
     requires_pickling: bool = False
-    transfer: str | None = None
-    """Preferred transfer-strategy name (``None``: derive from the flag above)."""
 
     def __init__(
         self,

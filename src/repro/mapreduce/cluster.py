@@ -59,7 +59,8 @@ class ClusterConfig:
     transfer: str | None = None
     """Transfer strategy for task inputs (``inline``, ``pickle`` or ``shm``;
     see :mod:`repro.mapreduce.transfer`).  ``None`` defers to the backend's
-    default: zero-copy ``inline`` in-process, ``pickle`` across processes."""
+    ``requires_pickling`` flag: zero-copy ``inline`` in-process, ``pickle``
+    across processes."""
     memory_budget_bytes: int | None = None
     """Shuffle memory budget.  ``None`` keeps every partition resident (the
     historical behaviour); a positive value makes the shuffle spill partitions

@@ -21,10 +21,11 @@ reproducing the dataflow of a real cluster:
 
 How task inputs reach the backend is the job of a
 :class:`~repro.mapreduce.transfer.TransferStrategy` (``inline``, ``pickle`` or
-``shm``), resolved per engine from ``ClusterConfig.transfer`` or the backend's
-default — see DESIGN.md §10.  The ``shm`` strategy ships columnar batches
-through shared-memory segments; the engine releases them in a job-level
-``finally``, so failed and retried jobs never leak ``/dev/shm`` entries.
+``shm``), resolved per engine from ``ClusterConfig.transfer``, else from the
+backend's ``requires_pickling`` flag — see DESIGN.md §10.  The ``shm``
+strategy ships columnar batches through shared-memory segments; the engine
+releases them in a job-level ``finally``, so failed and retried jobs never
+leak ``/dev/shm`` entries.
 
 Tasks execute on a pluggable :class:`~repro.mapreduce.backends.ExecutionBackend`
 selected through :class:`~repro.mapreduce.cluster.ClusterConfig`: serially (the
@@ -200,13 +201,10 @@ class MapReduceEngine:
         """The transfer strategy this engine moves task inputs with.
 
         The cluster config wins when it names one; otherwise the backend's
-        declared default applies, falling back to the legacy
-        ``requires_pickling`` flag so pre-strategy backends keep their exact
-        behaviour (``pickle`` across processes, zero-copy ``inline`` at home).
+        ``requires_pickling`` flag decides: ``pickle`` across processes,
+        zero-copy ``inline`` at home.
         """
         name = self.cluster.transfer
-        if name is None:
-            name = getattr(self.backend, "transfer", None)
         if name is None:
             name = "pickle" if self.backend.requires_pickling else "inline"
         return create_transfer(name)

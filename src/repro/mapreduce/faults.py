@@ -298,10 +298,6 @@ class FaultInjectingBackend(ExecutionBackend):
         return self.inner.requires_pickling
 
     @property
-    def transfer(self) -> str | None:  # type: ignore[override]
-        return self.inner.transfer
-
-    @property
     def parallelism(self) -> int:
         return self.inner.parallelism
 

@@ -28,9 +28,8 @@ flag into a :class:`TransferStrategy` object with three implementations
     every job mix.
 
 The engine resolves its strategy from ``ClusterConfig.transfer`` when set,
-else from the backend's declared default (``ExecutionBackend.transfer``), else
-from the legacy ``requires_pickling`` flag — so custom backends written
-against the old contract keep working unchanged.
+else from the backend's ``requires_pickling`` flag (``pickle`` across
+processes, ``inline`` otherwise).
 
 The module also owns the shuffle byte estimator used for
 ``JobMetrics.shuffle_bytes`` and the spill budget: cheap structural estimates

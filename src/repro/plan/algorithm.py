@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..mapreduce.cluster import JobMetrics
 from ..query.graph import ResultTuple, RTJQuery
@@ -25,19 +25,47 @@ from .context import ExecutionContext
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .planner import PlanExplanation
 
-__all__ = ["Algorithm", "ExecutionPlan", "RunReport", "positive_int"]
+__all__ = [
+    "Algorithm",
+    "ExecutionPlan",
+    "KnobCheck",
+    "RunReport",
+    "one_of",
+    "positive_int",
+    "string",
+]
+
+KnobCheck = Callable[[str, Any], Any]
+"""Checks one plan-knob value: ``check(name, value)`` returns ``value`` or
+raises ``ValueError``.  Values may arrive from the wire as any JSON value."""
 
 
 def positive_int(name: str, value: Any) -> int:
-    """``value`` when it is a positive ``int``; ``ValueError`` otherwise.
-
-    The shared check of count-valued plan knobs (``num_granules``,
-    ``num_partitions``), which may arrive from the wire as any JSON value:
-    ``bool`` is rejected although it subclasses ``int``.
-    """
+    """``value`` when it is a positive ``int`` (``bool`` rejected although it
+    subclasses ``int``); ``ValueError`` otherwise."""
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return value
+
+
+def string(name: str, value: Any) -> str:
+    """``value`` when it is a ``str``; ``ValueError`` otherwise."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def one_of(*choices: str, what: str | None = None) -> KnobCheck:
+    """A check accepting exactly ``choices``; errors read "unknown <what> ..."
+    (``what`` defaults to the knob's name).  Non-strings are rejected before
+    the membership test, so an unhashable wire value never reaches it."""
+
+    def check(name: str, value: Any) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ValueError(f"unknown {what or name} {value!r}; expected one of {choices}")
+        return value
+
+    return check
 
 
 @dataclass
@@ -142,6 +170,9 @@ class Algorithm(ABC):
     name: str = "algorithm"
     title: str = "Algorithm"
     scored: bool = True
+    knobs: Mapping[str, KnobCheck] = {}
+    """The plan knobs a generic caller (CLI, wire ``options``) may set, each
+    with its value check — the one place a knob is declared and checked."""
 
     @abstractmethod
     def plan(self, query: RTJQuery, context: ExecutionContext, **knobs: Any) -> ExecutionPlan:
@@ -156,11 +187,18 @@ class Algorithm(ABC):
         return self.execute(self.plan(query, context, **knobs))
 
     def plan_knobs(self, options: Mapping[str, Any]) -> dict[str, Any]:
-        """The subset of generic CLI/driver options this algorithm understands.
+        """The options this algorithm understands: every key of :attr:`knobs`
+        that ``options`` sets to a non-``None`` value (``None`` means absent).
 
-        Generic dispatchers (the CLI's ``run`` experiment) collect options that
-        not every algorithm accepts; each algorithm picks out its own here so
-        the dispatcher stays free of per-algorithm branches.  The default is to
-        ignore everything.
+        Generic dispatchers (the CLI's ``run`` experiment, the query server)
+        collect options that not every algorithm accepts; this only picks —
+        :meth:`check_knobs`, called by :meth:`plan`, checks the values.
         """
-        return {}
+        return {name: options[name] for name in self.knobs if options.get(name) is not None}
+
+    def check_knobs(self, **values: Any) -> None:
+        """Check each non-``None`` value of a :attr:`knobs` entry (other
+        keywords — Python-only objects such as a join config — pass through)."""
+        for name, value in values.items():
+            if name in self.knobs and value is not None:
+                self.knobs[name](name, value)

@@ -19,12 +19,14 @@ from ..baselines.allmatrix import AllMatrixConfig, AllMatrixJoin
 from ..baselines.common import BaselineResult
 from ..baselines.naive import naive_top_k
 from ..baselines.rccis import RCCISConfig, RCCISJoin
-from ..core.local_join import LocalJoinConfig
+from ..core.distribution import ASSIGNERS
+from ..core.local_join import KERNELS, LocalJoinConfig
 from ..core.operators import collections_by_name
 from ..core.tkij import TKIJ
+from ..core.top_buckets import STRATEGIES
 from ..query.graph import RTJQuery
 from ..solver import BranchAndBoundSolver
-from .algorithm import Algorithm, ExecutionPlan, RunReport, positive_int
+from .algorithm import Algorithm, ExecutionPlan, RunReport, one_of, positive_int
 from .context import ExecutionContext
 from .feedback import query_fingerprint, statistics_fingerprint, workload_fingerprint
 from .planner import AutoPlanner
@@ -63,6 +65,13 @@ class TKIJAlgorithm(Algorithm):
     name = "tkij"
     title = "TKIJ"
     scored = True
+    knobs = {
+        "mode": one_of(*PLAN_MODES, what="plan mode"),
+        "num_granules": positive_int,
+        "strategy": one_of(*STRATEGIES),
+        "assigner": one_of(*ASSIGNERS),
+        "kernel": one_of(*KERNELS, what="join kernel"),
+    }
 
     def plan(
         self,
@@ -77,10 +86,15 @@ class TKIJAlgorithm(Algorithm):
         solver: BranchAndBoundSolver | None = None,
         planner: AutoPlanner | None = None,
     ) -> ExecutionPlan:
-        if mode not in PLAN_MODES:
-            raise ValueError(f"unknown plan mode {mode!r}; expected one of {PLAN_MODES}")
+        self.check_knobs(
+            mode=mode,
+            num_granules=num_granules,
+            strategy=strategy,
+            assigner=assigner,
+            kernel=kernel,
+        )
         knobs: dict[str, Any] = {
-            "num_granules": positive_int("num_granules", num_granules),
+            "num_granules": num_granules,
             "strategy": strategy,
             "assigner": assigner,
             "join_config": join_config or LocalJoinConfig(),
@@ -125,7 +139,6 @@ class TKIJAlgorithm(Algorithm):
             knobs["kernel"] = kernel
             if explanation is not None:
                 explanation.kernel = kernel
-        # Resolved when planning, so a bad kernel is rejected before any task runs.
         knobs["join_config"] = resolve_join_config(knobs)
         return ExecutionPlan(self.name, query, context, knobs, explanation)
 
@@ -194,13 +207,6 @@ class TKIJAlgorithm(Algorithm):
             raw=result,
         )
 
-    def plan_knobs(self, options: Mapping[str, Any]) -> dict[str, Any]:
-        picked = {}
-        for knob in ("mode", "num_granules", "strategy", "assigner", "kernel"):
-            if options.get(knob) is not None:
-                picked[knob] = options[knob]
-        return picked
-
 
 class NaiveAlgorithm(Algorithm):
     """Exhaustive in-process enumeration: the exact oracle, usable on small inputs."""
@@ -255,6 +261,7 @@ class AllMatrixAlgorithm(_BaselineAlgorithm):
 
     name = "allmatrix"
     title = "All-Matrix"
+    knobs = {"num_partitions": positive_int}
 
     def plan(
         self,
@@ -262,12 +269,8 @@ class AllMatrixAlgorithm(_BaselineAlgorithm):
         context: ExecutionContext,
         num_partitions: int = 4,
     ) -> ExecutionPlan:
-        return ExecutionPlan(
-            self.name,
-            query,
-            context,
-            {"num_partitions": positive_int("num_partitions", num_partitions)},
-        )
+        self.check_knobs(num_partitions=num_partitions)
+        return ExecutionPlan(self.name, query, context, {"num_partitions": num_partitions})
 
     def _make_join(self, plan: ExecutionPlan) -> AllMatrixJoin:
         return AllMatrixJoin(
@@ -276,17 +279,13 @@ class AllMatrixAlgorithm(_BaselineAlgorithm):
             backend=plan.context.get_backend(),
         )
 
-    def plan_knobs(self, options: Mapping[str, Any]) -> dict[str, Any]:
-        if options.get("num_partitions") is not None:
-            return {"num_partitions": options["num_partitions"]}
-        return {}
-
 
 class RCCISAlgorithm(_BaselineAlgorithm):
     """RCCIS (Chawda et al.): Boolean colocation joins over time granules."""
 
     name = "rccis"
     title = "RCCIS"
+    knobs = {"num_granules": positive_int}
 
     def plan(
         self,
@@ -294,11 +293,10 @@ class RCCISAlgorithm(_BaselineAlgorithm):
         context: ExecutionContext,
         num_granules: int | None = None,
     ) -> ExecutionPlan:
+        self.check_knobs(num_granules=num_granules)
         # Default to one granule per reducer, matching the paper's protocol.
         granules = num_granules if num_granules is not None else context.cluster.num_reducers
-        return ExecutionPlan(
-            self.name, query, context, {"num_granules": positive_int("num_granules", granules)}
-        )
+        return ExecutionPlan(self.name, query, context, {"num_granules": granules})
 
     def _make_join(self, plan: ExecutionPlan) -> RCCISJoin:
         return RCCISJoin(
@@ -306,11 +304,6 @@ class RCCISAlgorithm(_BaselineAlgorithm):
             config=RCCISConfig(num_granules=plan.knobs["num_granules"]),
             backend=plan.context.get_backend(),
         )
-
-    def plan_knobs(self, options: Mapping[str, Any]) -> dict[str, Any]:
-        if options.get("num_granules") is not None:
-            return {"num_granules": options["num_granules"]}
-        return {}
 
 
 register(TKIJAlgorithm())

@@ -710,12 +710,12 @@ class QueryServer:
         options = request.get("options", {})
         if not isinstance(options, dict):
             raise ProtocolError(E_BAD_REQUEST, "field 'options' must be an object")
-        if algorithm.name == "tkij-streaming":
-            # Per-session stream isolation by default: two sessions running the
-            # same streaming query do not share persistent top-k state unless
-            # they opt into a common stream_id.
-            options = {"stream_id": f"session-{session_id}", **options}
         knobs = algorithm.plan_knobs(options)
+        if "stream_id" in algorithm.knobs:
+            # Per-session stream isolation by default (stream_id absent or
+            # null): two sessions running the same streaming query do not share
+            # persistent top-k state unless they opt into a common stream_id.
+            knobs.setdefault("stream_id", f"session-{session_id}")
         deadline_ms = request.get("deadline_ms", self.default_deadline_ms)
         if deadline_ms is not None and (
             not isinstance(deadline_ms, int) or isinstance(deadline_ms, bool) or deadline_ms <= 0

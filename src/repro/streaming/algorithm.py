@@ -15,8 +15,10 @@ without recomputing phases (a)-(e) from scratch:
   previously pruned tuple stays pruned);
 * phase (e) merges the batch's results into the persistent k-heap.
 
-A full replan — fresh statistics at the current time range, full pipeline —
-is triggered by :meth:`AutoPlanner.should_replan` when the stream outgrows the
+A full tick — the first one and every replan — is ``tkij``'s own
+:meth:`~repro.plan.TKIJAlgorithm.plan` and ``execute`` over the current
+contents, on fresh statistics at the current time range.  A replan is
+triggered by :meth:`AutoPlanner.should_replan` when the stream outgrows the
 granule boundaries the plan was built on (doubling schedule), or when a batch
 mostly falls outside the cached granule range.
 
@@ -29,13 +31,11 @@ by binding the query to :class:`StreamingCollection` objects and calling
 from __future__ import annotations
 
 import time
+from inspect import signature
 from typing import Any, Mapping
 
-from ..core.distribution import ASSIGNERS
-from ..core.local_join import LocalJoinConfig
 from ..core.merge import merge_top_k
 from ..core.operators import (
-    DistributeOp,
     FilteredDistributeOp,
     JoinOp,
     MergeOp,
@@ -46,22 +46,20 @@ from ..core.operators import (
     run_pipeline,
 )
 from ..core.statistics import batch_arrays, bucket_counts
-from ..core.top_buckets import STRATEGIES
 from ..mapreduce import MapReduceEngine
-from ..plan.algorithm import Algorithm, ExecutionPlan, RunReport, positive_int
-from ..plan.algorithms import PLAN_MODES, resolve_join_config
+from ..mapreduce.cluster import JobMetrics
+from ..plan.algorithm import Algorithm, ExecutionPlan, RunReport, string
+from ..plan.algorithms import TKIJAlgorithm
 from ..plan.context import ExecutionContext
+from ..plan.feedback import query_fingerprint
 from ..plan.planner import AutoPlanner
-from ..plan.registry import register
+from ..plan.registry import get_algorithm, register
 from ..query.graph import RTJQuery
-from ..solver import BranchAndBoundSolver
 from .collection import StreamingCollection
 from .operators import CandidateFilter
 from .state import BatchReport, StreamState, StreamingRunResult
 
 __all__ = ["StreamingTKIJ"]
-
-_RESOLVED_KNOBS = ("num_granules", "strategy", "assigner")
 
 
 class StreamingTKIJ(Algorithm):
@@ -70,43 +68,22 @@ class StreamingTKIJ(Algorithm):
     name = "tkij-streaming"
     title = "TKIJ (streaming)"
     scored = True
+    knobs = {**TKIJAlgorithm.knobs, "stream_id": string}
 
     def plan(
         self,
         query: RTJQuery,
         context: ExecutionContext,
-        mode: str = "manual",
         stream_id: str = "default",
-        num_granules: int = 20,
-        strategy: str = "loose",
-        assigner: str = "dtb",
-        kernel: str | None = None,
-        join_config: LocalJoinConfig | None = None,
-        solver: BranchAndBoundSolver | None = None,
         planner: AutoPlanner | None = None,
+        **tkij_knobs: Any,
     ) -> ExecutionPlan:
-        if mode not in PLAN_MODES:
-            raise ValueError(f"unknown plan mode {mode!r}; expected one of {PLAN_MODES}")
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if assigner not in ASSIGNERS:
-            raise ValueError(f"unknown assigner {assigner!r}; expected one of {sorted(ASSIGNERS)}")
-        knobs: dict[str, Any] = {
-            "mode": mode,
-            "stream_id": stream_id,
-            "num_granules": positive_int("num_granules", num_granules),
-            "strategy": strategy,
-            "assigner": assigner,
-            # The kernel is resolved per (re)plan in _full_tick: an explicit
-            # value always wins, otherwise auto mode applies the planner's
-            # pick and manual mode keeps the join_config's own kernel.
-            "kernel": kernel,
-            "join_config": join_config or LocalJoinConfig(),
-            "solver": solver or BranchAndBoundSolver(),
-            "planner": planner or AutoPlanner(),
-        }
-        # Validates an explicit kernel before a batch is committed or a task runs.
-        knobs["join_config"] = resolve_join_config(knobs)
+        """``tkij_knobs`` are ``tkij``'s own plan knobs, handed to its
+        :meth:`~repro.plan.TKIJAlgorithm.plan` on every full tick."""
+        # Unknown keywords fail here, not on the first full tick.
+        signature(get_algorithm("tkij").plan).bind(query, context, **tkij_knobs)
+        self.check_knobs(stream_id=stream_id, **tkij_knobs)
+        knobs = {"stream_id": stream_id, "planner": planner or AutoPlanner(), **tkij_knobs}
         return ExecutionPlan(self.name, query, context, knobs)
 
     # ---------------------------------------------------------------- execute
@@ -122,9 +99,9 @@ class StreamingTKIJ(Algorithm):
         engine = MapReduceEngine(context.cluster, context.get_backend())
 
         reports: list[BatchReport] = []
-        metrics = []
+        metrics: list[JobMetrics] = []
         if not state.initialized:
-            committed = self._commit_tick(streaming)
+            self._commit_tick(streaming)
             for name, collection in collections.items():
                 if not len(collection):
                     raise ValueError(
@@ -132,20 +109,19 @@ class StreamingTKIJ(Algorithm):
                         "batch before evaluating the stream"
                     )
             inserted = sum(len(collection) for collection in collections.values())
-            report, pstate = self._full_tick(
-                query, context, engine, state, knobs,
+            report, tick_metrics = self._full_tick(
+                query, context, state, knobs,
                 inserted=inserted, replanned=False, reason="initial full evaluation",
             )
             reports.append(report)
-            metrics.extend([pstate.join_metrics, pstate.merge_metrics])
+            metrics.extend(tick_metrics)
         while any(c.pending_batches for c in streaming.values()):
             committed = self._commit_tick(streaming)
-            report, pstate = self._incremental_tick(
+            report, tick_metrics = self._incremental_tick(
                 query, context, engine, state, knobs, committed
             )
             reports.append(report)
-            if pstate is not None:
-                metrics.extend([pstate.join_metrics, pstate.merge_metrics])
+            metrics.extend(tick_metrics)
 
         phase_seconds: dict[str, float] = {}
         for report in reports:
@@ -163,19 +139,12 @@ class StreamingTKIJ(Algorithm):
             title=self.title,
             results=list(state.results),
             phase_seconds=phase_seconds,
-            metrics=[m for m in metrics if m is not None],
+            metrics=metrics,
             explanation=state.explanation,
             statistics_cached=reports[-1].statistics_cached if reports else True,
             elapsed_seconds=raw.total_seconds,
             raw=raw,
         )
-
-    def plan_knobs(self, options: Mapping[str, Any]) -> dict[str, Any]:
-        picked = {}
-        for knob in ("mode", "num_granules", "strategy", "assigner", "kernel", "stream_id"):
-            if options.get(knob) is not None:
-                picked[knob] = options[knob]
-        return picked
 
     # ------------------------------------------------------------------ ticks
     @staticmethod
@@ -194,23 +163,21 @@ class StreamingTKIJ(Algorithm):
         self,
         query: RTJQuery,
         context: ExecutionContext,
-        engine: MapReduceEngine,
         state: StreamState,
         knobs: Mapping[str, Any],
         inserted: int,
         replanned: bool,
         reason: str,
         rebuild_statistics: bool = True,
-    ) -> tuple[BatchReport, PhaseState]:
-        """Plan (or replan) and evaluate the whole current dataset from scratch.
+    ) -> tuple[BatchReport, list[JobMetrics]]:
+        """Plan (or replan) and evaluate the whole current dataset: ``tkij``'s
+        own plan + execute over the current contents.
 
         ``rebuild_statistics=False`` skips the cache invalidation — used when
         the caller just collected fresh statistics itself (a cache miss on the
         incremental path) and a second phase (a) pass would be pure waste.
         """
         collections = collections_by_name(query)
-        resolved = {knob: knobs[knob] for knob in _RESOLVED_KNOBS}
-        auto = knobs["mode"] == "auto"
         if replanned:
             # A replan escapes the incrementally maintained matrices, which
             # clamp out-of-range appends into border buckets: drop every
@@ -218,55 +185,24 @@ class StreamingTKIJ(Algorithm):
             # planner's candidates), so phase (a) rebuilds granule boundaries
             # over the *current* time range — except an entry the caller has
             # just rebuilt itself.
-            stale = set(knobs["planner"].granule_candidates) if auto else {knobs["num_granules"]}
+            if knobs.get("mode") == "auto":
+                stale = set(knobs["planner"].granule_candidates)
+            else:
+                stale = {state.knobs["num_granules"]}
             if not rebuild_statistics:
                 stale.discard(state.knobs["num_granules"])
             for num_granules in stale:
                 context.statistics.invalidate(collections, num_granules)
-        if auto:
-            chosen, explanation = knobs["planner"].plan(query, context)
-            resolved.update(chosen)
-            state.explanation = explanation
-        # Resolve the effective join configuration for this plan epoch: an
-        # explicit kernel beats the planner's pick; the resolved config drives
-        # both this full evaluation and every incremental tick until a replan.
-        explicit_kernel = knobs.get("kernel")
-        kernel = explicit_kernel if explicit_kernel is not None else resolved.get("kernel")
-        resolved["join_config"] = resolve_join_config(
-            {"join_config": knobs["join_config"], "kernel": kernel}
+        tkij = get_algorithm("tkij")
+        plan = tkij.plan(
+            query, context, **{name: value for name, value in knobs.items() if name != "stream_id"}
         )
-        if explicit_kernel is not None and state.explanation is not None:
-            state.explanation.kernel = explicit_kernel
-        state.knobs = resolved
-        num_granules = resolved["num_granules"]
-        started = time.perf_counter()
-        statistics, cached = context.statistics.get_or_collect(collections, num_granules)
-        statistics_seconds = time.perf_counter() - started
-        if auto:
-            # The planner counted buckets and warmed this entry: its phase (a)
-            # work belongs to the statistics phase, and the tick reads as
-            # cached only if the planner's own fetch hit.
-            statistics_seconds, cached = state.explanation.charge_planning(
-                statistics_seconds, cached
-            )
-
-        pstate = PhaseState(
-            query=query, engine=engine, num_reducers=context.cluster.num_reducers
-        )
-        run_pipeline(
-            [
-                StatisticsOp(num_granules, statistics),
-                TopBucketsOp(resolved["strategy"], knobs["solver"]),
-                DistributeOp(resolved["assigner"]),
-                JoinOp(resolved["join_config"]),
-                MergeOp(),
-            ],
-            pstate,
-        )
-        pstate.phase_seconds["statistics"] = (
-            pstate.phase_seconds.get("statistics", 0.0) + statistics_seconds
-        )
-        state.results = pstate.results
+        run = tkij.execute(plan)
+        result = run.raw
+        # The plan epoch's knobs drive every incremental tick until a replan.
+        state.knobs = plan.knobs
+        state.explanation = plan.explanation
+        state.results = result.results
         state.base_size = sum(len(collection) for collection in collections.values())
         state.appended_since_plan = 0
         state.initialized = True
@@ -275,15 +211,15 @@ class StreamingTKIJ(Algorithm):
             inserted=inserted,
             replanned=replanned,
             replan_reason=reason,
-            statistics_cached=cached,
-            phase_seconds=dict(pstate.phase_seconds),
-            candidates=len(pstate.top_buckets.selected) if pstate.top_buckets else 0,
-            tuples_scored=pstate.local_join_stats.tuples_scored,
-            combinations_processed=pstate.local_join_stats.combinations_processed,
+            statistics_cached=run.statistics_cached,
+            phase_seconds=dict(result.phase_seconds),
+            candidates=len(result.top_buckets.selected),
+            tuples_scored=result.local_join_stats.tuples_scored,
+            combinations_processed=result.local_join_stats.combinations_processed,
             kth_score=state.kth_score(query.k) or 0.0,
         )
         state.batches_ingested += 1
-        return report, pstate
+        return report, run.metrics
 
     def _incremental_tick(
         self,
@@ -293,7 +229,7 @@ class StreamingTKIJ(Algorithm):
         state: StreamState,
         knobs: Mapping[str, Any],
         committed: Mapping[str, tuple],
-    ) -> tuple[BatchReport, PhaseState | None]:
+    ) -> tuple[BatchReport, list[JobMetrics]]:
         """Fold one committed batch into the persistent top-k."""
         collections = collections_by_name(query)
         batch_total = sum(len(intervals) for intervals in committed.values())
@@ -308,7 +244,7 @@ class StreamingTKIJ(Algorithm):
                 kth_score=state.kth_score(query.k) or 0.0,
             )
             state.batches_ingested += 1
-            return report, None
+            return report, []
 
         # Phase (a), incrementally: fold the batch into every cached matrix and
         # re-record the fingerprints (appends may extend the time range; the
@@ -330,7 +266,7 @@ class StreamingTKIJ(Algorithm):
             # statistics get_or_collect just rebuilt, not collecting twice.
             state.replans += 1
             return self._full_tick(
-                query, context, engine, state, knobs,
+                query, context, state, knobs,
                 inserted=batch_total, replanned=True,
                 reason="statistics cache missed; granule boundaries rebuilt",
                 rebuild_statistics=False,
@@ -356,7 +292,7 @@ class StreamingTKIJ(Algorithm):
         if replan:
             state.replans += 1
             return self._full_tick(
-                query, context, engine, state, knobs,
+                query, context, state, knobs,
                 inserted=batch_total, replanned=True, reason=reason,
             )
 
@@ -375,7 +311,7 @@ class StreamingTKIJ(Algorithm):
                 StatisticsOp(num_granules, statistics),
                 # Always loose, whatever the plan's strategy: joint bounds
                 # would be re-solved whenever a bucket's cardinality changes.
-                TopBucketsOp("loose", knobs["solver"]),
+                TopBucketsOp("loose", state.knobs["solver"]),
                 FilteredDistributeOp(state.knobs["assigner"], keep=candidate_filter),
                 # Reducers inherit the persistent k-th score as their pruning
                 # floor: tuples that cannot strictly beat it never get scored.
@@ -404,23 +340,20 @@ class StreamingTKIJ(Algorithm):
             kth_score=state.kth_score(query.k) or 0.0,
         )
         state.batches_ingested += 1
-        return report, pstate
+        return report, [pstate.join_metrics, pstate.merge_metrics]
 
     # ----------------------------------------------------------------- helpers
     def _stream_state(
         self, context: ExecutionContext, query: RTJQuery, stream_id: str
     ) -> StreamState:
-        """The per-stream state, keyed by stream id and the query's identity.
+        """The per-stream state, keyed by stream id and the query fingerprint.
 
-        Including the query fingerprint in the key keeps two different queries
-        (or the same query at a different ``k``) on the same ``stream_id`` from
-        trampling each other's persistent top-k.
+        The fingerprint (:func:`~repro.plan.feedback.query_fingerprint`: the
+        bound collections, edges with their predicate parameters, ``k`` and the
+        aggregation) keeps two different queries on one ``stream_id`` from
+        trampling — or answering from — each other's persistent top-k.
         """
-        edges = tuple(
-            (edge.source, edge.target, edge.predicate.name) for edge in query.edges
-        )
-        names = tuple(query.collections[vertex].name for vertex in query.vertices)
-        key = (self.name, stream_id, query.vertices, names, edges, query.k)
+        key = (self.name, stream_id, query_fingerprint(query))
         return context.stream_state(key, StreamState)  # type: ignore[return-value]
 
 

@@ -189,6 +189,30 @@ class TestContextCheckpoint:
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != "raced.ckpt"]
         assert leftovers == []
 
+    def test_state_keyed_without_parameters_never_answers_another_query(self, stream_source):
+        # Checkpoints written before stream states were keyed by the query
+        # fingerprint carry (name, stream_id, vertices, collection names,
+        # edges, k) keys, with no predicate parameters.  Restored, such a state
+        # is never looked up again: the query evaluates in full, exactly.
+        streams = staged_streams(stream_source, first=0, last=2, committed_prefix=0)
+        p1_query = build_query("Qs,m", streams, "P1", k=10)
+        context = make_context()
+        get_algorithm("tkij-streaming").run(p1_query, context)
+        (p1_state,) = context.streams.values()
+        edges = tuple((e.source, e.target, e.predicate.name) for e in p1_query.edges)
+        names = tuple(p1_query.collections[vertex].name for vertex in p1_query.vertices)
+        context.streams = {
+            ("tkij-streaming", "default", p1_query.vertices, names, edges, 10): p1_state
+        }
+        restored = make_context().restore(context.checkpoint())
+
+        p2_query = build_query("Qs,m", streams, "P2", k=10)
+        report = get_algorithm("tkij-streaming").run(p2_query, restored)
+        expected = get_algorithm("tkij").run(p2_query, make_context())
+        assert not equivalent_top_k(p1_state.results, expected.results)
+        assert equivalent_top_k(report.results, expected.results)
+        assert report.raw.batches[0].replan_reason == "initial full evaluation"
+
     def test_statistics_cache_counters_survive(self, stream_source):
         streams = staged_streams(stream_source, last=2, committed_prefix=0, first=0)
         context = make_context()

@@ -324,6 +324,22 @@ class TestServedParity:
             assert response["results"] == expected
 
 
+    def test_null_stream_id_keeps_the_per_session_stream(self):
+        server = QueryServer(ExecutionContext(cluster=ClusterConfig(num_reducers=4)))
+        with BackgroundServer(server) as (host, port), QueryClient(host, port) as client:
+            register_collections(client, make_collections(size=40), streaming=True)
+            session = client.ping()["session"]
+            client.query(
+                "Qo,m",
+                list(NAMES),
+                params="P1",
+                k=5,
+                algorithm="tkij-streaming",
+                options={"stream_id": None},
+            )
+        assert [key[1] for key in server.context.streams] == [f"session-{session}"]
+
+
 # -------------------------------------------------------------- warm-cache path
 class TestWarmCache:
     def test_repeat_queries_hit_the_statistics_cache(self):
@@ -609,9 +625,39 @@ class _CountingBackend(SerialBackend):
         return super().run_tasks(tasks)
 
 
+KNOB_FUZZ_VALUES = [None, True, 2.5, -1, 0, "nope", [], {}]
+"""Wire values every key of every algorithm's knob table must survive."""
+
+
 class TestPlanKnobValidation:
     """A bad plan knob from the wire is a ``BAD_REQUEST`` raised while planning,
     before any Map-Reduce task attempt runs."""
+
+    @pytest.mark.parametrize(
+        "algorithm, knob",
+        [(name, knob) for name in sorted(REGISTRY) for knob in REGISTRY[name].knobs],
+    )
+    def test_any_knob_value_answers_ok_or_bad_request(self, algorithm, knob):
+        backend = _CountingBackend()
+        server = QueryServer(ExecutionContext(backend=backend))
+        with BackgroundServer(server) as (host, port), QueryClient(host, port) as client:
+            register_collections(
+                client, make_collections(size=40), streaming=algorithm == "tkij-streaming"
+            )
+            for value in KNOB_FUZZ_VALUES:
+                attempts = backend.attempts
+                try:
+                    client.query(
+                        "Qo,m",
+                        list(NAMES),
+                        params="PB",
+                        k=5,
+                        algorithm=algorithm,
+                        options={knob: value},
+                    )
+                except ServingError as error:
+                    assert error.code == "BAD_REQUEST", (value, error.code, str(error))
+                    assert backend.attempts == attempts, value
 
     @pytest.mark.parametrize(
         "algorithm, options",
@@ -655,16 +701,13 @@ class TestDocumentationCoverage:
         for code in ERROR_CODES:
             assert f"`{code}`" in doc, f"error code {code} is undocumented"
 
-    @pytest.mark.parametrize("algorithm", ["tkij", "tkij-streaming"])
+    @pytest.mark.parametrize("algorithm", sorted(REGISTRY))
     def test_protocol_doc_lists_the_options_plan_knobs_pick(self, algorithm):
         doc = (REPO_ROOT / "docs" / "PROTOCOL.md").read_text(encoding="utf-8")
-        sentence = re.search(rf"`{algorithm}` accepts(.*?)(?:;|\(defaulting)", doc, re.DOTALL)
+        sentence = re.search(rf"`{algorithm}` accepts(.*?)(?:;|\.|\(defaulting)", doc, re.DOTALL)
         assert sentence is not None, f"no options sentence for {algorithm}"
         documented = set(re.findall(r"`([a-z_]+)`", sentence.group(1)))
-        unpicked = {"transfer", "memory_budget_bytes", "num_partitions", "join_config"}
-        candidates = documented | unpicked | {"stream_id"}
-        picked = get_algorithm(algorithm).plan_knobs({key: 1 for key in candidates})
-        assert set(picked) == documented
+        assert documented == set(get_algorithm(algorithm).knobs)
 
     def test_console_script_is_declared_and_importable(self):
         pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")

@@ -9,7 +9,14 @@ from repro.baselines import naive_top_k
 from repro.datagen import SyntheticConfig, generate_collections
 from repro.experiments import build_query
 from repro.mapreduce import ClusterConfig
-from repro.plan import AutoPlanner, ExecutionContext, get_algorithm
+from repro.plan import (
+    AutoPlanner,
+    CostStore,
+    ExecutionContext,
+    PlanCache,
+    PlanFeedback,
+    get_algorithm,
+)
 from repro.streaming import (
     CandidateFilter,
     StreamingCollection,
@@ -403,6 +410,51 @@ class TestStreamStateIsolation:
         assert len(report_a.results) == 5
         assert len(report_b.results) == 15
         assert len(context.streams) == 2
+
+    @pytest.mark.parametrize("query_name", ["Qo,m", "Qs,f,m"])
+    def test_distinct_parameters_do_not_share_state(self, query_name):
+        # The stream key is the query fingerprint, predicate parameters
+        # included: a P2 query on a stream_id a P1 query used must get the P2
+        # answer, not the P1 query's persistent top-k.
+        collections = generate_collections(3, SyntheticConfig(size=40), seed=5).values()
+        streams = [StreamingCollection(c.name, c.intervals) for c in collections]
+        algorithm = get_algorithm("tkij-streaming")
+        with make_context() as context:
+            for params in ("P1", "P2"):
+                query = build_query(query_name, streams, params, k=20)
+                streamed = algorithm.run(query, context, num_granules=5, stream_id="shared")
+                expected = get_algorithm("tkij").run(query, context, num_granules=5)
+                assert equivalent_top_k(streamed.results, expected.results), params
+            assert len(context.streams) == 2
+
+
+class TestFullTicksPlanThroughTKIJ:
+    def test_auto_stream_matches_one_shot_tkij_and_replans_miss_the_plan_cache(
+        self, stream_collections
+    ):
+        # A full tick is tkij's own plan + execute: with planner feedback in
+        # the context it reaches tkij's plan cache and cost store, and a replan
+        # after growth sees a new statistics fingerprint, so it misses.
+        streams = [StreamingCollection(c.name) for c in stream_collections]
+        query = build_query("Qo,m", streams, "P1", k=10)
+        algorithm = get_algorithm("tkij-streaming")
+        feedback = PlanFeedback(plan_cache=PlanCache(max_entries=8), cost_store=CostStore())
+        with make_context() as context:
+            context.feedback = feedback
+            for tick in range(4):
+                for stream, source in zip(streams, stream_collections):
+                    stream.ingest(source.intervals[tick * 9 : (tick + 1) * 9])
+                report = algorithm.run(query, context, mode="auto")
+                with make_context() as fresh:
+                    expected = get_algorithm("tkij").run(query, fresh, mode="auto")
+                assert equivalent_top_k(report.results, expected.results), tick
+                assert report.explanation is not None
+        replans = report.raw.replans
+        assert replans >= 1
+        full_ticks = 1 + replans
+        assert feedback.plan_cache.describe()["hits"] == 0
+        assert feedback.plan_cache.describe()["misses"] == full_ticks
+        assert feedback.cost_store.describe()["recorded"] == full_ticks
 
 
 # ----------------------------------------------------------------- property
