@@ -15,14 +15,16 @@ import argparse
 import asyncio
 import signal
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
 from ..experiments.cli import ENGINE_FLAGS, _positive_int, add_engine_flags, engine_cluster
 from ..plan import ExecutionContext
 from .client import QueryClient, ServingError
-from .server import QueryServer
+from .server import QueryServer, ServerSettings, add_server_flags, server_settings
 from .supervisor import ServerSupervisor
+from .worker import run_server
 
 __all__ = ["build_serve_parser", "build_load_parser", "serve_main", "load_main", "main"]
 
@@ -48,24 +50,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--mappers", type=_positive_int, default=None, help="map waves per job (default 4)"
     )
     parser.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=4,
-        help="queries executing concurrently before new ones queue",
-    )
-    parser.add_argument(
-        "--max-queue",
-        type=int,
-        default=16,
-        help="queries allowed to wait for a slot before the server answers BUSY",
-    )
-    parser.add_argument(
-        "--default-deadline-ms",
-        type=_positive_int,
-        default=None,
-        help="deadline applied to queries that do not carry their own (default: none)",
-    )
-    parser.add_argument(
         "--workers",
         type=_positive_int,
         default=1,
@@ -73,12 +57,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "worker processes; above 1 runs the supervised multi-worker frontend "
             "(crash respawn, session-affinity routing, rolling restart)"
         ),
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=30.0,
-        help="seconds inflight queries get to finish when draining (SIGTERM or drain verb)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -91,28 +69,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "single mode does not checkpoint)"
         ),
     )
-    parser.add_argument(
-        "--stats-cache-entries",
-        type=_positive_int,
-        default=None,
-        help="bound the warm statistics cache to this many entries (LRU eviction)",
-    )
-    parser.add_argument(
-        "--plan-cache-entries",
-        type=int,
-        default=128,
-        help="bound the auto-plan cache per worker; 0 disables planner feedback",
-    )
-    parser.add_argument(
-        "--cost-store",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help=(
-            "observed-cost store (JSON lines) calibrating the auto planner; "
-            "in supervisor mode a directory holding one file per worker"
-        ),
-    )
+    add_server_flags(parser)
     return parser
 
 
@@ -141,7 +98,7 @@ def build_load_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _serve_supervised(args: argparse.Namespace) -> int:
+def _serve_supervised(args: argparse.Namespace, settings: ServerSettings) -> int:
     """The ``--workers N`` (N > 1) path: supervised multi-worker frontend."""
     # Each supervised worker builds its own default context, so no flag that
     # configures the in-process engine can take effect there.
@@ -156,17 +113,7 @@ def _serve_supervised(args: argparse.Namespace) -> int:
             )
             return 1
     supervisor = ServerSupervisor(
-        num_workers=args.workers,
-        host=args.host,
-        port=args.port,
-        checkpoint_dir=args.checkpoint_dir,
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
-        drain_timeout=args.drain_timeout,
-        default_deadline_ms=args.default_deadline_ms,
-        stats_cache_entries=args.stats_cache_entries,
-        plan_cache_entries=args.plan_cache_entries,
-        cost_store_dir=args.cost_store,
+        args.workers, args.host, args.port, args.checkpoint_dir, **asdict(settings)
     )
 
     async def run() -> None:
@@ -191,69 +138,28 @@ def _serve_supervised(args: argparse.Namespace) -> int:
 
 def serve_main(argv: Sequence[str] | None = None) -> int:
     """Run a query server in the foreground until shutdown or Ctrl-C."""
-    parser = build_serve_parser()
-    args = parser.parse_args(argv)
-    if args.drain_timeout <= 0:
-        print("error: --drain-timeout must be positive", file=sys.stderr)
-        return 1
-    if args.max_queue < 0:
-        print("error: --max-queue must be non-negative", file=sys.stderr)
-        return 1
-    if args.plan_cache_entries < 0:
-        print("error: --plan-cache-entries must be non-negative", file=sys.stderr)
-        return 1
-    if args.workers > 1:
-        return _serve_supervised(args)
+    args = build_serve_parser().parse_args(argv)
     try:
-        cluster = engine_cluster(args, num_reducers=args.reducers, num_mappers=args.mappers)
+        settings = server_settings(args)
+        if args.workers == 1:
+            cluster = engine_cluster(args, num_reducers=args.reducers, num_mappers=args.mappers)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    checkpoint_path = (
-        Path(args.checkpoint_dir) / "server.ckpt" if args.checkpoint_dir else None
-    )
-    context = ExecutionContext(cluster=cluster)
+    if args.workers > 1:
+        return _serve_supervised(args, settings)
+    checkpoint_path = Path(args.checkpoint_dir) / "server.ckpt" if args.checkpoint_dir else None
     server = QueryServer(
-        context,
+        ExecutionContext(cluster=cluster),
         host=args.host,
         port=args.port,
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
-        default_deadline_ms=args.default_deadline_ms,
         checkpoint_path=checkpoint_path,
-        drain_timeout=args.drain_timeout,
-        stats_cache_entries=args.stats_cache_entries,
-        plan_cache_entries=args.plan_cache_entries,
-        cost_store_path=args.cost_store,
+        **asdict(settings),
     )
-    if checkpoint_path is not None and checkpoint_path.exists():
-        try:
-            server.restore_state(checkpoint_path)
-            print(f"restored checkpoint ({len(server.collections)} collections)")
-        except ValueError as error:
-            print(f"starting cold: {error}", file=sys.stderr)
-
-    async def run() -> None:
-        loop = asyncio.get_running_loop()
-        # SIGTERM drains: reject new work, finish inflight, checkpoint, exit.
-        loop.add_signal_handler(signal.SIGTERM, server.begin_drain)
-        host, port = await server.start()
-        print(f"serving on {host}:{port}", flush=True)
-        try:
-            await server.shutdown_requested.wait()
-        finally:
-            await server.stop()
-
     try:
-        asyncio.run(run())
+        return asyncio.run(run_server(server, announce=True))
     except KeyboardInterrupt:
-        pass
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        context.close()
-    return 0
+        return 0
 
 
 def load_main(argv: Sequence[str] | None = None) -> int:

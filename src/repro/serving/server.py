@@ -24,15 +24,18 @@ request order); concurrency comes from multiple connections.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import itertools
+import math
+import os
 import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from ..datagen.synthetic import SyntheticConfig, generate_uniform_collection
 from ..experiments.workloads import PARAMETERS, QUERIES, build_query
@@ -75,10 +78,137 @@ from .protocol import (
 )
 from .session import AdmissionController, ServerMetrics
 
-__all__ = ["QueryServer", "BackgroundServer"]
+__all__ = [
+    "QueryServer",
+    "BackgroundServer",
+    "SERVER_FLAGS",
+    "ServerSettings",
+    "add_server_flags",
+    "server_settings",
+]
 
 SERVER_CHECKPOINT_KIND = "query-server"
 SERVER_CHECKPOINT_VERSION = 1
+
+
+def _count(minimum: int) -> Callable[[Any], int]:
+    what = "a positive integer" if minimum else "a non-negative integer"
+
+    def check(value: Any) -> int:
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise ValueError(f"must be {what} (got {value!r})")
+        return value
+
+    return check
+
+
+def _seconds(value: Any) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < math.inf:
+        raise ValueError(f"must be a positive number of seconds (got {value!r})")
+    return float(value)
+
+
+def _path(value: Any) -> Path:
+    if not isinstance(value, (str, os.PathLike)) or not os.fspath(value):
+        raise ValueError(f"must be a path (got {value!r})")
+    return Path(value)
+
+
+class ServerFlag(NamedTuple):
+    """One :data:`SERVER_FLAGS` row: a flag's field, text parser, check and help."""
+
+    field: str
+    parse: Callable[[str], Any]
+    check: Callable[[Any], Any]
+    help: str
+
+
+#: Every setting of a query server; ``serve``, the worker, :class:`QueryServer`
+#: and :class:`~repro.serving.supervisor.ServerSupervisor` all read this table.
+SERVER_FLAGS: dict[str, ServerFlag] = {
+    "--max-inflight": ServerFlag(
+        "max_inflight", int, _count(1), "queries executing at once before new ones queue"
+    ),
+    "--max-queue": ServerFlag(
+        "max_queue", int, _count(0), "queries waiting for a slot before the server answers BUSY"
+    ),
+    "--default-deadline-ms": ServerFlag(
+        "default_deadline_ms", int, _count(1), "deadline of queries that carry none (default none)"
+    ),
+    "--drain-timeout": ServerFlag(
+        "drain_timeout", float, _seconds, "seconds inflight queries get to finish when draining"
+    ),
+    "--stats-cache-entries": ServerFlag(
+        "stats_cache_entries", int, _count(1), "bound the warm statistics cache (LRU eviction)"
+    ),
+    "--plan-cache-entries": ServerFlag(
+        "plan_cache_entries", int, _count(0), "bound the auto-plan cache; 0 disables feedback"
+    ),
+    "--cost-store": ServerFlag(
+        "cost_store_path", str, _path, "observed-cost log; in supervisor mode a directory of them"
+    ),
+}
+
+
+@dataclass(frozen=True)
+class ServerSettings:
+    """A query server's settings, each checked by its :data:`SERVER_FLAGS` row.
+
+    ``None`` means unset for the fields whose default is ``None``; any other
+    bad value raises :class:`ValueError` naming its flag.
+    """
+
+    max_inflight: int = 4
+    max_queue: int = 16
+    default_deadline_ms: int | None = None
+    drain_timeout: float = 30.0
+    stats_cache_entries: int | None = None
+    plan_cache_entries: int = 128
+    cost_store_path: Path | None = None
+
+    def __post_init__(self) -> None:
+        for flag, row in SERVER_FLAGS.items():
+            value = getattr(self, row.field)
+            if value is None and getattr(ServerSettings, row.field) is None:
+                continue
+            try:
+                object.__setattr__(self, row.field, row.check(value))
+            except ValueError as error:
+                raise ValueError(f"{flag} {error}") from None
+
+    def argv(self) -> list[str]:
+        """The settings as flags, for a child process's :func:`add_server_flags` parser."""
+        command: list[str] = []
+        for flag, row in SERVER_FLAGS.items():
+            if (value := getattr(self, row.field)) is not None:
+                command += [flag, str(value)]
+        return command
+
+
+def add_server_flags(parser: argparse.ArgumentParser) -> None:
+    """Define every :data:`SERVER_FLAGS` row on ``parser``.
+
+    Text a row cannot parse is handed on as it is, so the settings check —
+    not argparse — reports every bad value, the same way at every entry point.
+    """
+
+    def lenient(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+        def convert(text: str) -> Any:
+            try:
+                return parse(text)
+            except ValueError:
+                return text
+
+        return convert
+
+    for flag, (field, parse, _, text) in SERVER_FLAGS.items():
+        default = getattr(ServerSettings, field)
+        parser.add_argument(flag, dest=field, type=lenient(parse), default=default, help=text)
+
+
+def server_settings(args: argparse.Namespace) -> ServerSettings:
+    """The checked :class:`ServerSettings` of parsed :func:`add_server_flags` flags."""
+    return ServerSettings(**{row.field: getattr(args, row.field) for row in SERVER_FLAGS.values()})
 
 
 @dataclass
@@ -108,7 +238,8 @@ class QueryServer:
     ``context`` defaults to a fresh :class:`~repro.plan.ExecutionContext`;
     passing one in lets tests and embedders pre-warm or share it.  ``port=0``
     binds an ephemeral port (read it back from :attr:`address` after
-    :meth:`start`).
+    :meth:`start`).  The keyword ``settings`` are :class:`ServerSettings`
+    fields, checked before anything is built.
     """
 
     #: Every verb the server accepts — docs/PROTOCOL.md must document each one
@@ -132,35 +263,30 @@ class QueryServer:
         context: ExecutionContext | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_inflight: int = 4,
-        max_queue: int = 16,
-        default_deadline_ms: int | None = None,
+        *,
         worker_id: int | None = None,
         checkpoint_path: str | Path | None = None,
-        drain_timeout: float = 30.0,
-        stats_cache_entries: int | None = None,
-        plan_cache_entries: int | None = 128,
-        cost_store_path: str | Path | None = None,
+        **settings: Any,
     ) -> None:
+        self.settings = ServerSettings(**settings)
         self.context = context if context is not None else ExecutionContext()
-        if stats_cache_entries is not None:
+        if self.settings.stats_cache_entries is not None:
             # Bound the warm statistics cache: LRU eviction past this many
             # (collections, granularity) entries.
-            self.context.statistics.max_entries = stats_cache_entries
-        if plan_cache_entries and self.context.feedback is None:
+            self.context.statistics.max_entries = self.settings.stats_cache_entries
+        if self.settings.plan_cache_entries and self.context.feedback is None:
             # Attach the planner feedback loop: memoized auto plans plus the
             # (optional, on-disk) observed-cost store.
+            cost_store_path = self.settings.cost_store_path
             self.context.feedback = PlanFeedback(
-                plan_cache=PlanCache(max_entries=plan_cache_entries),
+                plan_cache=PlanCache(max_entries=self.settings.plan_cache_entries),
                 cost_store=CostStore(cost_store_path) if cost_store_path else None,
             )
         self.host = host
         self.port = port
-        self.default_deadline_ms = default_deadline_ms
         self.worker_id = worker_id
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
-        self.drain_timeout = drain_timeout
-        self.admission = AdmissionController(max_inflight, max_queue)
+        self.admission = AdmissionController(self.settings.max_inflight, self.settings.max_queue)
         self.metrics = ServerMetrics()
         self.collections: dict[str, IntervalCollection] = {}
         self.draining = False
@@ -171,7 +297,7 @@ class QueryServer:
         self._inflight_tokens: set[CancelToken] = set()
         self._ingest_seqs: dict[str, dict[int, dict[str, Any]]] = {}
         self._executor = ThreadPoolExecutor(
-            max_workers=max_inflight, thread_name_prefix="repro-serve"
+            max_workers=self.settings.max_inflight, thread_name_prefix="repro-serve"
         )
         self._session_ids = itertools.count(1)
         self._handlers: dict[str, Callable[..., Any]] = {
@@ -230,14 +356,6 @@ class QueryServer:
             token.cancel("server stopping")
         self._executor.shutdown(wait=True, cancel_futures=True)
         self.shutdown_requested.set()
-
-    async def serve_until_shutdown(self) -> None:
-        """Run until a ``shutdown`` request (or cancellation), then stop."""
-        await self.start()
-        try:
-            await self.shutdown_requested.wait()
-        finally:
-            await self.stop()
 
     # ------------------------------------------------------- checkpoint / drain
     def checkpoint(self, path: str | Path | None = None) -> dict[str, Any]:
@@ -301,7 +419,7 @@ class QueryServer:
 
         Idempotent; must be called on the event loop (the ``drain`` verb and
         the worker's SIGTERM handler both are).  Inflight queries get up to
-        ``timeout`` seconds (default :attr:`drain_timeout`) to finish; past
+        ``timeout`` seconds (default ``settings.drain_timeout``) to finish; past
         that their cancel tokens fire and the engine stops them at the next
         task-wave boundary.  Once quiescent the server checkpoints its state
         and requests shutdown.
@@ -309,7 +427,7 @@ class QueryServer:
         if self.draining:
             return
         self.draining = True
-        budget = self.drain_timeout if timeout is None else timeout
+        budget = self.settings.drain_timeout if timeout is None else timeout
         self._drain_task = asyncio.get_running_loop().create_task(self._drain(budget))
 
     async def _drain(self, timeout: float) -> None:
@@ -716,7 +834,7 @@ class QueryServer:
             # null): two sessions running the same streaming query do not share
             # persistent top-k state unless they opt into a common stream_id.
             knobs.setdefault("stream_id", f"session-{session_id}")
-        deadline_ms = request.get("deadline_ms", self.default_deadline_ms)
+        deadline_ms = request.get("deadline_ms", self.settings.default_deadline_ms)
         if deadline_ms is not None and (
             not isinstance(deadline_ms, int) or isinstance(deadline_ms, bool) or deadline_ms <= 0
         ):

@@ -44,6 +44,7 @@ import sys
 import tempfile
 import time
 from collections import deque
+from dataclasses import replace
 from hashlib import blake2b
 from pathlib import Path
 from typing import Any
@@ -56,6 +57,7 @@ from .protocol import (
     encode_message,
     error_response,
 )
+from .server import ServerSettings
 
 __all__ = ["ServerSupervisor", "WorkerHandle"]
 
@@ -66,6 +68,11 @@ DRAINING = "DRAINING"
 RESTARTING = "RESTARTING"
 FAILED = "FAILED"
 STOPPED = "STOPPED"
+
+#: Respawn backoff grows by this factor per crash inside the crash window.
+RESTART_MULTIPLIER = 2.0
+#: Seconds a spawned worker gets to publish its port and answer ``health``.
+READY_TIMEOUT = 20.0
 
 
 def _affinity_index(affinity: str, num_workers: int) -> int:
@@ -106,8 +113,11 @@ class ServerSupervisor:
     ``port=0`` binds the frontend on an ephemeral port (read :attr:`address`
     after :meth:`start`).  ``checkpoint_dir=None`` creates a private directory
     (removed on :meth:`stop`); pass a path to keep checkpoints across
-    supervisor restarts.  All methods must run on one event loop — the
-    supervisor owns no locks, exactly like the server it multiplies.
+    supervisor restarts.  The keyword ``settings`` are
+    :class:`~repro.serving.server.ServerSettings` fields, forwarded to every
+    worker; ``cost_store_path`` names a directory holding one
+    ``worker-<id>.costs`` file per worker.  All methods must run on one event
+    loop — the supervisor owns no locks, exactly like the server it multiplies.
     """
 
     def __init__(
@@ -116,40 +126,27 @@ class ServerSupervisor:
         host: str = "127.0.0.1",
         port: int = 0,
         checkpoint_dir: str | Path | None = None,
-        max_inflight: int = 4,
-        max_queue: int = 16,
-        default_deadline_ms: int | None = None,
-        drain_timeout: float = 30.0,
+        *,
         heartbeat_interval: float = 0.25,
         restart_base: float = 0.1,
-        restart_multiplier: float = 2.0,
         restart_cap: float = 2.0,
         max_crashes: int = 5,
         crash_window: float = 30.0,
-        ready_timeout: float = 20.0,
-        stats_cache_entries: int | None = None,
-        plan_cache_entries: int | None = 128,
-        cost_store_dir: str | Path | None = None,
+        **settings: Any,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
+        # Checked before any directory or process exists, so a bad value
+        # leaves nothing behind.
+        self.settings = ServerSettings(**settings)
         self.num_workers = num_workers
         self.host = host
         self.port = port
-        self.max_inflight = max_inflight
-        self.max_queue = max_queue
-        self.default_deadline_ms = default_deadline_ms
-        self.drain_timeout = drain_timeout
         self.heartbeat_interval = heartbeat_interval
         self.restart_base = restart_base
-        self.restart_multiplier = restart_multiplier
         self.restart_cap = restart_cap
         self.max_crashes = max_crashes
         self.crash_window = crash_window
-        self.ready_timeout = ready_timeout
-        self.stats_cache_entries = stats_cache_entries
-        self.plan_cache_entries = plan_cache_entries
-        self.cost_store_dir = Path(cost_store_dir) if cost_store_dir else None
         self._owns_checkpoint_dir = checkpoint_dir is None
         if checkpoint_dir is None:
             self.checkpoint_dir = Path(tempfile.mkdtemp(prefix="repro-serve-ckpt-"))
@@ -181,9 +178,7 @@ class ServerSupervisor:
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         for handle in self.workers:
             self._spawn(handle)
-        ready = await asyncio.gather(
-            *[self._wait_ready(handle, self.ready_timeout) for handle in self.workers]
-        )
+        ready = await asyncio.gather(*[self._wait_ready(handle) for handle in self.workers])
         if not all(ready):
             failed = [h.worker_id for h, ok in zip(self.workers, ready) if not ok]
             await self.stop()
@@ -225,7 +220,7 @@ class ServerSupervisor:
         if not handle.alive():
             return
         handle.process.terminate()  # SIGTERM → worker drains and checkpoints
-        if not await self._wait_exit(handle, self.drain_timeout + 5.0):
+        if not await self._wait_exit(handle, self.settings.drain_timeout + 5.0):
             handle.process.kill()
             await self._wait_exit(handle, 5.0)
 
@@ -241,40 +236,16 @@ class ServerSupervisor:
     def _spawn(self, handle: WorkerHandle) -> None:
         handle.port_file.unlink(missing_ok=True)
         handle.port = None
-        command = [
-            sys.executable,
-            "-m",
-            "repro.serving.worker",
-            "--host",
-            self.host,
-            "--port",
-            "0",
-            "--worker-id",
-            str(handle.worker_id),
-            "--checkpoint",
-            str(handle.checkpoint_path),
-            "--port-file",
-            str(handle.port_file),
-            "--max-inflight",
-            str(self.max_inflight),
-            "--max-queue",
-            str(self.max_queue),
-            "--drain-timeout",
-            str(self.drain_timeout),
-            "--parent-pid",
-            str(os.getpid()),
-        ]
-        if self.default_deadline_ms is not None:
-            command += ["--default-deadline-ms", str(self.default_deadline_ms)]
-        if self.stats_cache_entries is not None:
-            command += ["--stats-cache-entries", str(self.stats_cache_entries)]
-        if self.plan_cache_entries is not None:
-            command += ["--plan-cache-entries", str(self.plan_cache_entries)]
-        if self.cost_store_dir is not None:
+        settings = self.settings
+        if settings.cost_store_path is not None:
             # One store file per worker: the append-only log is single-writer.
-            self.cost_store_dir.mkdir(parents=True, exist_ok=True)
-            store = self.cost_store_dir / f"worker-{handle.worker_id}.costs"
-            command += ["--cost-store", str(store)]
+            settings.cost_store_path.mkdir(parents=True, exist_ok=True)
+            store = settings.cost_store_path / f"worker-{handle.worker_id}.costs"
+            settings = replace(settings, cost_store_path=store)
+        command = [sys.executable, "-m", "repro.serving.worker", "--host", self.host, "--port", "0"]
+        command += ["--worker-id", str(handle.worker_id), "--port-file", str(handle.port_file)]
+        command += ["--checkpoint", str(handle.checkpoint_path), "--parent-pid", str(os.getpid())]
+        command += settings.argv()
         # The spawned interpreter must import `repro` even when the parent got
         # it from a pytest pythonpath entry that does not propagate.
         package_root = Path(__file__).resolve().parents[2]
@@ -297,9 +268,9 @@ class ServerSupervisor:
         except (IndexError, ValueError):
             return None
 
-    async def _wait_ready(self, handle: WorkerHandle, timeout: float) -> bool:
+    async def _wait_ready(self, handle: WorkerHandle) -> bool:
         """Poll the port file, then readiness-gate on the ``health`` verb."""
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + READY_TIMEOUT
         while time.monotonic() < deadline:
             if not handle.alive():
                 return False
@@ -358,14 +329,14 @@ class ServerSupervisor:
             return
         handle.state = RESTARTING
         backoff = min(
-            self.restart_base * self.restart_multiplier ** (len(recent) - 1),
+            self.restart_base * RESTART_MULTIPLIER ** (len(recent) - 1),
             self.restart_cap,
         )
         await asyncio.sleep(backoff)
         self._spawn(handle)
         self.respawns += 1
         handle.restarts += 1
-        if not await self._wait_ready(handle, self.ready_timeout):
+        if not await self._wait_ready(handle):
             # Never became ready: count it as another crash (the breaker will
             # trip if this keeps happening) and let the next heartbeat retry.
             if handle.alive():
@@ -389,7 +360,7 @@ class ServerSupervisor:
             handle.state = DRAINING
             await self._drain_worker(handle, drain_timeout_ms)
             budget = (
-                self.drain_timeout
+                self.settings.drain_timeout
                 if drain_timeout_ms is None
                 else drain_timeout_ms / 1000.0
             )
@@ -399,7 +370,7 @@ class ServerSupervisor:
             handle.state = RESTARTING
             self._spawn(handle)
             handle.restarts += 1
-            if not await self._wait_ready(handle, self.ready_timeout):
+            if not await self._wait_ready(handle):
                 raise RuntimeError(
                     f"worker {handle.worker_id} did not come back after rolling restart"
                 )

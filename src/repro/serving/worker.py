@@ -1,22 +1,17 @@
-"""Worker entry point: one supervised :class:`QueryServer` child process.
+"""The run loop of a query-server process, and the supervised worker entry point.
 
-``python -m repro.serving.worker`` is what :class:`ServerSupervisor` spawns —
-a module (not an inline ``-c`` script) so operators and the CI orphan check
-can find workers by name in a process listing.  The worker:
+:func:`run_server` serves both single-mode ``serve`` and ``python -m
+repro.serving.worker`` (the module :class:`ServerSupervisor` spawns — a module,
+not a ``-c`` script, so a process listing and the CI orphan check find it):
 
-* binds its own socket (``--port 0`` by default; the bound address is
-  published atomically to ``--port-file`` so the supervisor never races the
-  bind);
-* restores :class:`QueryServer` state from ``--checkpoint`` when the file
-  exists and is readable — a respawned worker comes back warm, with its
-  collections, statistics cache, streaming state and ingest dedup table; a
-  corrupt checkpoint starts the worker cold instead of crash-looping;
-* drains on SIGTERM: new work is rejected with the DRAINING code, inflight
-  queries get ``--drain-timeout`` seconds to finish, state is checkpointed
-  atomically, then the process exits 0;
-* watches its parent: if the supervisor dies without SIGTERMing its workers
-  (SIGKILL, OOM), the worker is re-parented and drains itself rather than
-  lingering as an orphan serving a frontend that no longer exists.
+* restore the checkpoint when it exists and is readable, so a respawned
+  worker comes back warm; a corrupt checkpoint starts cold, never crash-loops;
+* drain on SIGTERM: reject new work with DRAINING, give inflight queries the
+  drain timeout, checkpoint atomically, exit 0;
+* announce the bound address — ``serving on HOST:PORT`` on stdout, or
+  atomically to the port file the supervisor polls;
+* with a parent pid, drain when re-parented: a worker whose supervisor died
+  by SIGKILL or OOM does not linger as an orphan.
 """
 
 from __future__ import annotations
@@ -26,11 +21,12 @@ import asyncio
 import os
 import signal
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .server import QueryServer
+from .server import QueryServer, add_server_flags, server_settings
 
-__all__ = ["main", "run_worker"]
+__all__ = ["main", "run_server"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,31 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--port-file", default=None, help="publish the bound 'host port' here"
     )
-    parser.add_argument("--max-inflight", type=int, default=4)
-    parser.add_argument("--max-queue", type=int, default=16)
-    parser.add_argument("--drain-timeout", type=float, default=30.0)
-    parser.add_argument("--default-deadline-ms", type=int, default=None)
-    parser.add_argument(
-        "--stats-cache-entries",
-        type=int,
-        default=None,
-        help="bound the statistics cache to this many entries (LRU)",
-    )
-    parser.add_argument(
-        "--plan-cache-entries",
-        type=int,
-        default=128,
-        help="bound the auto-plan cache; 0 disables planner feedback",
-    )
-    parser.add_argument(
-        "--cost-store", default=None, help="observed-cost store file (JSON lines)"
-    )
     parser.add_argument(
         "--parent-pid",
         type=int,
         default=None,
         help="drain when this process is no longer the parent (orphan watchdog)",
     )
+    add_server_flags(parser)
     return parser
 
 
@@ -81,17 +59,13 @@ def _publish_address(port_file: str, host: str, port: int) -> None:
     os.replace(staging, path)
 
 
-async def _watch_parent(
-    server: QueryServer, parent: int | None, interval: float = 1.0
-) -> None:
+async def _watch_parent(server: QueryServer, parent: int, interval: float = 1.0) -> None:
     """Drain when the parent process dies (the worker gets re-parented).
 
     The supervisor passes its own pid explicitly: a worker whose parent died
     before this first runs is already re-parented, and comparing against a
     pid recorded *now* would miss that.
     """
-    if parent is None:
-        parent = os.getppid()
     while True:
         if os.getppid() != parent:
             print(
@@ -103,48 +77,47 @@ async def _watch_parent(
         await asyncio.sleep(interval)
 
 
-async def run_worker(args: argparse.Namespace) -> int:
-    server = QueryServer(
-        host=args.host,
-        port=args.port,
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
-        default_deadline_ms=args.default_deadline_ms,
-        worker_id=args.worker_id,
-        checkpoint_path=args.checkpoint,
-        drain_timeout=args.drain_timeout,
-        stats_cache_entries=args.stats_cache_entries,
-        plan_cache_entries=args.plan_cache_entries,
-        cost_store_path=args.cost_store,
-    )
-    if args.checkpoint and Path(args.checkpoint).exists():
+async def run_server(
+    server: QueryServer,
+    *,
+    port_file: str | None = None,
+    parent_pid: int | None = None,
+    announce: bool = False,
+) -> int:
+    """Serve until shutdown, then stop and close the server's context.
+
+    Returns the process exit status: 1 when the address cannot be bound.
+    """
+    label = "server" if server.worker_id is None else f"worker {server.worker_id}"
+    watchdog: asyncio.Task | None = None
+    try:
+        checkpoint = server.checkpoint_path
+        if checkpoint is not None and checkpoint.exists():
+            try:
+                server.restore_state(checkpoint)
+                print(
+                    f"{label}: restored checkpoint ({len(server.collections)} collections)",
+                    file=sys.stderr,
+                )
+            except ValueError as error:
+                print(f"{label}: starting cold ({error})", file=sys.stderr)
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, server.begin_drain)
         try:
-            server.restore_state(args.checkpoint)
-            print(
-                f"worker {args.worker_id}: restored checkpoint "
-                f"({len(server.collections)} collections)",
-                file=sys.stderr,
-            )
-        except ValueError as error:
-            print(
-                f"worker {args.worker_id}: starting cold ({error})",
-                file=sys.stderr,
-            )
-    loop = asyncio.get_running_loop()
-    loop.add_signal_handler(signal.SIGTERM, server.begin_drain)
-    try:
-        host, port = await server.start()
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    if args.port_file:
-        _publish_address(args.port_file, host, port)
-    watchdog = asyncio.create_task(_watch_parent(server, args.parent_pid))
-    try:
+            host, port = await server.start()
+        except OSError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
+        if announce:
+            print(f"serving on {host}:{port}", flush=True)
+        if port_file:
+            _publish_address(port_file, host, port)
+        if parent_pid is not None:
+            watchdog = asyncio.create_task(_watch_parent(server, parent_pid))
         await server.shutdown_requested.wait()
     finally:
-        watchdog.cancel()
-        await asyncio.gather(watchdog, return_exceptions=True)
+        if watchdog is not None:
+            watchdog.cancel()
+            await asyncio.gather(watchdog, return_exceptions=True)
         await server.stop()
         server.context.close()
     return 0
@@ -153,7 +126,21 @@ async def run_worker(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return asyncio.run(run_worker(args))
+        settings = server_settings(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    server = QueryServer(
+        host=args.host,
+        port=args.port,
+        worker_id=args.worker_id,
+        checkpoint_path=args.checkpoint,
+        **asdict(settings),
+    )
+    try:
+        return asyncio.run(
+            run_server(server, port_file=args.port_file, parent_pid=args.parent_pid)
+        )
     except KeyboardInterrupt:
         return 130
 

@@ -6,6 +6,11 @@ SIGKILLs and wire-level chaos — the point is that the recovery paths hold
 end-to-end, with answers ``==`` a fault-free library run.
 """
 
+import os
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -334,6 +339,100 @@ class TestSupervisedServing:
         background.stop()
         assert not any(handle.alive() for handle in supervisor.workers)
         assert not checkpoint_dir.exists()
+
+
+    def test_every_setting_reaches_every_worker(self, tmp_path):
+        costs = tmp_path / "costs"
+        supervisor, background, address = start_supervisor(
+            max_inflight=1,
+            max_queue=0,
+            stats_cache_entries=3,
+            plan_cache_entries=8,
+            cost_store_path=costs,
+        )
+        try:
+            for affinity in affinity_pair(supervisor):
+                with QueryClient(*address, affinity=affinity) as client:
+                    for collection in make_collections(size=40):
+                        client.register(collection.name, encode_intervals(collection.intervals))
+                    client.query("Qo,m", list(NAMES), k=5, options={"mode": "auto"})
+                    stats = client.stats()
+                assert stats["admission"]["max_inflight"] == 1
+                assert stats["admission"]["max_queue"] == 0
+                assert stats["statistics_cache"]["max_entries"] == 3
+                assert stats["plan_cache"]["max_entries"] == 8
+                assert stats["cost_store"]["recorded"] == 1
+        finally:
+            background.stop()
+        assert sorted(path.name for path in costs.iterdir()) == [
+            "worker-0.costs",
+            "worker-1.costs",
+        ]
+
+
+def _children(pid):
+    """Pids of the ``repro.serving.worker`` processes whose parent is ``pid``."""
+    listing = subprocess.run(
+        ["ps", "-eo", "pid=,ppid=,args="], capture_output=True, text=True, check=True
+    ).stdout
+    children = []
+    for line in listing.splitlines():
+        child, parent, args = line.split(None, 2)
+        if int(parent) == pid and "-m repro.serving.worker" in args:
+            children.append(int(child))
+    return children
+
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestServeCommand:
+    def test_serve_with_two_workers_end_to_end(self, tmp_path):
+        expected = library_results()
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        command = [sys.executable, "-m", "repro.experiments", "serve", "--workers", "2"]
+        command += ["--port", "0", "--max-inflight", "2", "--max-queue", "4"]
+        command += ["--default-deadline-ms", "60000", "--drain-timeout", "10"]
+        command += ["--stats-cache-entries", "4", "--plan-cache-entries", "8"]
+        command += ["--cost-store", str(tmp_path / "costs")]
+        process = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            banner = ""
+            while not banner.startswith("supervising 2 workers on "):
+                remaining = deadline - time.monotonic()
+                assert remaining > 0, "no supervising banner"
+                assert select.select([process.stdout], [], [], remaining)[0]
+                banner = process.stdout.readline()
+                assert banner, "serve exited before its banner"
+            host, port = banner.split()[-1].rsplit(":", 1)
+            workers = _children(process.pid)
+            assert len(workers) == 2
+            with QueryClient(host, int(port), affinity="e2e") as client:
+                client.load(list(NAMES), size=SIZE, seed=7)
+                response = client.query("Qo,m", list(NAMES), k=10)
+                stats = client.stats()
+            assert response["results"] == expected
+            assert stats["admission"]["max_inflight"] == 2
+            assert stats["plan_cache"]["max_entries"] == 8
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+        deadline = time.monotonic() + 10
+        while not all(_gone(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(_gone(pid) for pid in workers)
 
 
 class TestChaosProxy:
