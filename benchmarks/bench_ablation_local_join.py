@@ -3,7 +3,8 @@
 Two knobs of the per-reducer join are switched off one at a time:
 
 * early termination on the per-combination score upper bound,
-* R-tree threshold lookups (falling back to scanning the whole bucket).
+* threshold box -> candidate rows lookups (``use_index``; off, every extension
+  step scans its whole bucket).
 
 Expected shape: both optimisations reduce the number of candidate tuples examined
 without changing the returned results (the correctness part is covered by the test

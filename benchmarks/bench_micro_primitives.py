@@ -1,15 +1,16 @@
 """Micro-benchmarks of the substrate primitives (timed with real pytest-benchmark rounds).
 
 These are not paper figures; they document the per-operation costs that the
-laptop-scale experiment parameters are derived from: predicate scoring, R-tree
-threshold lookups, pairwise bound computation, and joint branch-and-bound bounds.
+laptop-scale experiment parameters are derived from: predicate scoring, the
+kernels' threshold box -> candidate rows resolvers, pairwise bound computation,
+and joint branch-and-bound bounds.
 """
 
 import time
 
 import numpy as np
 
-from repro.columnar import IntervalColumns, score_range_v
+from repro.columnar import IntervalColumns, score_range_v, sweep_positions
 from repro.core import (
     KERNELS,
     BoundsEstimator,
@@ -20,9 +21,10 @@ from repro.core import (
     collect_statistics,
     get_top_buckets,
 )
+from repro.core.local_join import _mask_positions, _window_rows
 from repro.datagen import SyntheticConfig, generate_collections
 from repro.experiments import build_query
-from repro.index import CompiledPredicateQuery, ThresholdIndex
+from repro.index import CompiledPredicateQuery
 from repro.solver import AggregateObjective, BranchAndBoundSolver, DomainSet, EdgeObjective, VariableBox
 from repro.temporal import AverageScore, Interval, IntervalCollection, PredicateParams
 from repro.temporal.predicates import meets, overlaps, starts
@@ -54,20 +56,33 @@ def bench_predicate_scoring_compiled(benchmark):
     benchmark(run)
 
 
-def bench_rtree_threshold_lookup(benchmark):
-    pool = _intervals(5_000, seed=3)
-    index = ThresholdIndex.build(pool)
-    predicate = meets(P1).rename("x", "y")
-    compiled = CompiledPredicateQuery(predicate, "x", "y")
-    probes = _intervals(200, seed=4)
+def bench_box_resolvers(benchmark):
+    """The three kernels' threshold box -> candidate rows resolvers on the same
+    boxes over one bucket: the scalar kernel's bisected window, the vector
+    kernel's full-column mask and the sweep kernel's searchsorted window.
+    They must return the same rows; ``extra_info`` holds each arm's seconds."""
+    columns = IntervalColumns.from_intervals(_intervals(5_000, seed=3))
+    compiled = CompiledPredicateQuery(meets(P1).rename("x", "y"), "x", "y")
+    boxes = [compiled.box(probe, 0.5) for probe in _intervals(200, seed=4)]
+    resolvers = {
+        "scalar": lambda box: [row.uid for row in _window_rows(box, columns)],
+        "vector": lambda box: columns.uids[_mask_positions(box, columns)].tolist(),
+        "sweep": lambda box: columns.uids[sweep_positions(box, columns)].tolist(),
+    }
+    answers = {name: [resolve(box) for box in boxes] for name, resolve in resolvers.items()}
+    assert answers["scalar"] == answers["vector"] == answers["sweep"]
+    assert any(answers["scalar"])
 
     def run():
-        found = 0
-        for probe in probes:
-            found += len(index.candidates_compiled(compiled, probe, 0.5))
-        return found
+        return {
+            name: _best_of(lambda: [resolve(box) for box in boxes])[0]
+            for name, resolve in resolvers.items()
+        }
 
-    benchmark(run)
+    seconds = benchmark.pedantic(run, rounds=1, iterations=1)
+    for name, reading in seconds.items():
+        print(f"resolver {name} = {reading:.3g}")
+    benchmark.extra_info.update(seconds)
 
 
 def _pair_boxes():
@@ -211,9 +226,10 @@ def _kernel_readings():
 
     Square buckets of each length run twice: with early termination (the pruned
     regime real joins are in once their heap is full: every step resolves a
-    threshold box — an R-tree probe, a full-column mask over the ``scanned``
-    bucket, or a sorted window) and without (every step scores its whole
-    bucket, which separates the per-candidate cost from the per-step one).  One
+    threshold box — a bisected sorted window, a full-column mask over the
+    ``scanned`` bucket, or a searchsorted window) and without (every step
+    scores its whole bucket, which separates the per-candidate cost from the
+    per-step one).  One
     pruned run against a long right bucket shows the vector kernel's scan.
     """
     shapes = [(length, length, pruned) for length in KERNEL_LENGTHS for pruned in (True, False)]

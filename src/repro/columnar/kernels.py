@@ -17,8 +17,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..index.interval_index import box_window
-from ..index.rtree import Rect
+from ..index.interval_index import Rect, box_window
 from ..temporal.aggregation import (
     Aggregation,
     AverageScore,
@@ -204,10 +203,9 @@ def combine_scores_v(
 def box_mask(box: Rect, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Candidates whose ``(start, end)`` point lies in ``box``.
 
-    This is the columnar replacement for an R-tree probe with the same box: one
-    boolean range filter over the bucket's columns selects exactly the interval
-    set ``RTree.query(box)`` would return (the box is a superset of the true
-    candidates either way — see :mod:`repro.index.interval_index`).
+    The vector kernel's resolver: one boolean range filter over the bucket's
+    columns selects the threshold box's candidate rows (a superset of the true
+    candidates — see :mod:`repro.index.interval_index`).
     """
     return (
         (starts >= box.min_x)

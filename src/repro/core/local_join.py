@@ -9,15 +9,16 @@ current k-th score, the remaining combinations are skipped (early termination).
 Inside a combination the query is evaluated left-deep along the query graph's BFS
 join order.  When extending a partial tuple with a new vertex, the residual score
 the connecting edge must reach (for the final aggregate to still beat the current
-k-th score) is derived from the monotone aggregation, and candidate intervals are
-fetched from an R-tree with a score-threshold lookup, mirroring the paper's use of
-R-trees ("for an interval x_i and a score value v, return the x_j with
-s-p(x_i, x_j) >= v").
+k-th score) is derived from the monotone aggregation.  That residual score becomes
+a threshold box over the (start, end) plane and the box becomes the bucket's
+candidate rows — the paper's reducer lookup "for an interval x_i and a score value
+v, return the x_j with s-p(x_i, x_j) >= v".
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -32,7 +33,7 @@ from ..columnar import (
     compile_vector,
     sweep_positions,
 )
-from ..index import CompiledPredicateQuery, Rect, ThresholdIndex
+from ..index import CompiledPredicateQuery, Rect
 from ..query.graph import QueryEdge, ResultTuple, RTJQuery
 from ..temporal.interval import Interval
 from .bounds import BucketCombination, CombinationTable
@@ -50,20 +51,21 @@ KERNELS = ("scalar", "vector", "sweep")
 class LocalJoinConfig:
     """Tuning knobs of the local join (all are ablated in the benchmarks).
 
-    ``kernel`` selects the execution substrate of the candidate loops:
-    ``"scalar"`` scores one Python object at a time (per-candidate R-tree
-    probes), ``"vector"`` scores whole candidate arrays with the numpy kernels
-    of :mod:`repro.columnar` (one boxed range filter per extension step), and
-    ``"sweep"`` scores the same candidate arrays but resolves each threshold
-    box to a window over endpoint-sorted views with ``searchsorted`` instead
-    of scanning the whole bucket (DESIGN.md §11).  All kernels enumerate the
-    same tuples in the same order, so results are tie-aware identical and the
-    work counters match exactly (DESIGN.md §8).
+    ``use_index`` turns each extension step's threshold box → candidate rows
+    lookup on (off: every step scans its whole bucket).  ``kernel`` selects
+    the execution substrate of the candidate loops: ``"scalar"`` scores one
+    Python object at a time (the box's rows bisected out of the bucket's
+    endpoint-sorted views), ``"vector"`` scores whole candidate arrays with
+    the numpy kernels of :mod:`repro.columnar` (one boxed range filter per
+    extension step), and ``"sweep"`` scores the same candidate arrays but
+    resolves each threshold box to a window over endpoint-sorted views with
+    ``searchsorted`` instead of scanning the whole bucket (DESIGN.md §11).
+    All kernels enumerate the same tuples in the same order, so results are
+    tie-aware identical and the work counters match exactly (DESIGN.md §8).
     """
 
     use_index: bool = True
     early_termination: bool = True
-    index_leaf_capacity: int = 32
     kernel: str = "scalar"
 
     def __post_init__(self) -> None:
@@ -163,13 +165,10 @@ class LocalTopKJoin:
         # The kernels read the same per-bucket columns and differ in how a
         # threshold box becomes candidates and in the extension body scoring them.
         self._resolve, self._extend_kernel = {
-            "scalar": (self._probe_index, self._extend),
+            "scalar": (_window_rows, self._extend),
             "vector": (_mask_positions, self._extend_columnar),
             "sweep": (sweep_positions, self._extend_columnar),
         }[self.config.kernel]
-        # Scalar kernel: one R-tree per bucket batch of a run, keyed by the
-        # batch's id() — run() keeps every batch alive in its bucket cache.
-        self._indexes: dict[int, ThresholdIndex] = {}
 
     # ------------------------------------------------------------------ public
     def run(
@@ -198,7 +197,6 @@ class LocalTopKJoin:
         heap = _TopKHeap(k)
         stats = LocalJoinStats()
         buckets: dict[VertexBucket, IntervalColumns] = {}
-        self._indexes = {}
         self._floor = initial_threshold if self.config.early_termination else 0.0
 
         # Only the rows actually processed become BucketCombination objects.
@@ -271,11 +269,12 @@ class LocalTopKJoin:
         ``None`` means the whole bucket.
 
         The residual score the driver edge must reach is boxed by its
-        :class:`CompiledPredicateQuery` and the kernel's resolver turns the box
-        into candidates: an R-tree probe returning intervals (scalar), a
-        boolean range filter over the bucket columns (vector) or a window over
-        its endpoint-sorted views (sweep) returning positions.  All three
-        select exactly the same intervals, in bucket order.
+        :class:`CompiledPredicateQuery` and the kernel's resolver turns the
+        threshold box into candidate rows: a bisected start window over the
+        bucket's endpoint-sorted views returning intervals (scalar), a boolean
+        range filter over the bucket columns (vector) or a searchsorted window
+        over the same sorted views (sweep) returning positions.  All three
+        select exactly the same rows, in bucket order.
         """
         if not self.config.use_index or not connecting or threshold <= 0.0:
             return None
@@ -302,15 +301,6 @@ class LocalTopKJoin:
         return self._resolve(box, columns)
 
     # ------------------------------------------------------------ scalar kernel
-    def _probe_index(self, box: Rect, columns: IntervalColumns) -> list[Interval]:
-        """Scalar resolver: probe the bucket's R-tree (built on first use in a run)."""
-        index = self._indexes.get(id(columns))
-        if index is None:
-            index = self._indexes[id(columns)] = ThresholdIndex.build(
-                columns.to_intervals(), leaf_capacity=self.config.index_leaf_capacity
-            )
-        return index.in_box(box)
-
     def _extend(
         self,
         per_vertex: Mapping[str, IntervalColumns],
@@ -499,6 +489,23 @@ class LocalTopKJoin:
                 keep[row] = False
         del assignment[vertex]
         return keep
+
+
+def _window_rows(box: Rect, columns: IntervalColumns) -> list[Interval]:
+    """Scalar resolver: the bucket's rows in ``box``, in bucket order.
+
+    Bisects the start window out of the batch's memoised endpoint-sorted views,
+    keeps the rows whose end lies in the box and sorts their positions — the
+    rows at ``flatnonzero(box_mask(...))``, as interval objects.  Pure Python
+    per call: on buckets of a few dozen rows it beats any numpy round trip.
+    """
+    views = columns.sorted_views()
+    starts = views.starts_sorted
+    window = views.start_order[bisect_left(starts, box.min_x) : bisect_right(starts, box.max_x)]
+    rows = columns.to_intervals()
+    positions = [p for p in window.tolist() if box.min_y <= rows[p].end <= box.max_y]
+    positions.sort()
+    return [rows[p] for p in positions]
 
 
 def _mask_positions(box: Rect, columns: IntervalColumns) -> np.ndarray:

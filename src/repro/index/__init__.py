@@ -1,20 +1,16 @@
-"""Spatial index substrate: an STR-packed R-tree and score-threshold lookups."""
+"""Score-threshold lookups: a score threshold on one join edge becomes a box
+over the (start, end) plane, and the box becomes a bucket's candidate rows."""
 
 from .interval_index import (
     CompiledPredicateQuery,
-    ThresholdIndex,
+    Rect,
     box_window,
-    threshold_box,
     threshold_difference_range,
 )
-from .rtree import Rect, RTree
 
 __all__ = [
     "CompiledPredicateQuery",
-    "ThresholdIndex",
-    "box_window",
-    "threshold_box",
-    "threshold_difference_range",
     "Rect",
-    "RTree",
+    "box_window",
+    "threshold_difference_range",
 ]

@@ -4,7 +4,7 @@ The local join of TKIJ repeatedly asks: *given an interval ``x_i`` and a score
 value ``v``, return the intervals ``x_j`` with ``s-p(x_i, x_j) >= v``* (Section 4,
 "Distributed join processing").  This module translates such a request into an
 axis-aligned box over the (start, end) plane of the sought interval and answers it
-with the :class:`~repro.index.rtree.RTree`.
+with the candidate rows of a bucket whose ``(start, end)`` point lies in the box.
 
 The translation uses the closed form of the comparators: a comparison scores at
 least ``v`` iff its linear difference term lies in a derivable range.  Comparisons
@@ -15,22 +15,19 @@ filter, so the box query always returns a superset of the true candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..temporal.comparators import ComparatorParams
 from ..temporal.interval import Interval
 from ..temporal.predicates import ScoredPredicate
-from .rtree import Rect, RTree
 
 __all__ = [
+    "Rect",
     "threshold_difference_range",
-    "threshold_box",
     "box_window",
     "CompiledPredicateQuery",
-    "ThresholdIndex",
 ]
 
 
@@ -76,6 +73,17 @@ def box_window(
     e_lo = int(np.searchsorted(ends_sorted, box.min_y, side="left"))
     e_hi = int(np.searchsorted(ends_sorted, box.max_y, side="right"))
     return (s_lo, s_hi), (e_lo, e_hi)
+
+
+@dataclass(frozen=True, slots=True)
+class Rect:
+    """Axis-aligned threshold box ``[min_x, max_x] x [min_y, max_y]`` over the
+    (start, end) plane; either side may be infinite."""
+
+    min_x: float
+    max_x: float
+    min_y: float
+    max_y: float
 
 
 class CompiledPredicateQuery:
@@ -150,105 +158,3 @@ class CompiledPredicateQuery:
         if min_x > max_x or min_y > max_y:
             return None
         return Rect(min_x, max_x, min_y, max_y)
-
-
-def threshold_box(
-    predicate: ScoredPredicate,
-    fixed_var: str,
-    fixed_interval: Interval,
-    target_var: str,
-    threshold: float,
-) -> Rect | None:
-    """Bounding box of target intervals whose predicate score can reach ``threshold``.
-
-    Convenience wrapper over :class:`CompiledPredicateQuery` (which callers on the
-    hot path should build once and reuse).
-    """
-    return CompiledPredicateQuery(predicate, fixed_var, target_var).box(
-        fixed_interval, threshold
-    )
-
-
-@dataclass
-class ThresholdIndex:
-    """An R-tree of intervals answering score-threshold lookups for one variable.
-
-    The index is built once per (reducer, bucket) and queried with a predicate, a
-    fixed partner interval and a threshold.  ``exact=True`` additionally filters
-    candidates with the true predicate score.
-
-    Query results are returned in the insertion order of the indexed intervals,
-    not in tree-traversal order: the local join's pruning thresholds evolve with
-    the processing order, so a deterministic order is what makes the scalar and
-    vector kernels (and all execution backends) enumerate identical tuples.
-    """
-
-    tree: RTree
-    positions: dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, intervals: Iterable[Interval], leaf_capacity: int = 32) -> "ThresholdIndex":
-        rows = list(intervals)
-        positions = {interval.uid: position for position, interval in enumerate(rows)}
-        return cls(RTree(rows, leaf_capacity=leaf_capacity), positions)
-
-    def __len__(self) -> int:
-        return len(self.tree)
-
-    def in_box(self, box: Rect) -> list[Interval]:
-        """Indexed intervals whose ``(start, end)`` point lies in ``box``, in insertion order."""
-        found = self.tree.query(box)
-        if self.positions:
-            found.sort(key=lambda interval: self.positions[interval.uid])
-        return found
-
-    def candidates_compiled(
-        self,
-        query: CompiledPredicateQuery,
-        fixed_interval: Interval,
-        threshold: float,
-    ) -> list[Interval]:
-        """Intervals whose score against ``fixed_interval`` may reach ``threshold``.
-
-        Variant taking a pre-built :class:`CompiledPredicateQuery`.
-        """
-        box = query.box(fixed_interval, threshold)
-        return [] if box is None else self.in_box(box)
-
-    def candidates(
-        self,
-        predicate: ScoredPredicate,
-        fixed_var: str,
-        fixed_interval: Interval,
-        target_var: str,
-        threshold: float,
-        exact: bool = False,
-    ) -> list[Interval]:
-        """Intervals whose predicate score against ``fixed_interval`` may reach ``threshold``."""
-        box = threshold_box(predicate, fixed_var, fixed_interval, target_var, threshold)
-        if box is None:
-            return []
-        found = self.in_box(box)
-        if not exact:
-            return found
-        return [
-            candidate
-            for candidate in found
-            if _exact_score(predicate, fixed_var, fixed_interval, target_var, candidate)
-            >= threshold
-        ]
-
-    def all(self) -> list[Interval]:
-        """Every indexed interval."""
-        return self.tree.all()
-
-
-def _exact_score(
-    predicate: ScoredPredicate,
-    fixed_var: str,
-    fixed_interval: Interval,
-    target_var: str,
-    candidate: Interval,
-) -> float:
-    assignment = {fixed_var: fixed_interval, target_var: candidate}
-    return min(c.score(assignment, predicate.params) for c in predicate.comparisons)

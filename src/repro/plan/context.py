@@ -18,9 +18,10 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from ..core.statistics import (
     DatasetStatistics,
@@ -33,7 +34,15 @@ from ..temporal.interval import Interval, IntervalCollection
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (feedback imports us)
     from .feedback import PlanFeedback
 
-__all__ = ["ExecutionContext", "StatisticsCache", "StatisticsKey", "atomic_pickle_dump"]
+__all__ = [
+    "ExecutionContext",
+    "StatisticsCache",
+    "StatisticsKey",
+    "atomic_pickle_dump",
+    "checked_snapshot",
+    "malformed_checkpoint",
+    "read_checkpoint",
+]
 
 CHECKPOINT_KIND = "execution-context"
 CHECKPOINT_VERSION = 1
@@ -79,6 +88,53 @@ def atomic_pickle_dump(path: str | Path, payload: Any) -> None:
     except BaseException:
         staging.unlink(missing_ok=True)
         raise
+
+
+def read_checkpoint(
+    source: "Mapping[str, Any] | str | Path", kind: str, version: int
+) -> Mapping[str, Any]:
+    """The snapshot ``source`` holds (a mapping, or a pickle file's path),
+    checked by :func:`checked_snapshot`.
+
+    Every failure raises :class:`ValueError`.  A truncated or corrupted pickle
+    can raise almost anything while loading (an unknown module, a garbage
+    length, a reconstructor fed wrong arguments), so all of it is reported as
+    one unreadable checkpoint.  The file is read whole first: a corrupt length
+    then fails against the bytes at hand instead of allocating what it claims.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            source = pickle.loads(Path(source).read_bytes())
+        except Exception as error:
+            raise ValueError(f"cannot read checkpoint {str(source)!r}: {error!r}") from error
+    return checked_snapshot(source, kind, version)
+
+
+def checked_snapshot(snapshot: Any, kind: str, version: int) -> Mapping[str, Any]:
+    """``snapshot`` itself when it is a mapping of this ``kind`` and ``version``
+    (:class:`ValueError` otherwise)."""
+    with malformed_checkpoint(kind):
+        if not isinstance(snapshot, Mapping) or snapshot.get("kind") != kind:
+            raise ValueError(f"not a {kind} checkpoint")
+        if snapshot.get("version") != version:
+            raise ValueError(f"unsupported {kind} checkpoint version {snapshot.get('version')!r}")
+    return snapshot
+
+
+@contextmanager
+def malformed_checkpoint(kind: str) -> Iterator[None]:
+    """Report any failure while building state from a snapshot as :class:`ValueError`.
+
+    Wraps the build phase of a restore, which only reads the snapshot: a field
+    of the wrong type or shape fails somewhere inside it, and that is a
+    malformed checkpoint whatever the exception.
+    """
+    try:
+        yield
+    except ValueError:
+        raise
+    except Exception as error:
+        raise ValueError(f"malformed {kind} checkpoint: {error!r}") from error
 
 
 def _collection_checksum(collection: IntervalCollection) -> float:
@@ -350,23 +406,37 @@ class StatisticsCache:
                 },
             }
 
-    def restore(self, snapshot: Mapping[str, Any]) -> None:
-        """Replace the cache contents with a :meth:`to_snapshot` payload."""
-        if not isinstance(snapshot, Mapping) or snapshot.get("kind") != _CACHE_SNAPSHOT_KIND:
-            raise ValueError("not a statistics-cache snapshot")
-        with self._lock:
-            self._entries = OrderedDict(copy.deepcopy(dict(snapshot["entries"])))
-            self.generation = snapshot.get("generation", 0)
-            counters = snapshot.get("counters", {})
-            self.hits = counters.get("hits", 0)
-            self.misses = counters.get("misses", 0)
-            self.updates = counters.get("updates", 0)
-            self.noop_updates = counters.get("noop_updates", 0)
-            self.evictions = counters.get("evictions", 0)
-            self.stale_drops = counters.get("stale_drops", 0)
-            # A snapshot from an unbounded (or larger) cache must still honour
-            # this cache's bound.
-            self._evict_over_bound()
+    def stage_restore(self, snapshot: Mapping[str, Any]) -> Callable[[], None]:
+        """Build the cache contents of a :meth:`to_snapshot` payload without
+        touching the cache; returns the call that swaps them in.
+
+        A malformed payload raises :class:`ValueError` here, before any swap.
+        """
+        snapshot = checked_snapshot(snapshot, _CACHE_SNAPSHOT_KIND, CHECKPOINT_VERSION)
+        with malformed_checkpoint(_CACHE_SNAPSHOT_KIND):
+            entries = OrderedDict(copy.deepcopy(dict(snapshot["entries"])))
+            if not all(isinstance(entry, _CacheEntry) for entry in entries.values()):
+                raise ValueError("statistics-cache entries must be cache entries")
+            generation = int(snapshot.get("generation", 0))
+            counters = {
+                name: int(value) for name, value in dict(snapshot.get("counters", {})).items()
+            }
+
+        def swap() -> None:
+            with self._lock:
+                self._entries = entries
+                self.generation = generation
+                self.hits = counters.get("hits", 0)
+                self.misses = counters.get("misses", 0)
+                self.updates = counters.get("updates", 0)
+                self.noop_updates = counters.get("noop_updates", 0)
+                self.evictions = counters.get("evictions", 0)
+                self.stale_drops = counters.get("stale_drops", 0)
+                # A snapshot from an unbounded (or larger) cache must still
+                # honour this cache's bound.
+                self._evict_over_bound()
+
+        return swap
 
     def refresh_fingerprints(
         self, collections: Mapping[str, IntervalCollection]
@@ -500,36 +570,39 @@ class ExecutionContext:
 
         Replaces the statistics cache contents and the per-stream states;
         stream-state payloads are rebuilt through
-        :meth:`repro.streaming.StreamState.from_snapshot`.  Returns ``self``
-        for chaining (``ExecutionContext().restore(path)``).
+        :meth:`repro.streaming.StreamState.from_snapshot`.  Anything that is
+        not a readable checkpoint raises :class:`ValueError` and leaves the
+        context as it was.  Returns ``self`` for chaining
+        (``ExecutionContext().restore(path)``).
         """
-        if isinstance(source, (str, Path)):
-            try:
-                with open(source, "rb") as handle:
-                    snapshot = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as error:
-                # A truncated/corrupted file surfaces as an unpickling or EOF
-                # error; report all of them under the one documented contract.
-                raise ValueError(f"cannot read checkpoint {str(source)!r}: {error}") from error
-        else:
-            snapshot = source
-        if not isinstance(snapshot, Mapping) or snapshot.get("kind") != CHECKPOINT_KIND:
-            raise ValueError("not an execution-context checkpoint")
-        if snapshot.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {snapshot.get('version')!r}")
+        self.stage_restore(read_checkpoint(source, CHECKPOINT_KIND, CHECKPOINT_VERSION))()
+        return self
+
+    def stage_restore(self, snapshot: Mapping[str, Any]) -> Callable[[], None]:
+        """Build the state of an in-memory :meth:`checkpoint` without touching
+        the context; returns the call that swaps it in (see :meth:`restore`)."""
+        snapshot = checked_snapshot(snapshot, CHECKPOINT_KIND, CHECKPOINT_VERSION)
         if "statistics" not in snapshot or "streams" not in snapshot:
             raise ValueError("checkpoint is missing its statistics/streams sections")
         # Imported lazily: repro.streaming imports the plan package at load time.
         from ..streaming.state import STREAM_STATE_KIND, StreamState
 
-        self.statistics.restore(snapshot["statistics"])
-        self.streams = {}
-        for key, payload in dict(snapshot["streams"]).items():
-            if isinstance(payload, Mapping) and payload.get("kind") == STREAM_STATE_KIND:
-                self.streams[key] = StreamState.from_snapshot(payload)
-            else:
-                self.streams[key] = copy.deepcopy(payload)
-        return self
+        swap_statistics = self.statistics.stage_restore(snapshot["statistics"])
+        with malformed_checkpoint(CHECKPOINT_KIND):
+            streams = {
+                key: (
+                    StreamState.from_snapshot(payload)
+                    if isinstance(payload, Mapping) and payload.get("kind") == STREAM_STATE_KIND
+                    else copy.deepcopy(payload)
+                )
+                for key, payload in dict(snapshot["streams"]).items()
+            }
+
+        def swap() -> None:
+            swap_statistics()
+            self.streams = streams
+
+        return swap
 
     def close(self) -> None:
         """Release the context's own backend workers (injected backends stay up)."""

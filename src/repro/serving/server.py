@@ -29,7 +29,6 @@ import asyncio
 import itertools
 import math
 import os
-import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +49,7 @@ from ..mapreduce import (
 )
 from ..plan import ExecutionContext, REGISTRY, get_algorithm
 from ..plan.algorithm import Algorithm, RunReport
-from ..plan.context import atomic_pickle_dump
+from ..plan.context import atomic_pickle_dump, malformed_checkpoint, read_checkpoint
 from ..plan.feedback import CostStore, PlanCache, PlanFeedback
 from ..query.graph import RTJQuery
 from ..streaming.collection import StreamingCollection
@@ -232,6 +231,17 @@ def _require(request: Mapping[str, Any], field: str, kind: type, what: str) -> A
     return value
 
 
+def _optional(request: Mapping[str, Any], field: str, kind: type, what: str, default: Any) -> Any:
+    """Fetch an optional, typed request field; absent or ``null`` gives
+    ``default`` (BAD_REQUEST on any other type)."""
+    value = request.get(field)
+    if value is None:
+        return default
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ProtocolError(E_BAD_REQUEST, f"field {field!r} must be {what}")
+    return value
+
+
 class QueryServer:
     """Serve registry queries over the NDJSON protocol from one warm context.
 
@@ -383,30 +393,25 @@ class QueryServer:
         """Restore a :meth:`checkpoint` (a snapshot dict or a pickle path).
 
         Returns ``self`` for chaining; raises :class:`ValueError` on anything
-        that is not a readable server checkpoint — a worker booting from a
-        corrupt file starts cold instead of crash-looping.
+        that is not a readable server checkpoint, before any state is replaced
+        — a worker booting from a corrupt file starts cold instead of
+        crash-looping.
         """
-        if isinstance(source, (str, Path)):
-            try:
-                with open(source, "rb") as handle:
-                    snapshot = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as error:
-                raise ValueError(
-                    f"cannot read server checkpoint {str(source)!r}: {error}"
-                ) from error
-        else:
-            snapshot = source
-        if not isinstance(snapshot, Mapping) or snapshot.get("kind") != SERVER_CHECKPOINT_KIND:
-            raise ValueError("not a query-server checkpoint")
-        if snapshot.get("version") != SERVER_CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported server checkpoint version {snapshot.get('version')!r}"
-            )
-        self.context.restore(snapshot["context"])
-        self.collections = dict(snapshot["collections"])
-        self._ingest_seqs = {
-            name: dict(table) for name, table in dict(snapshot["ingest_seqs"]).items()
-        }
+        snapshot = read_checkpoint(source, SERVER_CHECKPOINT_KIND, SERVER_CHECKPOINT_VERSION)
+        with malformed_checkpoint(SERVER_CHECKPOINT_KIND):
+            swap_context = self.context.stage_restore(snapshot["context"])
+            collections = dict(snapshot["collections"])
+            if not all(
+                isinstance(name, str) and isinstance(collection, IntervalCollection)
+                for name, collection in collections.items()
+            ):
+                raise ValueError("checkpoint collections must map names to collections")
+            ingest_seqs = {
+                name: dict(table) for name, table in dict(snapshot["ingest_seqs"]).items()
+            }
+        swap_context()
+        self.collections = collections
+        self._ingest_seqs = ingest_seqs
         return self
 
     def _maybe_checkpoint(self) -> None:
@@ -570,7 +575,7 @@ class QueryServer:
                 E_EXISTS, f"collection {name!r} already registered", {"name": name}
             )
         intervals = decode_intervals(request.get("intervals", []))
-        streaming = bool(request.get("streaming", False))
+        streaming = _optional(request, "streaming", bool, "a boolean", False)
         try:
             if streaming:
                 collection: IntervalCollection = StreamingCollection(name, intervals)
@@ -602,7 +607,7 @@ class QueryServer:
         seed = request.get("seed", 7)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ProtocolError(E_BAD_REQUEST, "field 'seed' must be an integer")
-        streaming = bool(request.get("streaming", False))
+        streaming = _optional(request, "streaming", bool, "a boolean", False)
         config = SyntheticConfig(size=size)
 
         def generate() -> dict[str, IntervalCollection]:
@@ -801,7 +806,7 @@ class QueryServer:
                     E_NOT_FOUND, f"unknown collection {name!r}", {"name": name}
                 )
             bound.append(collection)
-        params = request.get("params", "P1")
+        params = _optional(request, "params", str, "a parameter set name", "P1")
         if params not in PARAMETERS:
             raise ProtocolError(
                 E_BAD_REQUEST,
@@ -810,8 +815,8 @@ class QueryServer:
         k = request.get("k", 100)
         if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
             raise ProtocolError(E_BAD_REQUEST, "field 'k' must be a positive integer")
-        num_vertices = request.get("num_vertices")
-        algorithm_name = request.get("algorithm", "tkij")
+        num_vertices = _optional(request, "num_vertices", int, "an integer", None)
+        algorithm_name = _optional(request, "algorithm", str, "an algorithm name", "tkij")
         try:
             algorithm = get_algorithm(algorithm_name)
         except KeyError as error:

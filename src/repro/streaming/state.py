@@ -15,6 +15,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from ..plan.context import checked_snapshot, malformed_checkpoint
 from ..query.graph import ResultTuple
 
 __all__ = ["BatchReport", "StreamState", "StreamingRunResult"]
@@ -78,23 +79,19 @@ class StreamState:
         Keys the state does not know are ignored: version-1 snapshots written
         before the pairwise-bounds memo was removed still carry it.
         """
-        if not isinstance(snapshot, Mapping) or snapshot.get("kind") != STREAM_STATE_KIND:
-            raise ValueError("not a stream-state snapshot")
-        if snapshot.get("version") != STREAM_STATE_VERSION:
-            raise ValueError(
-                f"unsupported stream-state snapshot version {snapshot.get('version')!r}"
+        snapshot = checked_snapshot(snapshot, STREAM_STATE_KIND, STREAM_STATE_VERSION)
+        with malformed_checkpoint(STREAM_STATE_KIND):
+            snapshot = copy.deepcopy(dict(snapshot))
+            return cls(
+                results=list(snapshot["results"]),
+                knobs=dict(snapshot["knobs"]),
+                explanation=snapshot.get("explanation"),
+                initialized=snapshot["initialized"],
+                base_size=snapshot["base_size"],
+                appended_since_plan=snapshot["appended_since_plan"],
+                batches_ingested=snapshot["batches_ingested"],
+                replans=snapshot["replans"],
             )
-        snapshot = copy.deepcopy(dict(snapshot))
-        return cls(
-            results=list(snapshot["results"]),
-            knobs=dict(snapshot["knobs"]),
-            explanation=snapshot.get("explanation"),
-            initialized=snapshot["initialized"],
-            base_size=snapshot["base_size"],
-            appended_since_plan=snapshot["appended_since_plan"],
-            batches_ingested=snapshot["batches_ingested"],
-            replans=snapshot["replans"],
-        )
 
 
 @dataclass

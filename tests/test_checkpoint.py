@@ -11,6 +11,7 @@ times may differ).
 from __future__ import annotations
 
 import pickle
+import random
 import threading
 
 import pytest
@@ -22,6 +23,7 @@ from repro.experiments import build_query
 from repro.mapreduce import ClusterConfig
 from repro.plan import ExecutionContext, get_algorithm
 from repro.query.graph import ResultTuple
+from repro.serving import QueryServer
 from repro.streaming import StreamState, StreamingCollection, equivalent_top_k
 
 NUM_BATCHES = 5
@@ -114,6 +116,77 @@ class TestStreamStateSnapshot:
             StreamState.from_snapshot({"kind": "something-else"})
         with pytest.raises(ValueError, match="version"):
             StreamState.from_snapshot({"kind": "stream-state", "version": 99})
+
+
+def corrupted(blob, count, seed):
+    """``count`` seeded truncations and 1-3 byte flips of ``blob``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            yield blob[: rng.randrange(len(blob))]
+            continue
+        data = bytearray(blob)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] ^= rng.randint(1, 255)
+        yield bytes(data)
+
+
+def restorable_state(target):
+    """What a failed restore must leave untouched, by identity and by counters."""
+    context = target if isinstance(target, ExecutionContext) else target.context
+    state = [id(context.streams), id(context.statistics._entries)]
+    state.append(context.statistics.describe())
+    if isinstance(target, QueryServer):
+        state += [id(target.collections), id(target._ingest_seqs)]
+    return state
+
+
+class TestCorruptCheckpoints:
+    """A corrupt checkpoint raises ValueError and replaces no state; a worker
+    booting from one starts cold instead of crash-looping."""
+
+    @pytest.fixture(scope="class")
+    def warm(self, stream_source):
+        streams = staged_streams(stream_source, first=0, last=2, committed_prefix=0)
+        context = make_context()
+        evaluate(streams, context)
+        server = QueryServer(context)
+        server.collections.update({stream.name: stream for stream in streams})
+        return server
+
+    @pytest.mark.parametrize("entry", ["context", "server"])
+    def test_fuzzed_files_raise_value_error_and_keep_state(self, warm, tmp_path, entry):
+        if entry == "context":
+            snapshot, target = warm.context.checkpoint(), make_context()
+            restore = ExecutionContext.restore
+        else:
+            snapshot, target = warm.checkpoint(), QueryServer(make_context())
+            restore = QueryServer.restore_state
+        restore(target, snapshot)
+        path = tmp_path / "fuzzed.ckpt"
+        rejected = 0
+        for data in corrupted(pickle.dumps(snapshot), 300, seed=36):
+            path.write_bytes(data)
+            before = restorable_state(target)
+            try:
+                restore(target, path)
+            except ValueError:
+                rejected += 1
+                assert restorable_state(target) == before
+        # A flip inside a value's bytes may load as another valid checkpoint;
+        # every truncation and most flips must be rejected.
+        assert rejected >= 150
+
+    def test_wrong_typed_section_replaces_nothing(self, warm):
+        server = QueryServer(make_context()).restore_state(warm.checkpoint())
+        before = restorable_state(server)
+        with pytest.raises(ValueError, match="malformed"):
+            server.restore_state({**warm.checkpoint(), "collections": 5})
+        assert restorable_state(server) == before
+        context = server.context
+        with pytest.raises(ValueError, match="malformed"):
+            context.restore({**context.checkpoint(), "streams": 5})
+        assert restorable_state(server) == before
 
 
 class TestContextCheckpoint:

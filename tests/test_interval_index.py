@@ -1,18 +1,17 @@
-"""Tests for score-threshold lookups (threshold boxes and the ThresholdIndex)."""
+"""Tests for score-threshold lookups (difference ranges and threshold boxes)."""
 
 import numpy as np
 import pytest
 
-from repro.index import (
-    CompiledPredicateQuery,
-    ThresholdIndex,
-    threshold_box,
-    threshold_difference_range,
-)
+from repro.index import CompiledPredicateQuery, threshold_difference_range
 from repro.temporal import ComparatorParams, Interval, PredicateParams
-from repro.temporal.predicates import before, meets, overlaps, sparks, starts
+from repro.temporal.predicates import meets, overlaps, sparks
 
 P1 = PredicateParams.of(4, 16, 0, 10)
+
+
+def in_box(box, interval):
+    return box.min_x <= interval.start <= box.max_x and box.min_y <= interval.end <= box.max_y
 
 
 def make_intervals(n, seed=0, span=2000.0):
@@ -73,80 +72,27 @@ class TestThresholdBox:
         fixed = Interval(0, 100.0, 150.0)
         pool = make_intervals(400, seed=1, span=400.0)
         for threshold in (0.25, 0.5, 1.0):
-            box = threshold_box(predicate, "x", fixed, "y", threshold)
+            box = CompiledPredicateQuery(predicate, "x", "y").box(fixed, threshold)
             assert box is not None
             qualifying = {y.uid for y in pool if predicate.score(fixed, y) >= threshold}
-            inside = {y.uid for y in pool if box.contains_point(y.start, y.end)}
+            inside = {y.uid for y in pool if in_box(box, y)}
             assert qualifying <= inside
 
     def test_box_none_when_unreachable(self):
         predicate = meets(P1)
-        assert threshold_box(predicate, "x", Interval(0, 0, 10), "y", 1.5) is None
+        assert CompiledPredicateQuery(predicate, "x", "y").box(Interval(0, 0, 10), 1.5) is None
 
     def test_sparks_length_conjunct_not_boxed_but_superset(self):
         predicate = sparks(P1)
         fixed = Interval(0, 10.0, 12.0)
         pool = make_intervals(300, seed=2, span=200.0)
-        box = threshold_box(predicate, "x", fixed, "y", 0.5)
+        box = CompiledPredicateQuery(predicate, "x", "y").box(fixed, 0.5)
         assert box is not None
         qualifying = {y.uid for y in pool if predicate.score(fixed, y) >= 0.5}
-        inside = {y.uid for y in pool if box.contains_point(y.start, y.end)}
+        inside = {y.uid for y in pool if in_box(box, y)}
         assert qualifying <= inside
-
-    def test_compiled_query_matches_function(self):
-        predicate = overlaps(P1).rename("a", "b")
-        compiled = CompiledPredicateQuery(predicate, "a", "b")
-        fixed = Interval(0, 50.0, 120.0)
-        box_a = compiled.box(fixed, 0.5)
-        box_b = threshold_box(predicate, "a", fixed, "b", 0.5)
-        assert box_a == box_b
 
     def test_compiled_query_rejects_unknown_variable(self):
         predicate = overlaps(P1).rename("a", "b")
         with pytest.raises(ValueError):
             CompiledPredicateQuery(predicate, "a", "c")
-
-
-class TestThresholdIndex:
-    def test_candidates_superset_and_exact(self):
-        pool = make_intervals(500, seed=5, span=1000.0)
-        index = ThresholdIndex.build(pool)
-        predicate = starts(P1).rename("x", "y")
-        fixed = Interval(0, 200.0, 300.0)
-        threshold = 0.5
-        exact_truth = {
-            y.uid
-            for y in pool
-            if min(c.score({"x": fixed, "y": y}, predicate.params) for c in predicate.comparisons)
-            >= threshold
-        }
-        superset = {y.uid for y in index.candidates(predicate, "x", fixed, "y", threshold)}
-        exact = {
-            y.uid
-            for y in index.candidates(predicate, "x", fixed, "y", threshold, exact=True)
-        }
-        assert exact_truth <= superset
-        assert exact == exact_truth
-
-    def test_candidates_compiled_matches_plain(self):
-        pool = make_intervals(300, seed=6)
-        index = ThresholdIndex.build(pool)
-        predicate = before(P1).rename("x", "y")
-        compiled = CompiledPredicateQuery(predicate, "x", "y")
-        fixed = Interval(0, 100.0, 160.0)
-        plain = {y.uid for y in index.candidates(predicate, "x", fixed, "y", 0.7)}
-        fast = {y.uid for y in index.candidates_compiled(compiled, fixed, 0.7)}
-        assert plain == fast
-
-    def test_zero_threshold_returns_everything(self):
-        pool = make_intervals(100, seed=7)
-        index = ThresholdIndex.build(pool)
-        predicate = meets(P1).rename("x", "y")
-        result = index.candidates(predicate, "x", Interval(0, 0, 1), "y", 0.0)
-        assert len(result) == 100
-
-    def test_len_and_all(self):
-        pool = make_intervals(64, seed=8)
-        index = ThresholdIndex.build(pool)
-        assert len(index) == 64
-        assert len(index.all()) == 64

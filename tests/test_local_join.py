@@ -16,6 +16,7 @@ from repro.core import (
     TopBucketsSelector,
     collect_statistics,
 )
+from repro.core.local_join import _window_rows
 from repro.index import Rect
 from repro.experiments import build_query
 from repro.mapreduce import ClusterConfig
@@ -287,45 +288,79 @@ class TestKernelParity:
         assert all(result.score > floor for result in results)
 
 
+_INF = float("inf")
+_BOX_SIDE = st.one_of(
+    st.integers(min_value=-21, max_value=33).map(float),
+    st.sampled_from([-_INF, _INF]),
+    st.floats(min_value=-25.0, max_value=35.0),
+)
+
+
+_ENDPOINTS = st.lists(
+    st.tuples(
+        st.integers(min_value=-20, max_value=20),
+        st.integers(min_value=0, max_value=12),
+    ),
+    min_size=0,
+    max_size=60,
+)
+
+
+def _bucket(endpoints):
+    """Columns with duplicate starts and zero-length intervals, uids reversed."""
+    starts = np.array([float(start) for start, _ in endpoints])
+    ends = np.array([float(start + length) for start, length in endpoints])
+    uids = np.arange(len(endpoints))[::-1].copy()
+    return IntervalColumns(uids, starts, ends)
+
+
+def _small_bucket():
+    return IntervalColumns(
+        np.arange(4),
+        np.array([0.0, 1.0, 1.0, 3.0]),
+        np.array([2.0, 2.0, 5.0, 9.0]),
+    )
+
+
 class TestSweepWindows:
     """The sweep kernel's searchsorted windows == brute-force box-mask scans."""
 
-    @given(
-        endpoints=st.lists(
-            st.tuples(
-                st.integers(min_value=-20, max_value=20),
-                st.integers(min_value=0, max_value=12),
-            ),
-            min_size=0,
-            max_size=60,
-        ),
-        box_edges=st.tuples(
-            st.floats(min_value=-25.0, max_value=25.0),
-            st.floats(min_value=-25.0, max_value=25.0),
-            st.floats(min_value=-25.0, max_value=35.0),
-            st.floats(min_value=-25.0, max_value=35.0),
-        ),
-    )
-    @settings(deadline=None, max_examples=200)
-    def test_sweep_positions_match_box_mask(self, endpoints, box_edges):
-        """Same candidate positions, same (insertion) order — incl. duplicates."""
-        starts = np.array([float(start) for start, _ in endpoints])
-        ends = np.array([float(start + length) for start, length in endpoints])
-        columns = IntervalColumns(np.arange(len(endpoints)), starts, ends)
-        x_lo, x_hi = sorted(box_edges[:2])
-        y_lo, y_hi = sorted(box_edges[2:])
-        box = Rect(x_lo, x_hi, y_lo, y_hi)
+    @given(endpoints=_ENDPOINTS, sides=st.tuples(_BOX_SIDE, _BOX_SIDE, _BOX_SIDE, _BOX_SIDE))
+    @settings(deadline=None, max_examples=300)
+    def test_sweep_positions_match_box_mask(self, endpoints, sides):
+        """Same candidate positions, same (insertion) order for duplicate
+        starts, zero-length intervals, empty and single-row buckets, and
+        infinite, boundary-equal and empty (inverted) boxes."""
+        columns = _bucket(endpoints)
+        box = Rect(*sides)
         expected = np.flatnonzero(box_mask(box, columns.starts, columns.ends))
         assert np.array_equal(sweep_positions(box, columns), expected)
 
     def test_unbounded_and_empty_boxes(self):
-        columns = IntervalColumns(
-            np.arange(4),
-            np.array([0.0, 1.0, 1.0, 3.0]),
-            np.array([2.0, 2.0, 5.0, 9.0]),
-        )
-        inf = float("inf")
-        everything = Rect(-inf, inf, -inf, inf)
+        columns = _small_bucket()
+        everything = Rect(-_INF, _INF, -_INF, _INF)
         assert np.array_equal(sweep_positions(everything, columns), np.arange(4))
-        nothing = Rect(10.0, 20.0, -inf, inf)
+        nothing = Rect(10.0, 20.0, -_INF, _INF)
         assert len(sweep_positions(nothing, columns)) == 0
+
+
+class TestScalarWindows:
+    """The scalar kernel's bisected windows return the box-mask rows."""
+
+    @given(endpoints=_ENDPOINTS, sides=st.tuples(_BOX_SIDE, _BOX_SIDE, _BOX_SIDE, _BOX_SIDE))
+    @settings(deadline=None, max_examples=300)
+    def test_window_rows_match_box_mask(self, endpoints, sides):
+        """Same rows in the same (insertion) order, over the same buckets
+        and boxes as the sweep property."""
+        columns = _bucket(endpoints)
+        box = Rect(*sides)
+        expected = np.flatnonzero(box_mask(box, columns.starts, columns.ends))
+        rows = columns.to_intervals()
+        assert _window_rows(box, columns) == [rows[p] for p in expected]
+
+    def test_unbounded_and_empty_boxes(self):
+        columns = _small_bucket()
+        everything = Rect(-_INF, _INF, -_INF, _INF)
+        assert _window_rows(everything, columns) == columns.to_intervals()
+        nothing = Rect(10.0, 20.0, -_INF, _INF)
+        assert _window_rows(nothing, columns) == []

@@ -10,7 +10,7 @@ from repro.core.bounds import BucketCombination
 from repro.core.distribution import distribute_top_buckets
 from repro.core.statistics import Granularity, bucket_counts
 from repro.core.top_buckets import validate_selection
-from repro.index import Rect, RTree, threshold_difference_range
+from repro.index import threshold_difference_range
 from repro.query.graph import ResultTuple
 from repro.temporal import (
     ComparatorParams,
@@ -223,30 +223,6 @@ class TestMergeProperties:
         )[:k]
         assert [r.uids for r in merged] == [r.uids for r in expected]
         assert [r.score for r in merged] == [r.score for r in expected]
-
-
-class TestIndexProperties:
-    @_SETTINGS
-    @given(
-        seed=st.integers(0, 2**16),
-        n=st.integers(1, 200),
-        qx=st.floats(0, 1000),
-        qy=st.floats(0, 1000),
-        width=st.floats(0, 500),
-    )
-    def test_rtree_query_matches_linear_scan(self, seed, n, qx, qy, width):
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        starts = rng.uniform(0, 1000, n)
-        lengths = rng.uniform(0, 100, n)
-        intervals = [
-            Interval(i, float(s), float(s + l)) for i, (s, l) in enumerate(zip(starts, lengths))
-        ]
-        tree = RTree(intervals, leaf_capacity=8)
-        box = Rect(qx, qx + width, qy, qy + width)
-        expected = {x.uid for x in intervals if box.contains_point(x.start, x.end)}
-        assert {x.uid for x in tree.query(box)} == expected
 
 
 class TestStatisticsProperties:

@@ -689,6 +689,59 @@ class TestPlanKnobValidation:
         assert backend.attempts == 0
 
 
+class TestWireFieldTypes:
+    """A wrong-typed request field is a ``BAD_REQUEST`` before any task
+    attempt or registration — never ``INTERNAL`` or a silent coercion — and
+    ``null`` means the field is absent."""
+
+    @pytest.mark.parametrize(
+        "verb, fields",
+        [
+            ("query", {"params": []}),
+            ("query", {"params": {}}),
+            ("query", {"algorithm": []}),
+            ("query", {"algorithm": 3}),
+            ("query", {"query": "Qb*", "num_vertices": "x"}),
+            ("query", {"query": "Qb*", "num_vertices": 2.5}),
+            ("query", {"query": "Qb*", "num_vertices": []}),
+            ("query", {"query": "Qb*", "num_vertices": True}),
+            ("register", {"name": "Z", "streaming": "false"}),
+            ("register", {"name": "Z", "streaming": 0}),
+            ("load", {"names": ["Z"], "size": 10, "streaming": "no"}),
+            ("load", {"names": ["Z"], "size": 10, "streaming": 1}),
+        ],
+    )
+    def test_wrong_type_is_bad_request(self, verb, fields):
+        backend = _CountingBackend()
+        server = QueryServer(ExecutionContext(backend=backend))
+        with BackgroundServer(server) as (host, port), QueryClient(host, port) as client:
+            register_collections(client, make_collections(size=40))
+            request = dict(fields)
+            if verb == "query":
+                request = {"query": "Qo,m", "collections": list(NAMES), "k": 5, **fields}
+            with pytest.raises(ServingError) as excinfo:
+                client.request(verb, **request)
+            assert excinfo.value.code == "BAD_REQUEST", str(excinfo.value)
+            names = [entry["name"] for entry in client.collections()["collections"]]
+        assert backend.attempts == 0
+        assert names == sorted(NAMES)
+
+    def test_null_means_absent(self):
+        server = QueryServer(ExecutionContext(backend=SerialBackend()))
+        with BackgroundServer(server) as (host, port), QueryClient(host, port) as client:
+            register_collections(client, make_collections(size=40))
+            assert client.request("register", name="Z", streaming=None)["streaming"] is False
+            loaded = client.request("load", names=["L"], size=10, streaming=None)
+            assert loaded["collections"][0]["streaming"] is False
+            request = {"query": "Qo,m", "collections": list(NAMES), "k": 5}
+            absent = client.request("query", **request)
+            nulls = client.request(
+                "query", params=None, algorithm=None, num_vertices=None, **request
+            )
+        assert nulls["algorithm"] == absent["algorithm"] == "tkij"
+        assert nulls["results"] == absent["results"]
+
+
 # ------------------------------------------------------------------- doc drift
 class TestDocumentationCoverage:
     def test_protocol_doc_covers_every_verb(self):
