@@ -28,6 +28,7 @@ from typing import Any, Callable, Sequence
 from ..core import KERNELS
 from ..mapreduce import BACKEND_NAMES, TRANSFER_NAMES, ClusterConfig, FaultPlan
 from ..plan import PLAN_MODES, REGISTRY, available_algorithms
+from ..plan.algorithm import positive_int
 from .harness import ResultTable, run_single_query
 from .network_figures import (
     figure12_network_distribution,
@@ -56,6 +57,7 @@ __all__ = [
     "experiment_cluster",
     "list_algorithms_table",
     "load_fault_plan",
+    "positive_int_flag",
     "validate_options",
     "run_experiment",
     "main",
@@ -66,11 +68,14 @@ def _sizes(argument: str) -> tuple[int, ...]:
     return tuple(int(part) for part in argument.split(",") if part)
 
 
-def _positive_int(argument: str) -> int:
-    value = int(argument)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def positive_int_flag(text: str) -> int:
+    """The argparse ``type`` of the positive integer flags of both CLIs: the
+    shared :func:`~repro.plan.algorithm.positive_int` check on the flag's text
+    (argparse names the flag first: ``argument --size: value must be ...``)."""
+    try:
+        return positive_int("value", int(text))
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _slowdown_factor(argument: str) -> float:
@@ -124,7 +129,7 @@ ENGINE_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "--max-workers": (
         "max_workers",
         {
-            "type": _positive_int,
+            "type": positive_int_flag,
             "help": "worker pool size for the thread/process backends (default: CPU count)",
         },
     ),
@@ -153,7 +158,7 @@ ENGINE_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "--max-task-attempts": (
         "max_task_attempts",
         {
-            "type": _positive_int,
+            "type": positive_int_flag,
             "help": (
                 "per-task attempt budget of the engine (default 4, like Hadoop's "
                 "maxattempts); a task failing every attempt aborts the job"

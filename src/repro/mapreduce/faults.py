@@ -83,6 +83,8 @@ class FaultRule:
             )
         if self.phase not in _PHASES:
             raise ValueError(f"unknown phase {self.phase!r}; expected one of {_PHASES}")
+        if not isinstance(self.job, str):
+            raise ValueError(f"job must be a job-name pattern, got {self.job!r}")
         if self.delay_seconds < 0:
             raise ValueError("delay_seconds must be non-negative")
         if self.action == "delay" and self.delay_seconds == 0:

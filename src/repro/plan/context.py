@@ -12,6 +12,7 @@ collections change.
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
 import math
 import os
@@ -67,9 +68,20 @@ class _CacheEntry:
 
 _staging_ids = itertools.count()
 
+_FRAME_HEADER = b"repro-checkpoint\n\x01"  # a magic line, then the frame format version
+_DIGEST_SIZE = 32  # the header is followed by the pickle's blake2b digest, then the pickle
+
+
+def _digest(body: bytes | memoryview) -> bytes:
+    return hashlib.blake2b(body, digest_size=_DIGEST_SIZE).digest()
+
 
 def atomic_pickle_dump(path: str | Path, payload: Any) -> None:
     """Pickle ``payload`` to ``path`` via a unique staging sibling + rename.
+
+    The file is framed: a magic line, a format version byte, the blake2b
+    digest of the pickle, then the pickle — :func:`read_checkpoint` checks
+    all three before it unpickles a byte.
 
     The staging name carries the writer's pid and a process-local counter, so
     concurrent checkpointers of the *same* path never interleave write/rename
@@ -82,8 +94,10 @@ def atomic_pickle_dump(path: str | Path, payload: Any) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     staging = path.with_name(f"{path.name}.tmp.{os.getpid()}.{next(_staging_ids)}")
     try:
+        body = pickle.dumps(payload)
         with open(staging, "wb") as handle:
-            pickle.dump(payload, handle)
+            handle.write(_FRAME_HEADER + _digest(body))
+            handle.write(body)
         os.replace(staging, path)
     except BaseException:
         staging.unlink(missing_ok=True)
@@ -93,18 +107,25 @@ def atomic_pickle_dump(path: str | Path, payload: Any) -> None:
 def read_checkpoint(
     source: "Mapping[str, Any] | str | Path", kind: str, version: int
 ) -> Mapping[str, Any]:
-    """The snapshot ``source`` holds (a mapping, or a pickle file's path),
-    checked by :func:`checked_snapshot`.
+    """The snapshot ``source`` holds (a mapping, or the path of a file
+    :func:`atomic_pickle_dump` wrote), checked by :func:`checked_snapshot`.
 
-    Every failure raises :class:`ValueError`.  A truncated or corrupted pickle
-    can raise almost anything while loading (an unknown module, a garbage
-    length, a reconstructor fed wrong arguments), so all of it is reported as
-    one unreadable checkpoint.  The file is read whole first: a corrupt length
-    then fails against the bytes at hand instead of allocating what it claims.
+    Every failure raises :class:`ValueError`.  A file is unpickled only when
+    its frame and digest match, so a truncated or bit-flipped file — or one
+    written before files were framed — is refused before ``pickle.loads``
+    sees it; whatever unpickling still raises (a class that no longer
+    exists, say) is reported as the same unreadable checkpoint.
     """
     if isinstance(source, (str, Path)):
         try:
-            source = pickle.loads(Path(source).read_bytes())
+            data = Path(source).read_bytes()
+            digest_end = len(_FRAME_HEADER) + _DIGEST_SIZE
+            body = memoryview(data)[digest_end:]
+            if not data.startswith(_FRAME_HEADER):
+                raise ValueError("not a checkpoint file of this frame format")
+            if data[len(_FRAME_HEADER) : digest_end] != _digest(body):
+                raise ValueError("digest mismatch: the file is truncated or corrupted")
+            source = pickle.loads(body)
         except Exception as error:
             raise ValueError(f"cannot read checkpoint {str(source)!r}: {error!r}") from error
     return checked_snapshot(source, kind, version)

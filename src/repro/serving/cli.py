@@ -19,7 +19,12 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
-from ..experiments.cli import ENGINE_FLAGS, _positive_int, add_engine_flags, engine_cluster
+from ..experiments.cli import (
+    ENGINE_FLAGS,
+    add_engine_flags,
+    engine_cluster,
+    positive_int_flag,
+)
 from ..plan import ExecutionContext
 from .client import QueryClient, ServingError
 from .server import QueryServer, ServerSettings, add_server_flags, server_settings
@@ -44,14 +49,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     add_engine_flags(parser)
     parser.add_argument(
-        "--reducers", type=_positive_int, default=None, help="reduce tasks per job (default 8)"
+        "--reducers", type=positive_int_flag, help="reduce tasks per job (default 8)"
     )
-    parser.add_argument(
-        "--mappers", type=_positive_int, default=None, help="map waves per job (default 4)"
-    )
+    parser.add_argument("--mappers", type=positive_int_flag, help="map waves per job (default 4)")
     parser.add_argument(
         "--workers",
-        type=_positive_int,
+        type=positive_int_flag,
         default=1,
         help=(
             "worker processes; above 1 runs the supervised multi-worker frontend "
@@ -87,9 +90,9 @@ def build_load_parser() -> argparse.ArgumentParser:
         help="comma-separated collection names to create (default R,S,T)",
     )
     parser.add_argument(
-        "--size", type=_positive_int, default=10_000, help="intervals per collection"
+        "--size", type=positive_int_flag, help="intervals per collection (default: the server's)"
     )
-    parser.add_argument("--seed", type=int, default=7, help="base random seed")
+    parser.add_argument("--seed", type=int, help="base random seed (default: the server's)")
     parser.add_argument(
         "--streaming",
         action="store_true",

@@ -182,24 +182,29 @@ class QueryClient:
         """Readiness probe: ``status`` is ``"ok"`` or ``"draining"``."""
         return self.request("health")
 
+    def _send(self, verb: str, **fields: Any) -> dict[str, Any]:
+        """:meth:`request` without the arguments left unset (``None``): the
+        server's defaults apply to them."""
+        return self.request(verb, **{k: v for k, v in fields.items() if v is not None})
+
     def register(
         self,
         name: str,
         intervals: list[list[float]],
-        streaming: bool = False,
+        streaming: bool | None = None,
     ) -> dict[str, Any]:
         """Register a named collection from explicit ``[uid, start, end]`` triples."""
-        return self.request("register", name=name, intervals=intervals, streaming=streaming)
+        return self._send("register", name=name, intervals=intervals, streaming=streaming)
 
     def load(
         self,
         names: list[str],
-        size: int = 10_000,
-        seed: int = 7,
-        streaming: bool = False,
+        size: int | None = None,
+        seed: int | None = None,
+        streaming: bool | None = None,
     ) -> dict[str, Any]:
         """Ask the server to generate synthetic collections under these names."""
-        return self.request("load", names=names, size=size, seed=seed, streaming=streaming)
+        return self._send("load", names=names, size=size, seed=seed, streaming=streaming)
 
     def ingest(
         self, name: str, intervals: list[list[float]], seq: int | None = None
@@ -210,22 +215,19 @@ class QueryClient:
         ingest exactly-once under retries: a replayed ``seq`` stages nothing
         and returns the original response with ``"deduped": true``.
         """
-        fields: dict[str, Any] = {"name": name, "intervals": intervals}
-        if seq is not None:
-            fields["seq"] = seq
-        return self.request("ingest", **fields)
+        return self._send("ingest", name=name, intervals=intervals, seq=seq)
 
     def query(
         self,
         query: str,
         collections: list[str],
-        params: str = "P1",
-        k: int = 100,
-        algorithm: str = "tkij",
+        params: str | None = None,
+        k: int | None = None,
+        algorithm: str | None = None,
         **fields: Any,
     ) -> dict[str, Any]:
         """Run one registry query; extra fields pass through (options, deadline_ms, fault...)."""
-        return self.request(
+        return self._send(
             "query",
             query=query,
             collections=collections,
@@ -249,10 +251,7 @@ class QueryClient:
 
     def drain(self, timeout_ms: int | None = None) -> dict[str, Any]:
         """Ask the server to drain: finish inflight work, checkpoint, exit."""
-        fields: dict[str, Any] = {}
-        if timeout_ms is not None:
-            fields["timeout_ms"] = timeout_ms
-        return self.request("drain", **fields)
+        return self._send("drain", timeout_ms=timeout_ms)
 
     def shutdown(self) -> dict[str, Any]:
         """Ask the server to stop (acknowledged before it goes down)."""

@@ -2,8 +2,10 @@
 
 This module is the single codec shared by server and client; the normative,
 client-facing description of every verb, field and error code lives in
-``docs/PROTOCOL.md`` (a test diffs that document against
-:attr:`~repro.serving.server.QueryServer.VERBS` so the two cannot drift).
+``docs/PROTOCOL.md`` (a test diffs that document's verbs and request fields
+against :data:`~repro.serving.server.VERB_FIELDS` so the two cannot drift).
+:func:`intervals` is the wire's own request-field check, in the
+``check(name, value)`` vocabulary of :mod:`repro.plan.algorithm`.
 
 Framing
 -------
@@ -25,6 +27,8 @@ they do not know.
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..mapreduce import Counters
@@ -53,6 +57,7 @@ __all__ = [
     "error_response",
     "encode_intervals",
     "decode_intervals",
+    "intervals",
     "encode_results",
     "decode_results",
     "deterministic_metrics",
@@ -117,11 +122,16 @@ def encode_message(message: Mapping[str, Any]) -> bytes:
     return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
+def _non_json_number(token: str) -> None:
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def decode_message(line: bytes) -> dict[str, Any]:
-    """Parse one framed line into a JSON object (BAD_REQUEST on anything else)."""
+    """Parse one framed line into a JSON object (BAD_REQUEST on anything else,
+    including the non-JSON number tokens ``NaN``, ``Infinity`` and ``-Infinity``)."""
     try:
-        message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        message = json.loads(line.decode("utf-8"), parse_constant=_non_json_number)
+    except (UnicodeDecodeError, ValueError) as error:
         raise ProtocolError(E_BAD_REQUEST, f"malformed JSON line: {error}") from error
     if not isinstance(message, dict):
         raise ProtocolError(
@@ -146,26 +156,41 @@ def encode_intervals(intervals: Iterable[Interval]) -> list[list[float]]:
     return [[interval.uid, interval.start, interval.end] for interval in intervals]
 
 
-def decode_intervals(payload: Any) -> list[Interval]:
-    """Parse the ``[[uid, start, end], ...]`` wire form (BAD_REQUEST on mismatch)."""
-    if not isinstance(payload, list):
-        raise ProtocolError(E_BAD_REQUEST, "'intervals' must be a list of [uid, start, end]")
-    intervals = []
-    for index, item in enumerate(payload):
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 3
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
+def intervals(name: str, value: Any) -> list[Interval]:
+    """The ``[[uid, start, end], ...]`` wire form as intervals: an integer uid
+    and finite numeric endpoints with ``start <= end``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of [uid, start, end], got {reprlib.repr(value)}")
+    decoded = []
+    for index, item in enumerate(value):
+        # Exact types: a JSON bool is neither a uid nor an endpoint.
+        if not (
+            isinstance(item, list)
+            and len(item) == 3
+            and type(item[0]) is int
+            and type(item[1]) in (int, float)
+            and type(item[2]) in (int, float)
         ):
-            raise ProtocolError(
-                E_BAD_REQUEST,
-                f"intervals[{index}] must be a numeric [uid, start, end] triple",
+            raise ValueError(
+                f"{name}[{index}] must be an [integer uid, start, end] triple, "
+                f"got {reprlib.repr(item)}"
             )
         try:
-            intervals.append(Interval(int(item[0]), float(item[1]), float(item[2])))
-        except ValueError as error:
-            raise ProtocolError(E_BAD_REQUEST, f"intervals[{index}]: {error}") from error
-    return intervals
+            start, end = float(item[1]), float(item[2])
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ValueError("endpoints must be finite")
+            decoded.append(Interval(item[0], start, end))
+        except (ValueError, OverflowError) as error:
+            raise ValueError(f"{name}[{index}]: {error}") from None
+    return decoded
+
+
+def decode_intervals(payload: Any) -> list[Interval]:
+    """:func:`intervals` for codec callers (BAD_REQUEST on a mismatch)."""
+    try:
+        return intervals("intervals", payload)
+    except ValueError as error:
+        raise ProtocolError(E_BAD_REQUEST, str(error)) from None
 
 
 def encode_results(results: Sequence[ResultTuple]) -> list[dict[str, Any]]:

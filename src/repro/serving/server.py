@@ -27,8 +27,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import itertools
-import math
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -48,7 +46,21 @@ from ..mapreduce import (
     check_cancelled,
 )
 from ..plan import ExecutionContext, REGISTRY, get_algorithm
-from ..plan.algorithm import Algorithm, RunReport
+from ..plan.algorithm import (
+    Algorithm,
+    KnobCheck,
+    RunReport,
+    boolean,
+    integer,
+    json_object,
+    name_list,
+    non_negative_int,
+    one_of,
+    path,
+    positive_int,
+    positive_seconds,
+    string,
+)
 from ..plan.context import atomic_pickle_dump, malformed_checkpoint, read_checkpoint
 from ..plan.feedback import CostStore, PlanCache, PlanFeedback
 from ..query.graph import RTJQuery
@@ -68,11 +80,11 @@ from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     decode_message,
-    decode_intervals,
+    deterministic_metrics,
     encode_message,
     encode_results,
     error_response,
-    deterministic_metrics,
+    intervals,
     ok_response,
 )
 from .session import AdmissionController, ServerMetrics
@@ -80,8 +92,10 @@ from .session import AdmissionController, ServerMetrics
 __all__ = [
     "QueryServer",
     "BackgroundServer",
+    "REQUIRED",
     "SERVER_FLAGS",
     "ServerSettings",
+    "VERB_FIELDS",
     "add_server_flags",
     "server_settings",
 ]
@@ -90,35 +104,12 @@ SERVER_CHECKPOINT_KIND = "query-server"
 SERVER_CHECKPOINT_VERSION = 1
 
 
-def _count(minimum: int) -> Callable[[Any], int]:
-    what = "a positive integer" if minimum else "a non-negative integer"
-
-    def check(value: Any) -> int:
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            raise ValueError(f"must be {what} (got {value!r})")
-        return value
-
-    return check
-
-
-def _seconds(value: Any) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < math.inf:
-        raise ValueError(f"must be a positive number of seconds (got {value!r})")
-    return float(value)
-
-
-def _path(value: Any) -> Path:
-    if not isinstance(value, (str, os.PathLike)) or not os.fspath(value):
-        raise ValueError(f"must be a path (got {value!r})")
-    return Path(value)
-
-
 class ServerFlag(NamedTuple):
     """One :data:`SERVER_FLAGS` row: a flag's field, text parser, check and help."""
 
     field: str
     parse: Callable[[str], Any]
-    check: Callable[[Any], Any]
+    check: KnobCheck
     help: str
 
 
@@ -126,25 +117,25 @@ class ServerFlag(NamedTuple):
 #: and :class:`~repro.serving.supervisor.ServerSupervisor` all read this table.
 SERVER_FLAGS: dict[str, ServerFlag] = {
     "--max-inflight": ServerFlag(
-        "max_inflight", int, _count(1), "queries executing at once before new ones queue"
+        "max_inflight", int, positive_int, "queries executing at once before new ones queue"
     ),
     "--max-queue": ServerFlag(
-        "max_queue", int, _count(0), "queries waiting for a slot before the server answers BUSY"
+        "max_queue", int, non_negative_int, "queries waiting for a slot before BUSY answers"
     ),
     "--default-deadline-ms": ServerFlag(
-        "default_deadline_ms", int, _count(1), "deadline of queries that carry none (default none)"
+        "default_deadline_ms", int, positive_int, "deadline of queries sent without one"
     ),
     "--drain-timeout": ServerFlag(
-        "drain_timeout", float, _seconds, "seconds inflight queries get to finish when draining"
+        "drain_timeout", float, positive_seconds, "seconds inflight queries get to drain"
     ),
     "--stats-cache-entries": ServerFlag(
-        "stats_cache_entries", int, _count(1), "bound the warm statistics cache (LRU eviction)"
+        "stats_cache_entries", int, positive_int, "bound the warm statistics cache (LRU eviction)"
     ),
     "--plan-cache-entries": ServerFlag(
-        "plan_cache_entries", int, _count(0), "bound the auto-plan cache; 0 disables feedback"
+        "plan_cache_entries", int, non_negative_int, "bound the auto-plan cache; 0 disables it"
     ),
     "--cost-store": ServerFlag(
-        "cost_store_path", str, _path, "observed-cost log; in supervisor mode a directory of them"
+        "cost_store_path", str, path, "observed-cost log; in supervisor mode a directory of them"
     ),
 }
 
@@ -168,12 +159,8 @@ class ServerSettings:
     def __post_init__(self) -> None:
         for flag, row in SERVER_FLAGS.items():
             value = getattr(self, row.field)
-            if value is None and getattr(ServerSettings, row.field) is None:
-                continue
-            try:
-                object.__setattr__(self, row.field, row.check(value))
-            except ValueError as error:
-                raise ValueError(f"{flag} {error}") from None
+            if value is not None or getattr(ServerSettings, row.field) is not None:
+                object.__setattr__(self, row.field, row.check(flag, value))
 
     def argv(self) -> list[str]:
         """The settings as flags, for a child process's :func:`add_server_flags` parser."""
@@ -210,36 +197,89 @@ def server_settings(args: argparse.Namespace) -> ServerSettings:
     return ServerSettings(**{row.field: getattr(args, row.field) for row in SERVER_FLAGS.values()})
 
 
-@dataclass
-class _QueryCall:
-    """A fully-parsed, ready-to-execute query request."""
+REQUIRED: Any = object()
+"""The default of a request field the client must send."""
 
-    algorithm: Algorithm
-    query: RTJQuery
-    context: ExecutionContext
-    knobs: dict[str, Any]
-    query_name: str
-    k: int
-    deadline_ms: int | None
+FieldTable = Mapping[str, tuple[KnobCheck, Any]]
 
 
-def _require(request: Mapping[str, Any], field: str, kind: type, what: str) -> Any:
-    """Fetch a required, typed request field (BAD_REQUEST otherwise)."""
-    value = request.get(field)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ProtocolError(E_BAD_REQUEST, f"field {field!r} must be {what}")
-    return value
+def parse_fields(table: FieldTable, request: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
+    """Every field of ``table`` read from ``request`` and checked; ``null``
+    means absent, and an absent field takes its default (a wire value, checked
+    like a sent one).  A missing required field or a refused value is
+    ``BAD_REQUEST`` naming the field in ``details.field``."""
+    parsed = {}
+    for field, (check, default) in table.items():
+        name = prefix + field
+        value = request.get(field)
+        if value is None:
+            value = default
+        if value is REQUIRED:
+            raise ProtocolError(E_BAD_REQUEST, f"{name} is required", {"field": name})
+        try:
+            parsed[field] = None if value is None else check(name, value)
+        except ValueError as error:
+            raise ProtocolError(E_BAD_REQUEST, str(error), {"field": name}) from None
+    return parsed
 
 
-def _optional(request: Mapping[str, Any], field: str, kind: type, what: str, default: Any) -> Any:
-    """Fetch an optional, typed request field; absent or ``null`` gives
-    ``default`` (BAD_REQUEST on any other type)."""
-    value = request.get(field)
-    if value is None:
-        return default
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ProtocolError(E_BAD_REQUEST, f"field {field!r} must be {what}")
-    return value
+def _fault_plan(name: str, value: Any) -> FaultPlan:
+    # FaultPlan's range checks compare before they type-check ("x" < 0).
+    try:
+        return FaultPlan.from_json(json_object(name, value))
+    except TypeError as error:
+        raise ValueError(f"{name}: {error}") from None
+
+
+#: The fields of ``query``'s ``fault`` object (a fault plan scoped to that query).
+FAULT_FIELDS: FieldTable = {
+    "plan": (_fault_plan, {}),
+    "max_task_attempts": (positive_int, None),
+}
+
+
+def _fault(name: str, value: Any) -> dict[str, Any]:
+    return parse_fields(FAULT_FIELDS, json_object(name, value), f"{name}.")
+
+
+#: Every verb's request fields: field -> (check, default).  A default of
+#: ``None`` means "unset" (the server's own setting applies, where it has one).
+VERB_FIELDS: dict[str, FieldTable] = {
+    "ping": {},
+    "health": {},
+    "register": {
+        "name": (string, REQUIRED),
+        "intervals": (intervals, []),
+        "streaming": (boolean, False),
+    },
+    "load": {
+        "names": (name_list, REQUIRED),
+        "size": (positive_int, 10_000),
+        "seed": (non_negative_int, 7),
+        "streaming": (boolean, False),
+    },
+    "ingest": {
+        "name": (string, REQUIRED),
+        "intervals": (intervals, REQUIRED),
+        "seq": (integer, None),
+    },
+    "query": {
+        "query": (string, REQUIRED),
+        "collections": (name_list, REQUIRED),
+        "params": (one_of(*PARAMETERS, what="params"), "P1"),
+        "k": (positive_int, 100),
+        "num_vertices": (integer, None),
+        "algorithm": (string, "tkij"),
+        "options": (json_object, {}),
+        "deadline_ms": (positive_int, None),
+        "fault": (_fault, None),
+    },
+    "stats": {},
+    "collections": {},
+    "algorithms": {},
+    "drain": {"timeout_ms": (positive_int, None)},
+    "shutdown": {},
+}
 
 
 class QueryServer:
@@ -252,21 +292,8 @@ class QueryServer:
     fields, checked before anything is built.
     """
 
-    #: Every verb the server accepts — docs/PROTOCOL.md must document each one
-    #: (tests/test_serving.py diffs the document against this tuple).
-    VERBS = (
-        "ping",
-        "health",
-        "register",
-        "load",
-        "ingest",
-        "query",
-        "stats",
-        "collections",
-        "algorithms",
-        "drain",
-        "shutdown",
-    )
+    #: Every verb the server accepts, each answered by ``_handle_<verb>``.
+    VERBS = tuple(VERB_FIELDS)
 
     def __init__(
         self,
@@ -310,20 +337,6 @@ class QueryServer:
             max_workers=self.settings.max_inflight, thread_name_prefix="repro-serve"
         )
         self._session_ids = itertools.count(1)
-        self._handlers: dict[str, Callable[..., Any]] = {
-            "ping": self._handle_ping,
-            "health": self._handle_health,
-            "register": self._handle_register,
-            "load": self._handle_load,
-            "ingest": self._handle_ingest,
-            "query": self._handle_query,
-            "stats": self._handle_stats,
-            "collections": self._handle_collections,
-            "algorithms": self._handle_algorithms,
-            "drain": self._handle_drain,
-            "shutdown": self._handle_shutdown,
-        }
-        assert tuple(self._handlers) == self.VERBS
 
     # -------------------------------------------------------------- lifecycle
     @property
@@ -506,8 +519,7 @@ class QueryServer:
             return error_response(None, error)
         request_id = request.get("id")
         verb = request.get("verb")
-        handler = self._handlers.get(verb) if isinstance(verb, str) else None
-        if handler is None:
+        if verb not in self.VERBS:
             return error_response(
                 request_id,
                 ProtocolError(
@@ -518,7 +530,8 @@ class QueryServer:
             )
         self.metrics.record_request(verb)
         try:
-            payload = await handler(request, session_id)
+            fields = parse_fields(VERB_FIELDS[verb], request)
+            payload = await getattr(self, f"_handle_{verb}")(fields, session_id)
             return ok_response(request_id, payload)
         except ProtocolError as error:
             if verb == "query":
@@ -533,14 +546,16 @@ class QueryServer:
             )
 
     # ----------------------------------------------------------------- verbs
-    async def _handle_ping(self, request: Mapping[str, Any], session_id: int) -> dict:
+    # Each handler gets its verb's VERB_FIELDS, checked; it checks only what
+    # needs server state (EXISTS, NOT_FOUND, not streaming, DRAINING, BUSY).
+    async def _handle_ping(self, fields: dict[str, Any], session_id: int) -> dict:
         return {
             "protocol": PROTOCOL_VERSION,
             "server": "repro-serve",
             "session": session_id,
         }
 
-    async def _handle_health(self, request: Mapping[str, Any], session_id: int) -> dict:
+    async def _handle_health(self, fields: dict[str, Any], session_id: int) -> dict:
         return {
             "status": "draining" if self.draining else "ok",
             "protocol": PROTOCOL_VERSION,
@@ -551,14 +566,8 @@ class QueryServer:
             "uptime_seconds": time.monotonic() - self.started_at,
         }
 
-    async def _handle_drain(self, request: Mapping[str, Any], session_id: int) -> dict:
-        timeout_ms = request.get("timeout_ms")
-        if timeout_ms is not None and (
-            not isinstance(timeout_ms, int) or isinstance(timeout_ms, bool) or timeout_ms <= 0
-        ):
-            raise ProtocolError(
-                E_BAD_REQUEST, "field 'timeout_ms' must be a positive integer"
-            )
+    async def _handle_drain(self, fields: dict[str, Any], session_id: int) -> dict:
+        timeout_ms = fields["timeout_ms"]
         self.begin_drain(None if timeout_ms is None else timeout_ms / 1000.0)
         return {
             "draining": True,
@@ -567,48 +576,31 @@ class QueryServer:
             "waiting": self.admission.waiting,
         }
 
-    async def _handle_register(self, request: Mapping[str, Any], session_id: int) -> dict:
+    async def _handle_register(self, fields: dict[str, Any], session_id: int) -> dict:
         self._reject_if_draining()
-        name = _require(request, "name", str, "a string")
+        name, streaming = fields["name"], fields["streaming"]
         if name in self.collections:
             raise ProtocolError(
                 E_EXISTS, f"collection {name!r} already registered", {"name": name}
             )
-        intervals = decode_intervals(request.get("intervals", []))
-        streaming = _optional(request, "streaming", bool, "a boolean", False)
+        kind = StreamingCollection if streaming else IntervalCollection
         try:
-            if streaming:
-                collection: IntervalCollection = StreamingCollection(name, intervals)
-            else:
-                collection = IntervalCollection(name, intervals)
+            collection = kind(name, fields["intervals"])
         except ValueError as error:
             raise ProtocolError(E_BAD_REQUEST, str(error)) from error
         self.collections[name] = collection
         self._maybe_checkpoint()
         return {"name": name, "size": len(collection), "streaming": streaming}
 
-    async def _handle_load(self, request: Mapping[str, Any], session_id: int) -> dict:
+    async def _handle_load(self, fields: dict[str, Any], session_id: int) -> dict:
         self._reject_if_draining()
-        names = request.get("names")
-        if (
-            not isinstance(names, list)
-            or not names
-            or not all(isinstance(n, str) for n in names)
-        ):
-            raise ProtocolError(E_BAD_REQUEST, "field 'names' must be a non-empty string list")
+        names, seed, streaming = fields["names"], fields["seed"], fields["streaming"]
         taken = [n for n in names if n in self.collections]
         if taken:
             raise ProtocolError(
                 E_EXISTS, f"collections already registered: {taken}", {"names": taken}
             )
-        size = request.get("size", 10_000)
-        if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
-            raise ProtocolError(E_BAD_REQUEST, "field 'size' must be a positive integer")
-        seed = request.get("seed", 7)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ProtocolError(E_BAD_REQUEST, "field 'seed' must be an integer")
-        streaming = _optional(request, "streaming", bool, "a boolean", False)
-        config = SyntheticConfig(size=size)
+        config = SyntheticConfig(size=fields["size"])
 
         def generate() -> dict[str, IntervalCollection]:
             generated = {}
@@ -631,9 +623,9 @@ class QueryServer:
             ]
         }
 
-    async def _handle_ingest(self, request: Mapping[str, Any], session_id: int) -> dict:
+    async def _handle_ingest(self, fields: dict[str, Any], session_id: int) -> dict:
         self._reject_if_draining()
-        name = _require(request, "name", str, "a string")
+        name, seq = fields["name"], fields["seq"]
         collection = self.collections.get(name)
         if collection is None:
             raise ProtocolError(E_NOT_FOUND, f"unknown collection {name!r}", {"name": name})
@@ -641,18 +633,14 @@ class QueryServer:
             raise ProtocolError(
                 E_BAD_REQUEST, f"collection {name!r} is not streaming", {"name": name}
             )
-        seq = request.get("seq")
-        if seq is not None and (not isinstance(seq, int) or isinstance(seq, bool)):
-            raise ProtocolError(E_BAD_REQUEST, "field 'seq' must be an integer")
         if seq is not None:
             # Exactly-once ingestion across client retries: a replayed sequence
             # number stages nothing and gets back the original response.
             recorded = self._ingest_seqs.get(name, {}).get(seq)
             if recorded is not None:
                 return {**recorded, "deduped": True}
-        intervals = decode_intervals(request.get("intervals"))
         try:
-            staged = collection.ingest(intervals)
+            staged = collection.ingest(fields["intervals"])
         except ValueError as error:
             raise ProtocolError(E_BAD_REQUEST, str(error)) from error
         payload = {
@@ -666,9 +654,10 @@ class QueryServer:
         self._maybe_checkpoint()
         return {**payload, "deduped": False}
 
-    async def _handle_query(self, request: Mapping[str, Any], session_id: int) -> dict:
+    async def _handle_query(self, fields: dict[str, Any], session_id: int) -> dict:
         self._reject_if_draining()
-        call = self._parse_query(request, session_id)
+        bound = self._bind_query(fields, session_id)
+        deadline_ms = fields["deadline_ms"] or self.settings.default_deadline_ms
         if not self.admission.try_enter():
             raise ProtocolError(
                 E_BUSY,
@@ -679,23 +668,21 @@ class QueryServer:
         token = CancelToken()
         self._inflight_tokens.add(token)
         deadline_handle: asyncio.TimerHandle | None = None
-        if call.deadline_ms is not None:
+        if deadline_ms is not None:
             deadline_handle = loop.call_later(
-                call.deadline_ms / 1000.0,
+                deadline_ms / 1000.0,
                 token.cancel,
-                f"deadline of {call.deadline_ms} ms exceeded",
+                f"deadline of {deadline_ms} ms exceeded",
             )
         queued_at = time.monotonic()
         await self.admission.acquire()
         queue_seconds = time.monotonic() - queued_at
         try:
             report, plan_seconds, execute_seconds = await loop.run_in_executor(
-                self._executor, self._execute_call, call, token
+                self._executor, self._execute_call, token, *bound
             )
         except QueryCancelledError as error:
-            raise ProtocolError(
-                E_DEADLINE, error.reason, {"deadline_ms": call.deadline_ms}
-            ) from error
+            raise ProtocolError(E_DEADLINE, error.reason, {"deadline_ms": deadline_ms}) from error
         except TaskFailedError as error:
             raise ProtocolError(
                 E_FAULT,
@@ -723,8 +710,8 @@ class QueryServer:
         self._maybe_checkpoint()
         return {
             "algorithm": report.algorithm,
-            "query": call.query_name,
-            "k": call.k,
+            "query": fields["query"],
+            "k": fields["k"],
             "results": encode_results(report.results),
             "statistics_cached": report.statistics_cached,
             "metrics": metrics,
@@ -735,7 +722,7 @@ class QueryServer:
             },
         }
 
-    async def _handle_stats(self, request: Mapping[str, Any], session_id: int) -> dict:
+    async def _handle_stats(self, fields: dict[str, Any], session_id: int) -> dict:
         cache = self.context.statistics
         payload = self.metrics.describe()
         payload.update(
@@ -756,7 +743,7 @@ class QueryServer:
                 payload["cost_store"] = feedback.cost_store.describe()
         return payload
 
-    async def _handle_collections(self, request: Mapping[str, Any], session_id: int) -> dict:
+    async def _handle_collections(self, fields: dict[str, Any], session_id: int) -> dict:
         return {
             "collections": [
                 {
@@ -773,7 +760,7 @@ class QueryServer:
             ]
         }
 
-    async def _handle_algorithms(self, request: Mapping[str, Any], session_id: int) -> dict:
+    async def _handle_algorithms(self, fields: dict[str, Any], session_id: int) -> dict:
         return {
             "algorithms": [
                 {"name": name, "title": algo.title, "scored": algo.scored}
@@ -781,42 +768,25 @@ class QueryServer:
             ]
         }
 
-    async def _handle_shutdown(self, request: Mapping[str, Any], session_id: int) -> dict:
+    async def _handle_shutdown(self, fields: dict[str, Any], session_id: int) -> dict:
         self.shutdown_requested.set()
         return {"stopping": True}
 
     # ----------------------------------------------------------- query plumbing
-    def _parse_query(self, request: Mapping[str, Any], session_id: int) -> _QueryCall:
-        """Validate a ``query`` request against the registry and workload tables."""
-        query_name = _require(request, "query", str, "a workload query name")
-        names = request.get("collections")
-        if (
-            not isinstance(names, list)
-            or not names
-            or not all(isinstance(n, str) for n in names)
-        ):
-            raise ProtocolError(
-                E_BAD_REQUEST, "field 'collections' must be a non-empty string list"
-            )
+    def _bind_query(
+        self, fields: dict[str, Any], session_id: int
+    ) -> tuple[Algorithm, RTJQuery, ExecutionContext, dict[str, Any]]:
+        """A checked ``query`` request bound to its algorithm, collections,
+        context and knobs: the arguments of :meth:`_execute_call`."""
+        query_name, algorithm_name = fields["query"], fields["algorithm"]
         bound = []
-        for name in names:
+        for name in fields["collections"]:
             collection = self.collections.get(name)
             if collection is None:
                 raise ProtocolError(
                     E_NOT_FOUND, f"unknown collection {name!r}", {"name": name}
                 )
             bound.append(collection)
-        params = _optional(request, "params", str, "a parameter set name", "P1")
-        if params not in PARAMETERS:
-            raise ProtocolError(
-                E_BAD_REQUEST,
-                f"unknown params {params!r}; expected one of {sorted(PARAMETERS)}",
-            )
-        k = request.get("k", 100)
-        if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
-            raise ProtocolError(E_BAD_REQUEST, "field 'k' must be a positive integer")
-        num_vertices = _optional(request, "num_vertices", int, "an integer", None)
-        algorithm_name = _optional(request, "algorithm", str, "an algorithm name", "tkij")
         try:
             algorithm = get_algorithm(algorithm_name)
         except KeyError as error:
@@ -824,79 +794,56 @@ class QueryServer:
                 E_NOT_FOUND, str(error.args[0]), {"algorithm": algorithm_name}
             ) from error
         try:
-            query = build_query(query_name, bound, params, k, num_vertices)
+            query = build_query(
+                query_name, bound, fields["params"], fields["k"], fields["num_vertices"]
+            )
         except (KeyError, ValueError) as error:
             message = str(error)
             if isinstance(error, KeyError):
                 message = f"unknown query {query_name!r}; expected one of {sorted(QUERIES)}"
             raise ProtocolError(E_BAD_REQUEST, message) from error
-        options = request.get("options", {})
-        if not isinstance(options, dict):
-            raise ProtocolError(E_BAD_REQUEST, "field 'options' must be an object")
-        knobs = algorithm.plan_knobs(options)
+        knobs = algorithm.plan_knobs(fields["options"])
         if "stream_id" in algorithm.knobs:
             # Per-session stream isolation by default (stream_id absent or
             # null): two sessions running the same streaming query do not share
             # persistent top-k state unless they opt into a common stream_id.
             knobs.setdefault("stream_id", f"session-{session_id}")
-        deadline_ms = request.get("deadline_ms", self.settings.default_deadline_ms)
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, int) or isinstance(deadline_ms, bool) or deadline_ms <= 0
-        ):
-            raise ProtocolError(
-                E_BAD_REQUEST, "field 'deadline_ms' must be a positive integer"
-            )
-        context = self._session_context(request)
-        return _QueryCall(
-            algorithm=algorithm,
-            query=query,
-            context=context,
-            knobs=knobs,
-            query_name=query_name,
-            k=k,
-            deadline_ms=deadline_ms,
-        )
+        return algorithm, query, self._session_context(fields["fault"]), knobs
 
-    def _session_context(self, request: Mapping[str, Any]) -> ExecutionContext:
+    def _session_context(self, fault: dict[str, Any] | None) -> ExecutionContext:
         """The shared context, or a per-request view carrying a fault plan.
 
         The view shares the warm statistics cache and stream state but wraps
         the shared backend pool in a :class:`FaultInjectingBackend`, so the
         injected worker deaths hit exactly this query's tasks.
         """
-        fault = request.get("fault")
         if fault is None:
             return self.context
-        if not isinstance(fault, Mapping):
-            raise ProtocolError(E_BAD_REQUEST, "field 'fault' must be an object")
-        try:
-            plan = FaultPlan.from_json(fault.get("plan", {}))
-        except ValueError as error:
-            raise ProtocolError(E_BAD_REQUEST, str(error)) from error
-        attempts = fault.get("max_task_attempts", self.context.cluster.max_task_attempts)
-        if not isinstance(attempts, int) or isinstance(attempts, bool) or attempts < 1:
-            raise ProtocolError(
-                E_BAD_REQUEST, "field 'fault.max_task_attempts' must be a positive integer"
-            )
-        cluster = replace(
-            self.context.cluster, fault_plan=plan, max_task_attempts=attempts
-        )
+        plan = fault["plan"]
+        attempts = fault["max_task_attempts"] or self.context.cluster.max_task_attempts
+        cluster = replace(self.context.cluster, fault_plan=plan, max_task_attempts=attempts)
         backend = FaultInjectingBackend(self.context.get_backend(), plan)
         return self.context.session_view(cluster=cluster, backend=backend)
 
     @staticmethod
-    def _execute_call(call: _QueryCall, token: CancelToken) -> tuple[RunReport, float, float]:
+    def _execute_call(
+        token: CancelToken,
+        algorithm: Algorithm,
+        query: RTJQuery,
+        context: ExecutionContext,
+        knobs: dict[str, Any],
+    ) -> tuple[RunReport, float, float]:
         """Plan and execute on an executor thread, under the query's cancel scope."""
         with cancel_scope(token):
             # A query that spent its whole deadline in the admission queue
             # stops here, before any engine work.
             check_cancelled()
             started = time.monotonic()
-            plan = call.algorithm.plan(call.query, call.context, **call.knobs)
+            plan = algorithm.plan(query, context, **knobs)
             plan_seconds = time.monotonic() - started
             check_cancelled()
             started = time.monotonic()
-            report = call.algorithm.execute(plan)
+            report = algorithm.execute(plan)
             execute_seconds = time.monotonic() - started
         return report, plan_seconds, execute_seconds
 

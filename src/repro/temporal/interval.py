@@ -40,7 +40,7 @@ class Interval:
     payload: Any = None
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
+        if not self.start <= self.end:
             raise ValueError(
                 f"interval {self.uid}: end ({self.end}) precedes start ({self.start})"
             )

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.datagen import SyntheticConfig, generate_collections
 from repro.experiments import build_query
 from repro.mapreduce import ClusterConfig
-from repro.plan import ExecutionContext, get_algorithm
+from repro.plan import ExecutionContext, atomic_pickle_dump, get_algorithm
+from repro.plan.context import read_checkpoint
 from repro.query.graph import ResultTuple
 from repro.serving import QueryServer
 from repro.streaming import StreamState, StreamingCollection, equivalent_top_k
@@ -164,8 +165,10 @@ class TestCorruptCheckpoints:
             restore = QueryServer.restore_state
         restore(target, snapshot)
         path = tmp_path / "fuzzed.ckpt"
+        atomic_pickle_dump(path, snapshot)
+        restore(target, path)
         rejected = 0
-        for data in corrupted(pickle.dumps(snapshot), 300, seed=36):
+        for data in corrupted(path.read_bytes(), 300, seed=36):
             path.write_bytes(data)
             before = restorable_state(target)
             try:
@@ -173,9 +176,20 @@ class TestCorruptCheckpoints:
             except ValueError:
                 rejected += 1
                 assert restorable_state(target) == before
-        # A flip inside a value's bytes may load as another valid checkpoint;
-        # every truncation and most flips must be rejected.
-        assert rejected >= 150
+        # The frame's digest covers every byte after the header: no
+        # truncation or flip loads, not even one inside a value's bytes.
+        assert rejected == 300
+
+    def test_unframed_pickle_is_refused(self, warm, tmp_path):
+        # A bare pickle (the format before checkpoints were framed) is never
+        # unpickled: the worker starts cold instead.
+        path = tmp_path / "unframed.ckpt"
+        path.write_bytes(pickle.dumps(warm.checkpoint()))
+        target = QueryServer(make_context())
+        before = restorable_state(target)
+        with pytest.raises(ValueError, match="frame"):
+            target.restore_state(path)
+        assert restorable_state(target) == before
 
     def test_wrong_typed_section_replaces_nothing(self, warm):
         server = QueryServer(make_context()).restore_state(warm.checkpoint())
@@ -227,8 +241,7 @@ class TestContextCheckpoint:
         snapshot = context.checkpoint(path)
         assert path.exists()
         assert not path.with_name(path.name + ".tmp").exists()
-        with open(path, "rb") as handle:
-            assert pickle.load(handle).keys() == snapshot.keys()
+        assert read_checkpoint(path, "execution-context", 1).keys() == snapshot.keys()
 
     def test_concurrent_checkpoints_never_tear_the_file(self, tmp_path, stream_source):
         # Regression: staging used to go through a fixed `<name>.tmp` sibling,

@@ -22,6 +22,12 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(0, 5.0, 4.0)
 
+    @pytest.mark.parametrize("start, end", [(float("nan"), 5.0), (0.0, float("nan"))])
+    def test_nan_endpoint_rejected(self, start, end):
+        # `end < start` is false for NaN, so a NaN endpoint used to pass.
+        with pytest.raises(ValueError):
+            Interval(999, start, end)
+
     def test_endpoint_accessor(self):
         x = Interval(0, 1.0, 2.0)
         assert x.endpoint("start") == 1.0

@@ -36,6 +36,7 @@ from repro.serving import (
     decode_results,
     deterministic_metrics,
 )
+from repro.serving.server import FAULT_FIELDS, REQUIRED, VERB_FIELDS
 from repro.serving.protocol import (
     MAX_LINE_BYTES,
     decode_intervals,
@@ -689,57 +690,234 @@ class TestPlanKnobValidation:
         assert backend.attempts == 0
 
 
+WIRE_VALUES = [True, False, 0, -1, 3, 2.5, "", "x", [], ["x"], [1], {}, {"a": 1}, [[0, 1.0, 2.0]]]
+"""JSON values of every type; each field must refuse at least one of them."""
+
+#: A request each verb with fields accepts on a :class:`WireServer` (a valid
+#: ``drain`` stops the server, so only the null test, on fresh servers, sends one).
+VALID_REQUESTS = {
+    "register": {"name": "Z"},
+    "load": {"names": ["L"], "size": 10},
+    "ingest": {"name": "W", "intervals": [[100, 0.0, 1.0]]},
+    "query": {"query": "Qo,m", "collections": list(NAMES), "k": 5},
+    "drain": {},
+}
+
+
+def refuses(check, name, value):
+    try:
+        check(name, value)
+    except (ValueError, ProtocolError):
+        return True
+    return False
+
+
+def table_fields():
+    """(verb, request path, check, default) for every row of VERB_FIELDS,
+    the nested rows of ``query.fault`` included."""
+    rows = []
+    for verb, table in VERB_FIELDS.items():
+        for field, (check, default) in table.items():
+            rows.append((verb, (field,), check, default))
+            if (verb, field) == ("query", "fault"):
+                for inner, (inner_check, inner_default) in FAULT_FIELDS.items():
+                    rows.append((verb, (field, inner), inner_check, inner_default))
+    return rows
+
+
+ABSENT = object()
+
+
+def with_field(request, path, value):
+    """``request`` with the field at ``path`` set to ``value`` (left out for ``ABSENT``)."""
+    request = dict(request)
+    if len(path) > 1:
+        request[path[0]] = with_field(request.get(path[0]) or {}, path[1:], value)
+    elif value is ABSENT:
+        request.pop(path[0], None)
+    else:
+        request[path[0]] = value
+    return request
+
+
+class WireServer:
+    """A server holding R, S, T (40 intervals each) and the streaming W,
+    counting every task attempt its backend runs."""
+
+    def __init__(self, **settings):
+        self.backend = _CountingBackend()
+        self.server = QueryServer(ExecutionContext(backend=self.backend), **settings)
+        self.background = BackgroundServer(self.server)
+
+    def __enter__(self):
+        host, port = self.background.start()
+        self.client = QueryClient(host, port)
+        register_collections(self.client, make_collections(size=40))
+        self.client.register("W", [[0, 0.0, 1.0]], streaming=True)
+        self.backend.attempts = 0
+        return self
+
+    def __exit__(self, *exc_info):
+        self.client.close()
+        self.background.stop()
+
+    def answer(self, verb, request):
+        """The response payload, or the error as a dict (without the message)."""
+        try:
+            return self.client.request(verb, **request)
+        except ServingError as error:
+            return {"error": error.code, "details": error.details}
+
+    def registry(self):
+        return {name: len(c) for name, c in self.server.collections.items()}
+
+
+def comparable(payload):
+    """A response minus what differs between two identical requests (clock, counters
+    of the session's own earlier requests)."""
+    return {key: value for key, value in payload.items() if key not in ("timings", "session")}
+
+
 class TestWireFieldTypes:
-    """A wrong-typed request field is a ``BAD_REQUEST`` before any task
-    attempt or registration — never ``INTERNAL`` or a silent coercion — and
-    ``null`` means the field is absent."""
+    """Every :data:`VERB_FIELDS` row is checked before the handler runs: a
+    refused value is ``BAD_REQUEST`` naming the field, with no task attempt
+    and no registration, and ``null`` is the same request as leaving the field
+    out."""
 
     @pytest.mark.parametrize(
-        "verb, fields",
-        [
-            ("query", {"params": []}),
-            ("query", {"params": {}}),
-            ("query", {"algorithm": []}),
-            ("query", {"algorithm": 3}),
-            ("query", {"query": "Qb*", "num_vertices": "x"}),
-            ("query", {"query": "Qb*", "num_vertices": 2.5}),
-            ("query", {"query": "Qb*", "num_vertices": []}),
-            ("query", {"query": "Qb*", "num_vertices": True}),
-            ("register", {"name": "Z", "streaming": "false"}),
-            ("register", {"name": "Z", "streaming": 0}),
-            ("load", {"names": ["Z"], "size": 10, "streaming": "no"}),
-            ("load", {"names": ["Z"], "size": 10, "streaming": 1}),
-        ],
+        "verb, path, check",
+        [(verb, path, check) for verb, path, check, _ in table_fields()],
+        ids=[f"{verb}-{'.'.join(path)}" for verb, path, _, _ in table_fields()],
     )
-    def test_wrong_type_is_bad_request(self, verb, fields):
-        backend = _CountingBackend()
-        server = QueryServer(ExecutionContext(backend=backend))
-        with BackgroundServer(server) as (host, port), QueryClient(host, port) as client:
-            register_collections(client, make_collections(size=40))
-            request = dict(fields)
-            if verb == "query":
-                request = {"query": "Qo,m", "collections": list(NAMES), "k": 5, **fields}
-            with pytest.raises(ServingError) as excinfo:
-                client.request(verb, **request)
-            assert excinfo.value.code == "BAD_REQUEST", str(excinfo.value)
-            names = [entry["name"] for entry in client.collections()["collections"]]
-        assert backend.attempts == 0
-        assert names == sorted(NAMES)
+    def test_refused_value_is_bad_request_before_any_work(self, verb, path, check):
+        name = ".".join(path)
+        refused = [value for value in WIRE_VALUES if refuses(check, name, value)]
+        assert refused, f"{name} refuses no JSON value"
+        with WireServer() as wire:
+            before = wire.registry()
+            for value in refused:
+                request = with_field(VALID_REQUESTS[verb], path, value)
+                answer = wire.answer(verb, request)
+                assert answer == {"error": "BAD_REQUEST", "details": {"field": name}}, value
+            assert wire.backend.attempts == 0
+            assert wire.registry() == before
+            assert wire.client.ping()["protocol"] == 1
 
-    def test_null_means_absent(self):
-        server = QueryServer(ExecutionContext(backend=SerialBackend()))
-        with BackgroundServer(server) as (host, port), QueryClient(host, port) as client:
-            register_collections(client, make_collections(size=40))
-            assert client.request("register", name="Z", streaming=None)["streaming"] is False
-            loaded = client.request("load", names=["L"], size=10, streaming=None)
-            assert loaded["collections"][0]["streaming"] is False
-            request = {"query": "Qo,m", "collections": list(NAMES), "k": 5}
-            absent = client.request("query", **request)
-            nulls = client.request(
-                "query", params=None, algorithm=None, num_vertices=None, **request
-            )
-        assert nulls["algorithm"] == absent["algorithm"] == "tkij"
-        assert nulls["results"] == absent["results"]
+    @pytest.mark.parametrize(
+        "verb, path",
+        [(v, p) for v, p, _, default in table_fields() if default is not REQUIRED],
+        ids=[f"{v}-{'.'.join(p)}" for v, p, _, d in table_fields() if d is not REQUIRED],
+    )
+    def test_null_is_the_same_request_as_absent(self, verb, path):
+        answers = []
+        for value in (None, ABSENT):
+            request = with_field(VALID_REQUESTS[verb], path, value)
+            with WireServer(default_deadline_ms=60_000) as wire:
+                answers.append((comparable(wire.answer(verb, request)), wire.registry()))
+        assert answers[0] == answers[1]
+        assert "error" not in answers[0][0], answers[0][0]
+
+    def test_every_default_passes_its_check(self):
+        for verb, path, check, default in table_fields():
+            if default not in (None, REQUIRED):
+                check(".".join(path), default)
+
+    def test_field_errors_come_before_state_errors(self):
+        with WireServer() as wire:
+            # An unknown collection (NOT_FOUND) and a refused k: the field wins.
+            answer = wire.answer("query", {"query": "Qo,m", "collections": ["nope"], "k": 0})
+            assert answer["details"] == {"field": "k"}
+            answer = wire.answer("register", {"name": "R", "streaming": "yes"})
+            assert answer["details"] == {"field": "streaming"}
+
+    @pytest.mark.parametrize(
+        "plan",
+        [{"failure_rate": "x"}, {"rules": [{"action": "fail", "job": 5}]}, {"rules": 5}],
+    )
+    def test_malformed_fault_plan_is_bad_request(self, plan):
+        with WireServer() as wire:
+            request = {**VALID_REQUESTS["query"], "fault": {"plan": plan}}
+            answer = wire.answer("query", request)
+            assert answer == {"error": "BAD_REQUEST", "details": {"field": "fault.plan"}}
+            assert wire.backend.attempts == 0
+
+    def test_null_deadline_keeps_the_server_default(self):
+        with WireServer(default_deadline_ms=1) as wire:
+            wire.client.load(["A", "B", "C"], size=1200, seed=11)
+            request = {"query": "Qo,m", "collections": ["A", "B", "C"], "k": 10}
+            for sent in ({}, {"deadline_ms": None}):
+                answer = wire.answer("query", {**request, **sent})
+                assert answer["error"] == "DEADLINE", sent
+                assert answer["details"]["deadline_ms"] == 1
+
+    def test_null_k_options_size_and_seed_mean_absent(self):
+        # They used to answer BAD_REQUEST where params or streaming meant absent.
+        answers = []
+        for null in (False, True):
+            fields = {"k": None, "options": None, "size": None, "seed": None} if null else {}
+            with WireServer() as wire:
+                load = {"names": ["A"], **{f: fields[f] for f in ("size", "seed") if null}}
+                query = {"query": "Qo,m", "collections": list(NAMES)}
+                query.update({f: fields[f] for f in ("k", "options") if null})
+                answers.append((wire.answer("load", load), comparable(wire.answer("query", query))))
+        assert answers[0] == answers[1]
+        assert answers[0][0]["collections"][0]["size"] == 10_000
+        assert answers[0][1]["k"] == 100
+
+
+def raw_exchange(host, port, *lines):
+    """Send raw request lines on one connection; the decoded responses."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        reader = sock.makefile("rb")
+        responses = []
+        for line in lines:
+            sock.sendall(line)
+            responses.append(json.loads(reader.readline()))
+        return responses
+
+
+class TestStrictNumbers:
+    """Numbers on the wire are strict JSON and uids are integers."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_tokens_are_bad_request(self, token):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_message(f'{{"verb": "register", "intervals": [[{token}, 0, 1]]}}\n'.encode())
+        assert excinfo.value.code == "BAD_REQUEST"
+        with WireServer() as wire:
+            host, port = wire.background.address
+            line = f'{{"id": 1, "verb": "register", "name": "Z", "intervals": [[{token}, 0, 1]]}}\n'
+            (response,) = raw_exchange(host, port, line.encode())
+            assert response["error"]["code"] == "BAD_REQUEST"
+            assert "Z" not in wire.registry()
+
+    @pytest.mark.parametrize(
+        "triple",
+        ["[2.7, 0, 1]", "[true, 0, 1]", '["2", 0, 1]', '[2, "0", 1]', "[2, 0, 1e400]"]
+        + ["[2, 0, 1" + "0" * 400 + "]"],
+    )
+    def test_uid_must_be_an_integer_and_endpoints_finite_numbers(self, triple):
+        with pytest.raises(ProtocolError):
+            decode_intervals([json.loads(triple)])
+        with WireServer() as wire:
+            host, port = wire.background.address
+            line = f'{{"verb": "register", "name": "Z", "intervals": [{triple}]}}\n'
+            (response,) = raw_exchange(host, port, line.encode())
+            assert response["error"]["code"] == "BAD_REQUEST"
+            assert response["error"]["details"] == {"field": "intervals"}
+            assert "Z" not in wire.registry()
+
+    def test_nan_endpoint_is_refused(self):
+        # Through the raw token (refused by the decoder) and past it, through
+        # the interval check: a NaN interval never reaches a collection.
+        with WireServer() as wire:
+            host, port = wire.background.address
+            line = b'{"id": 1, "verb": "register", "name": "N", "intervals": [[999, NaN, 5.0]]}\n'
+            (response,) = raw_exchange(host, port, line)
+            assert response["error"]["code"] == "BAD_REQUEST"
+            assert "N" not in wire.registry()
+        with pytest.raises(ProtocolError):
+            decode_intervals([[999, float("nan"), 5.0]])
 
 
 # ------------------------------------------------------------------- doc drift
@@ -748,6 +926,24 @@ class TestDocumentationCoverage:
         doc = (REPO_ROOT / "docs" / "PROTOCOL.md").read_text(encoding="utf-8")
         documented = set(re.findall(r"^### `([a-z]+)`$", doc, re.MULTILINE))
         assert documented == set(QueryServer.VERBS)
+
+    @pytest.mark.parametrize("verb", QueryServer.VERBS)
+    def test_protocol_doc_lists_each_verbs_fields_as_the_table_does(self, verb):
+        doc = (REPO_ROOT / "docs" / "PROTOCOL.md").read_text(encoding="utf-8")
+        section = doc.split(f"### `{verb}`\n", 1)[1].split("\n### ", 1)[0].split("\n## ", 1)[0]
+        tables = {"": VERB_FIELDS[verb], "  ": FAULT_FIELDS if "fault" in VERB_FIELDS[verb] else {}}
+        if not VERB_FIELDS[verb]:
+            assert "No request fields." in section
+        for indent, table in tables.items():
+            bullets = dict(re.findall(rf"^{indent}\* `(\w+)` \(([^)]*)\)", section, re.MULTILINE))
+            assert set(bullets) == set(table), (verb, indent)
+            for field, (_, default) in table.items():
+                if default is REQUIRED:
+                    assert bullets[field].endswith(", required"), field
+                elif default is None:
+                    assert bullets[field].endswith(", optional"), field
+                else:
+                    assert bullets[field].endswith(f", default `{json.dumps(default)}`"), field
 
     def test_protocol_doc_covers_every_error_code(self):
         doc = (REPO_ROOT / "docs" / "PROTOCOL.md").read_text(encoding="utf-8")
