@@ -1,6 +1,6 @@
-"""Planner feedback loop — plan-cache hit latency, and auto plans against manual ones.
+"""Planner plan cache — hit latency, and auto plans against manual ones.
 
-The feedback tentpole's measurable promise: a warm repeat of the same auto
+The plan cache's measurable promise: a warm repeat of the same auto
 query must skip the planner's counting and pricing entirely, returning the
 memoized plan in a small fraction of the cold planning time.  The benchmark
 times both paths over the same query and context — cold rounds clear the plan
@@ -24,13 +24,7 @@ import time
 from repro.datagen import SyntheticConfig, generate_collections
 from repro.experiments import ResultTable, build_query
 from repro.mapreduce import ClusterConfig
-from repro.plan import (
-    CostStore,
-    ExecutionContext,
-    PlanCache,
-    PlanFeedback,
-    get_algorithm,
-)
+from repro.plan import ExecutionContext, PlanCache, get_algorithm
 
 SIZE = 6_000
 QUERY = "Qo,m"
@@ -56,18 +50,18 @@ def run_matrix():
     """Median cold (counted and priced) and warm (memoized) auto-plan latencies."""
     config = SyntheticConfig(size=SIZE, start_max=20_000.0)
     collections = list(generate_collections(3, config, seed=17).values())
+    plan_cache = PlanCache(16)
     context = ExecutionContext(
-        cluster=ClusterConfig(num_reducers=8, num_mappers=4, backend="serial")
+        cluster=ClusterConfig(num_reducers=8, num_mappers=4, backend="serial"),
+        plan_cache=plan_cache,
     )
-    feedback = PlanFeedback(plan_cache=PlanCache(max_entries=16), cost_store=CostStore())
-    context.feedback = feedback
     query = build_query(QUERY, collections, "P1", k=K)
     algorithm = get_algorithm("tkij")
 
     cold, warm = [], []
     with context:
         for _ in range(ROUNDS):
-            feedback.plan_cache.clear()
+            plan_cache.clear()
             context.statistics.bump_generation()  # the next plan's fetch recollects
             started = time.perf_counter()
             algorithm.plan(query, context, mode="auto")
@@ -78,7 +72,7 @@ def run_matrix():
             warm.append(time.perf_counter() - started)
             assert any("plan cache" in reason for reason in plan.explanation.reasons)
 
-    summary = feedback.plan_cache.describe()
+    summary = plan_cache.describe()
     assert summary["hits"] == ROUNDS
     assert summary["misses"] == ROUNDS
     return statistics.median(cold), statistics.median(warm)

@@ -25,10 +25,10 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from ..checks import positive_int
 from ..core import KERNELS
 from ..mapreduce import BACKEND_NAMES, TRANSFER_NAMES, ClusterConfig, FaultPlan
 from ..plan import PLAN_MODES, REGISTRY, available_algorithms
-from ..plan.algorithm import positive_int
 from .harness import ResultTable, run_single_query
 from .network_figures import (
     figure12_network_distribution,

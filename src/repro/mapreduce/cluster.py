@@ -178,20 +178,3 @@ class JobMetrics:
             "imbalance": self.imbalance,
             "num_reduce_tasks": float(len(self.reduce_tasks)),
         }
-
-    def observed_costs(self) -> dict[str, float]:
-        """Work-proportional figures for the planner's observed-cost store.
-
-        Counter-derived volumes plus the balance figures; timing keys
-        (``elapsed_seconds``, per-phase seconds) stay with the caller, who
-        knows which phase this job implemented.
-        """
-        return {
-            "candidates_examined": float(self.counters.get("join.candidates_examined")),
-            "tuples_scored": float(self.counters.get("join.tuples_scored")),
-            "combinations_processed": float(self.counters.get("join.combinations_processed")),
-            "combinations_skipped": float(self.counters.get("join.combinations_skipped")),
-            "shuffle_records": float(self.shuffle_records),
-            "max_reduce_seconds": self.max_reduce_seconds,
-            "imbalance": self.imbalance,
-        }

@@ -36,6 +36,16 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from ..checks import (
+    KnobCheck,
+    boolean,
+    is_int,
+    is_number,
+    one_of,
+    positive_int,
+    string,
+    value_check,
+)
 from .backends.base import ExecutionBackend, Task, TaskFailure, TaskResult
 
 __all__ = ["FAULT_ACTIONS", "InjectedFault", "FaultRule", "FaultPlan", "FaultInjectingBackend"]
@@ -48,6 +58,16 @@ _PHASES = ("map", "reduce", "*")
 
 class InjectedFault(RuntimeError):
     """The synthetic failure raised/recorded by fault injection."""
+
+
+def _check_fields(instance: Any, checks: Mapping[str, KnobCheck]) -> None:
+    """Check (and normalise) every field of a frozen dataclass by its table row."""
+    for name, check in checks.items():
+        object.__setattr__(instance, name, check(name, getattr(instance, name)))
+
+
+def _is_index_list(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and all(is_int(v) and v >= 0 for v in value)
 
 
 @dataclass(frozen=True)
@@ -77,21 +97,9 @@ class FaultRule:
     delay_once: bool = True
 
     def __post_init__(self) -> None:
-        if self.action not in FAULT_ACTIONS:
-            raise ValueError(
-                f"unknown fault action {self.action!r}; expected one of {FAULT_ACTIONS}"
-            )
-        if self.phase not in _PHASES:
-            raise ValueError(f"unknown phase {self.phase!r}; expected one of {_PHASES}")
-        if not isinstance(self.job, str):
-            raise ValueError(f"job must be a job-name pattern, got {self.job!r}")
-        if self.delay_seconds < 0:
-            raise ValueError("delay_seconds must be non-negative")
+        _check_fields(self, _RULE_FIELDS)
         if self.action == "delay" and self.delay_seconds == 0:
             raise ValueError("a delay rule needs delay_seconds > 0")
-        object.__setattr__(self, "attempts", tuple(self.attempts))
-        if any(attempt < 0 for attempt in self.attempts):
-            raise ValueError("attempt numbers are non-negative")
 
     def matches(self, job: str, phase: str, task: int, attempt: int) -> bool:
         """Whether this rule fires on one (job, phase, task, attempt) key."""
@@ -122,13 +130,9 @@ class FaultPlan:
     max_failures_per_task: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-        if not 0.0 <= self.failure_rate <= 1.0:
-            raise ValueError("failure_rate must lie in [0, 1]")
+        _check_fields(self, _PLAN_FIELDS)
         if self.failure_rate > 0 and self.seed is None:
             raise ValueError("a random failure_rate needs a seed to stay deterministic")
-        if self.max_failures_per_task <= 0:
-            raise ValueError("max_failures_per_task must be positive")
 
     # ------------------------------------------------------------------ lookup
     def rule_for(self, job: str, phase: str, task: int, attempt: int) -> FaultRule | None:
@@ -177,9 +181,9 @@ class FaultPlan:
             if not isinstance(rule, Mapping):
                 raise ValueError(f"fault-plan rule #{index} must be an object")
             try:
-                rules.append(FaultRule(**{k: tuple(v) if k == "attempts" else v for k, v in rule.items()}))
-            except TypeError as error:
-                raise ValueError(f"fault-plan rule #{index}: {error}") from error
+                rules.append(FaultRule(**rule))
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"fault-plan rule #{index}: {error}") from None
         return cls(
             rules=tuple(rules),
             seed=payload.get("seed"),
@@ -207,6 +211,35 @@ class FaultPlan:
         path.write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
         return path
 
+
+#: Each :class:`FaultRule` field's check.
+_RULE_FIELDS: dict[str, KnobCheck] = {
+    "action": one_of(*FAULT_ACTIONS, what="fault action"),
+    "job": string,
+    "phase": one_of(*_PHASES),
+    "task": value_check(
+        "a non-negative integer or null", lambda v: v is None or (is_int(v) and v >= 0)
+    ),
+    "attempts": value_check("a list of non-negative integers", _is_index_list, tuple),
+    "delay_seconds": value_check(
+        "a non-negative number of seconds", lambda v: is_number(v) and v >= 0, float
+    ),
+    "delay_once": boolean,
+}
+
+#: Each :class:`FaultPlan` field's check.
+_PLAN_FIELDS: dict[str, KnobCheck] = {
+    "rules": value_check(
+        "a list of fault rules",
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(r, FaultRule) for r in v),
+        tuple,
+    ),
+    "seed": value_check("an integer or null", lambda v: v is None or is_int(v)),
+    "failure_rate": value_check(
+        "a number in [0, 1]", lambda v: is_number(v) and 0 <= v <= 1, float
+    ),
+    "max_failures_per_task": positive_int,
+}
 
 _SEEDED_FAILURE = FaultRule(action="fail", job="*", phase="*", task=None, attempts=())
 """Sentinel rule applied by the seeded random component (attempt gating is done

@@ -13,10 +13,8 @@ This package is the dispatch substrate of the evaluation stack:
 * :class:`AutoPlanner` — granularity and join kernel priced in seconds from
   exact bucket counts and a table of measured unit costs, the priced
   candidates recorded in a :class:`PlanExplanation`;
-* :class:`PlanFeedback` — the feedback loop around the planner: a
-  :class:`PlanCache` memoizing auto plans by (query, statistics) fingerprint
-  and a :class:`CostStore` of observed execution outcomes that calibrates the
-  planner's kernel choice once enough evidence accumulates.
+* :class:`PlanCache` — memoized auto plans keyed by (query, statistics)
+  fingerprint, so a repeated query is served its plan without re-pricing.
 
 The composable phase operators themselves (StatisticsOp ... MergeOp) live in
 :mod:`repro.core.operators`; algorithms here assemble them.
@@ -32,14 +30,7 @@ from .algorithms import (
     resolve_join_config,
 )
 from .context import ExecutionContext, StatisticsCache, atomic_pickle_dump
-from .feedback import (
-    CostStore,
-    PlanCache,
-    PlanFeedback,
-    query_fingerprint,
-    statistics_fingerprint,
-    workload_fingerprint,
-)
+from .feedback import PlanCache, query_fingerprint, statistics_fingerprint
 from .planner import AutoPlanner, PlanExplanation
 from .registry import REGISTRY, available_algorithms, get_algorithm, register
 from .sql_oracle import SQLOracleAlgorithm
@@ -60,12 +51,9 @@ __all__ = [
     "atomic_pickle_dump",
     "AutoPlanner",
     "PlanExplanation",
-    "CostStore",
     "PlanCache",
-    "PlanFeedback",
     "query_fingerprint",
     "statistics_fingerprint",
-    "workload_fingerprint",
     "REGISTRY",
     "available_algorithms",
     "get_algorithm",

@@ -14,14 +14,11 @@ branches:
 
 from __future__ import annotations
 
-import math
-import os
-import reprlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
+from ..checks import KnobCheck
 from ..mapreduce.cluster import JobMetrics
 from ..query.graph import ResultTuple, RTJQuery
 from .context import ExecutionContext
@@ -29,80 +26,7 @@ from .context import ExecutionContext
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .planner import PlanExplanation
 
-__all__ = [
-    "Algorithm",
-    "ExecutionPlan",
-    "KnobCheck",
-    "RunReport",
-    "boolean",
-    "integer",
-    "json_object",
-    "name_list",
-    "non_negative_int",
-    "one_of",
-    "path",
-    "positive_int",
-    "positive_seconds",
-    "string",
-    "value_check",
-]
-
-KnobCheck = Callable[[str, Any], Any]
-"""Checks one value: ``check(name, value)`` returns the (normalised) value or
-raises ``ValueError`` reading "<name> must be ..., got ...".  Plan knobs,
-server settings and wire request fields all check through this vocabulary;
-values may arrive from the wire as any JSON value."""
-
-
-def value_check(
-    what: str, accepts: Callable[[Any], bool], convert: Callable[[Any], Any] | None = None
-) -> KnobCheck:
-    """The check passing each value ``accepts`` holds for (``convert``-ed, when
-    given) and refusing the rest: "<name> must be <what>, got <value>"."""
-
-    def check(name: str, value: Any) -> Any:
-        if not accepts(value):
-            raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
-        return value if convert is None else convert(value)
-
-    return check
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # a bool is no integer
-
-
-integer = value_check("an integer", _is_int)
-positive_int = value_check("a positive integer", lambda v: _is_int(v) and v > 0)
-non_negative_int = value_check("a non-negative integer", lambda v: _is_int(v) and v >= 0)
-positive_seconds = value_check(
-    "a positive number of seconds",
-    lambda v: (_is_int(v) or isinstance(v, float)) and 0 < v < math.inf,
-    float,
-)
-string = value_check("a string", lambda v: isinstance(v, str))
-boolean = value_check("a boolean", lambda v: isinstance(v, bool))
-json_object = value_check("an object", lambda v: isinstance(v, dict))
-name_list = value_check(
-    "a non-empty list of strings",
-    lambda v: isinstance(v, list) and bool(v) and all(isinstance(n, str) for n in v),
-)
-path = value_check(
-    "a path", lambda v: isinstance(v, (str, os.PathLike)) and bool(os.fspath(v)), Path
-)
-
-
-def one_of(*choices: str, what: str | None = None) -> KnobCheck:
-    """A check accepting exactly ``choices``; errors read "unknown <what> ..."
-    (``what`` defaults to the knob's name).  Non-strings are rejected before
-    the membership test, so an unhashable wire value never reaches it."""
-
-    def check(name: str, value: Any) -> str:
-        if not isinstance(value, str) or value not in choices:
-            raise ValueError(f"unknown {what or name} {value!r}; expected one of {choices}")
-        return value
-
-    return check
+__all__ = ["Algorithm", "ExecutionPlan", "RunReport"]
 
 
 @dataclass

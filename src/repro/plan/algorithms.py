@@ -19,6 +19,7 @@ from ..baselines.allmatrix import AllMatrixConfig, AllMatrixJoin
 from ..baselines.common import BaselineResult
 from ..baselines.naive import naive_top_k
 from ..baselines.rccis import RCCISConfig, RCCISJoin
+from ..checks import one_of, positive_int
 from ..core.distribution import ASSIGNERS
 from ..core.local_join import KERNELS, LocalJoinConfig
 from ..core.operators import collections_by_name
@@ -26,9 +27,9 @@ from ..core.tkij import TKIJ
 from ..core.top_buckets import STRATEGIES
 from ..query.graph import RTJQuery
 from ..solver import BranchAndBoundSolver
-from .algorithm import Algorithm, ExecutionPlan, RunReport, one_of, positive_int
+from .algorithm import Algorithm, ExecutionPlan, RunReport
 from .context import ExecutionContext
-from .feedback import query_fingerprint, statistics_fingerprint, workload_fingerprint
+from .feedback import query_fingerprint, statistics_fingerprint
 from .planner import AutoPlanner
 from .registry import register
 
@@ -102,11 +103,9 @@ class TKIJAlgorithm(Algorithm):
         }
         explanation = None
         if mode == "auto":
-            planner = planner or AutoPlanner()
-            feedback = context.feedback
-            fingerprints: tuple[str, str] | None = None
+            plan_cache = context.plan_cache
             cached_plan = None
-            if feedback is not None:
+            if plan_cache is not None:
                 # The plan-cache key is (query fingerprint, statistics
                 # fingerprint) — exact planning problem over the exact dataset
                 # state; volatile explanation inputs (probe_seconds,
@@ -115,7 +114,7 @@ class TKIJAlgorithm(Algorithm):
                     query_fingerprint(query),
                     statistics_fingerprint(collections_by_name(query)),
                 )
-                cached_plan = feedback.plan_cache.lookup(*fingerprints)
+                cached_plan = plan_cache.lookup(*fingerprints)
             if cached_plan is not None:
                 # Hot path: the memoized plan is served without re-pricing.
                 chosen, explanation = cached_plan
@@ -124,20 +123,17 @@ class TKIJAlgorithm(Algorithm):
                     "fingerprints matched; nothing recounted or re-priced)"
                 )
             else:
-                if (
-                    feedback is not None
-                    and feedback.cost_store is not None
-                    and planner.cost_store is None
-                ):
-                    planner = replace(planner, cost_store=feedback.cost_store)
-                chosen, explanation = planner.plan(query, context)
-                if fingerprints is not None:
-                    feedback.plan_cache.store(*fingerprints, chosen, explanation)
+                chosen, explanation = (planner or AutoPlanner()).plan(query, context)
+                if plan_cache is not None:
+                    plan_cache.store(*fingerprints, chosen, explanation)
             knobs.update(chosen)
         if kernel is not None:
             # An explicit kernel always wins over the planner's pick.
             knobs["kernel"] = kernel
             if explanation is not None:
+                explanation.reasons.append(
+                    f"kernel={kernel}: set explicitly; the priced pick was {explanation.kernel}"
+                )
                 explanation.kernel = kernel
         knobs["join_config"] = resolve_join_config(knobs)
         return ExecutionPlan(self.name, query, context, knobs, explanation)
@@ -175,26 +171,6 @@ class TKIJAlgorithm(Algorithm):
             )
         result.phase_seconds["statistics"] = statistics_seconds
         result.plan_explanation = plan.explanation
-        feedback = context.feedback
-        if feedback is not None and feedback.cost_store is not None:
-            # Close the loop: the observed outcome of this (workload, knobs)
-            # pair feeds the planner's calibration on later plans.
-            knob_signature = {
-                "num_granules": knobs["num_granules"],
-                "strategy": knobs["strategy"],
-                "assigner": knobs["assigner"],
-                "kernel": knobs["join_config"].kernel,
-            }
-            outcome = {
-                "elapsed_seconds": result.total_seconds,
-                "join_seconds": result.phase_seconds.get("join", 0.0),
-                **result.join_metrics.observed_costs(),
-            }
-            feedback.cost_store.record(
-                workload_fingerprint(plan.query, collections_by_name(plan.query)),
-                knob_signature,
-                outcome,
-            )
         return RunReport(
             algorithm=self.name,
             title=self.title,

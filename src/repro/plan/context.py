@@ -33,7 +33,7 @@ from ..mapreduce import ClusterConfig, ExecutionBackend, create_cluster_backend
 from ..temporal.interval import Interval, IntervalCollection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (feedback imports us)
-    from .feedback import PlanFeedback
+    from .feedback import PlanCache
 
 __all__ = [
     "ExecutionContext",
@@ -497,13 +497,11 @@ class ExecutionContext:
     context; see :meth:`stream_state`).  Streaming algorithms park their
     persistent top-k and incremental bookkeeping here so it lives exactly as
     long as the statistics cache it depends on."""
-    feedback: "PlanFeedback | None" = None
-    """Optional planner feedback bundle (:class:`~repro.plan.PlanFeedback`):
-    a plan cache memoizing whole auto plans plus an observed-cost store the
-    planner calibrates from.  ``None`` keeps planning purely static.  Shared
-    by reference across :meth:`session_view`\\ s, like the statistics cache —
-    and deliberately *not* checkpointed: memoized plans are derivable and the
-    cost store persists itself (JSON-lines appends) when given a path."""
+    plan_cache: "PlanCache | None" = None
+    """Optional memo of whole auto plans (:class:`~repro.plan.PlanCache`);
+    ``None`` prices every auto plan afresh.  Shared by reference across
+    :meth:`session_view`\\ s, like the statistics cache — and deliberately
+    *not* checkpointed: memoized plans are derivable."""
     _owned_backend: ExecutionBackend | None = field(
         default=None, repr=False, compare=False
     )
@@ -540,10 +538,10 @@ class ExecutionContext:
     ) -> "ExecutionContext":
         """A per-session context sharing this one's warm state.
 
-        The view shares the *same* :class:`StatisticsCache` and ``streams``
-        dict (warm phase (a) results and streaming top-k state are amortised
-        across sessions) while letting the session override the cluster config
-        and/or backend — e.g. a per-request fault plan wrapping the shared
+        The view shares the *same* :class:`StatisticsCache`, ``streams``
+        dict and plan cache (warm phase (a) results, streaming top-k state and
+        memoized plans are amortised across sessions) while letting the
+        session override the cluster config and/or backend — e.g. a per-request fault plan wrapping the shared
         worker pool in a :class:`~repro.mapreduce.FaultInjectingBackend`
         without the injection leaking into sibling queries.
 
@@ -570,7 +568,7 @@ class ExecutionContext:
         (unique staging sibling, then rename), so a crash *during*
         checkpointing leaves the previous checkpoint intact and concurrent
         checkpointers of one path never tear each other's staging file.
-        Cluster shape, worker pools and planner feedback are *not* captured: a
+        Cluster shape, worker pools and the plan cache are *not* captured: a
         restored context keeps its own.
         """
         snapshot: dict[str, Any] = {

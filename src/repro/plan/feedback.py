@@ -1,58 +1,40 @@
-"""Feedback-driven planning: observed costs, memoized plans, fingerprints.
+"""Plan memory: the identities of a planning problem, and memoized auto plans.
 
 The :class:`~repro.plan.AutoPlanner` prices plans from bucket statistics and a
-table of measured unit costs; this module closes the loop with what actually happened
-(DESIGN.md §14):
+table of measured unit costs; the priced table is the one kernel chooser
+(DESIGN.md §14).  What this module adds is memory of plans already priced:
 
-* :func:`workload_fingerprint` / :func:`query_fingerprint` /
-  :func:`statistics_fingerprint` — deterministic blake2b identities at three
-  granularities: the coarse workload *shape* observations generalise over,
-  the exact planning problem, and the exact dataset state;
-* :class:`CostStore` — a small append-friendly store (JSON lines, atomic
-  appends) keyed by ``(workload fingerprint, knob tuple)`` accumulating
-  observed :meth:`~repro.mapreduce.JobMetrics.observed_costs` outcomes per
-  executed plan, from which the planner derives learned per-candidate kernel
-  cost ratios (falling back to the unit-cost table cold);
+* :func:`query_fingerprint` / :func:`statistics_fingerprint` — deterministic
+  blake2b identities of the exact planning problem and of the exact dataset
+  state;
 * :class:`PlanCache` — a bounded LRU of whole auto plans keyed by
   ``(query fingerprint, statistics fingerprint)``, so the serving hot path
   returns a memoized plan without re-pricing.  The key deliberately excludes
   the non-deterministic ``PlanExplanation.inputs`` fields (``probe_seconds``,
   ``probe_cached``): two plannings of the same query over the same data are
-  the *same* plan however long the counting took;
-* :class:`PlanFeedback` — the bundle an :class:`~repro.plan.ExecutionContext`
-  carries to opt its queries into both.
+  the *same* plan however long the counting took.
 
-Everything here is thread-safe: the serving layer shares one feedback bundle
-across concurrent executor threads, exactly like the statistics cache.
+The plan cache is thread-safe: the serving layer shares one across concurrent
+executor threads (:attr:`~repro.plan.ExecutionContext.plan_cache`), exactly
+like the statistics cache.
 """
 
 from __future__ import annotations
 
 import copy
-import json
-import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from hashlib import blake2b
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from ..query.graph import RTJQuery
 from ..temporal.interval import IntervalCollection
 from .context import _collection_checksum
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner imports us)
+if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .planner import PlanExplanation
 
-__all__ = [
-    "CostStore",
-    "PlanCache",
-    "PlanFeedback",
-    "query_fingerprint",
-    "statistics_fingerprint",
-    "workload_fingerprint",
-]
+__all__ = ["PlanCache", "query_fingerprint", "statistics_fingerprint"]
 
 
 def _digest(kind: str, tokens: Any) -> str:
@@ -110,180 +92,6 @@ def statistics_fingerprint(collections: Mapping[str, IntervalCollection]) -> str
         )
     )
     return _digest("statistics", tokens)
-
-
-def _magnitude(value: float) -> int:
-    """Decimal order of magnitude (>= 0) — the coarse size bucket observations pool over."""
-    return int(math.log10(max(float(value), 1.0)))
-
-
-def workload_fingerprint(
-    query: RTJQuery, collections: Mapping[str, IntervalCollection]
-) -> str:
-    """The coarse *shape* of a workload, under which observations generalise.
-
-    Deliberately coarser than :func:`query_fingerprint`: collection names and
-    exact sizes are reduced to sorted size magnitudes, and ``k`` to its
-    magnitude, so repeat queries over regenerated or slightly grown data feed
-    the same calibration pool.  Predicates and their parameter sets stay exact
-    — kernel economics differ between Boolean and scored scoring.
-    """
-    tokens = (
-        len(query.vertices),
-        tuple(sorted((e.predicate.name, repr(e.predicate.params)) for e in query.edges)),
-        type(query.aggregation).__name__,
-        _magnitude(query.k),
-        tuple(sorted(_magnitude(len(c)) for c in collections.values())),
-        query.has_attribute_constraints,
-    )
-    return _digest("workload", tokens)
-
-
-class CostStore:
-    """Observed plan outcomes keyed by (workload fingerprint, knob tuple).
-
-    With a ``path`` the store is durable: every :meth:`record` appends one
-    JSON line (a single buffered write in append mode, so concurrent writers
-    interleave whole lines, not bytes) and a new store loads the log back on
-    construction, skipping — and counting — any corrupt line a crash left
-    behind.  Without a path it is a process-local memory.
-
-    Calibration is deterministic: the same observation log always yields the
-    same :meth:`kernel_costs` / :meth:`calibrated_kernel` answers (plain
-    means, name-tie-broken argmin, no sampling).
-    """
-
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
-        self._outcomes: dict[tuple[str, str], list[dict[str, float]]] = {}
-        self._knobs: dict[str, dict[str, Any]] = {}
-        self.recorded = 0
-        self.loaded = 0
-        self.corrupt_lines = 0
-        if self.path is not None and self.path.exists():
-            self._load()
-
-    # ------------------------------------------------------------------ basics
-    @staticmethod
-    def knob_key(knobs: Mapping[str, Any]) -> str:
-        """Canonical identity of a knob tuple (sorted, compact JSON)."""
-        return json.dumps(dict(knobs), sort_keys=True, separators=(",", ":"))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(outcomes) for outcomes in self._outcomes.values())
-
-    def describe(self) -> dict[str, int]:
-        """Counters for reports and the serving ``stats`` verb."""
-        with self._lock:
-            return {
-                "observations": sum(len(o) for o in self._outcomes.values()),
-                "workloads": len({workload for workload, _ in self._outcomes}),
-                "recorded": self.recorded,
-                "loaded": self.loaded,
-                "corrupt_lines": self.corrupt_lines,
-            }
-
-    # --------------------------------------------------------------- recording
-    def record(
-        self,
-        workload: str,
-        knobs: Mapping[str, Any],
-        outcome: Mapping[str, float],
-    ) -> None:
-        """Append one observed outcome of executing ``knobs`` on ``workload``."""
-        clean_knobs = dict(knobs)
-        clean_outcome = {name: float(value) for name, value in outcome.items()}
-        key = self.knob_key(clean_knobs)
-        with self._lock:
-            self._knobs.setdefault(key, clean_knobs)
-            self._outcomes.setdefault((workload, key), []).append(clean_outcome)
-            self.recorded += 1
-            if self.path is not None:
-                line = json.dumps(
-                    {"workload": workload, "knobs": clean_knobs, "outcome": clean_outcome},
-                    sort_keys=True,
-                )
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                workload = entry["workload"]
-                knobs = dict(entry["knobs"])
-                outcome = {name: float(value) for name, value in entry["outcome"].items()}
-            except (ValueError, KeyError, TypeError, AttributeError):
-                # A crash mid-append leaves at most one torn line; tolerate any.
-                self.corrupt_lines += 1
-                continue
-            key = self.knob_key(knobs)
-            self._knobs.setdefault(key, knobs)
-            self._outcomes.setdefault((workload, key), []).append(outcome)
-            self.loaded += 1
-
-    # ------------------------------------------------------------- calibration
-    def observations(self, workload: str) -> dict[str, list[dict[str, float]]]:
-        """Observed outcomes of ``workload``, keyed by canonical knob tuple."""
-        with self._lock:
-            return {
-                key: [dict(outcome) for outcome in outcomes]
-                for (seen, key), outcomes in self._outcomes.items()
-                if seen == workload
-            }
-
-    def kernel_costs(
-        self, workload: str, min_observations: int = 3
-    ) -> dict[str, float]:
-        """Mean observed per-candidate join cost by kernel, for ``workload``.
-
-        Only kernels with at least ``min_observations`` usable observations
-        (positive ``candidates_examined``) participate — the cold-start
-        threshold below which the planner keeps pricing from its unit-cost table.
-        """
-        samples: dict[str, list[float]] = {}
-        with self._lock:
-            for (seen, key), outcomes in self._outcomes.items():
-                if seen != workload:
-                    continue
-                kernel = self._knobs.get(key, {}).get("kernel")
-                if not isinstance(kernel, str):
-                    continue
-                for outcome in outcomes:
-                    candidates = outcome.get("candidates_examined", 0.0)
-                    seconds = outcome.get("join_seconds", 0.0)
-                    if candidates > 0 and seconds >= 0:
-                        samples.setdefault(kernel, []).append(seconds / candidates)
-        return {
-            kernel: sum(costs) / len(costs)
-            for kernel, costs in samples.items()
-            if len(costs) >= min_observations
-        }
-
-    def calibrated_kernel(
-        self, workload: str, min_observations: int = 3
-    ) -> tuple[str, dict[str, float]] | None:
-        """The observed-cheapest kernel for ``workload``, or ``None`` cold.
-
-        Requires at least two kernels past the observation threshold — a
-        single observed kernel carries no *ratio* to set against the unit-cost
-        table's.  Ties break towards the lexicographically smaller
-        kernel name, keeping calibration deterministic for a given log.
-        """
-        costs = self.kernel_costs(workload, min_observations)
-        if len(costs) < 2:
-            return None
-        kernel = min(sorted(costs), key=lambda name: (costs[name], name))
-        return kernel, costs
 
 
 class PlanCache:
@@ -373,24 +181,3 @@ class PlanCache:
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
             }
-
-
-@dataclass
-class PlanFeedback:
-    """The feedback bundle an :class:`~repro.plan.ExecutionContext` carries.
-
-    ``plan_cache`` memoizes whole auto plans; ``cost_store`` (optional)
-    accumulates observed outcomes and feeds planner calibration.  Shared by
-    reference across :meth:`~repro.plan.ExecutionContext.session_view`s, like
-    the statistics cache.
-    """
-
-    plan_cache: PlanCache = field(default_factory=PlanCache)
-    cost_store: CostStore | None = None
-
-    def describe(self) -> dict[str, Any]:
-        """Nested counters for reports and the serving ``stats`` verb."""
-        summary: dict[str, Any] = {"plan_cache": self.plan_cache.describe()}
-        if self.cost_store is not None:
-            summary["cost_store"] = self.cost_store.describe()
-        return summary

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -32,11 +32,7 @@ from ..core.statistics import collect_statistics
 from ..core.top_buckets import top_bucket_rows
 from ..query.graph import RTJQuery
 from ..temporal.comparators import PredicateParams
-from ..temporal.interval import IntervalCollection
 from .context import ExecutionContext
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .feedback import CostStore
 
 __all__ = ["AutoPlanner", "PlanExplanation", "PricedPlan", "UNIT_COSTS", "kernel_seconds"]
 
@@ -259,15 +255,6 @@ class AutoPlanner:
     A selectivity rule, not a correctness one: out-of-range intervals clamp into
     the border buckets, whose boxes widen to cover them (``BucketMatrix.bucket_box``),
     so every bound stays sound but gets looser and streaming prunes less."""
-    cost_store: "CostStore | None" = None
-    """Optional observed-cost store (:class:`~repro.plan.CostStore`).  When it
-    holds enough observations for the query's workload fingerprint, the kernel
-    with the lowest *observed* per-candidate join cost replaces the
-    :data:`UNIT_COSTS` pick; cold workloads are priced from the table.  The
-    chosen source is recorded in :attr:`PlanExplanation.reasons` either way."""
-    calibration_min_observations: int = 3
-    """Observations a kernel needs (per workload fingerprint) before its
-    observed cost participates in calibration — the cold-start threshold."""
 
     def plan(
         self, query: RTJQuery, context: ExecutionContext
@@ -275,7 +262,7 @@ class AutoPlanner:
         """Return ``(knobs, explanation)`` for evaluating ``query`` in ``context``."""
         collections = collections_by_name(query)
         reasons: list[str] = []
-        kernels = self._kernels(query, collections, reasons)
+        kernels = self._kernels(query, reasons)
         total_intervals = sum(len(query.collections[vertex]) for vertex in query.vertices)
 
         priced: list[PricedPlan] = []
@@ -406,14 +393,12 @@ class AutoPlanner:
         )
 
     # ----------------------------------------------------------------- pricing
-    def _kernels(
-        self, query: RTJQuery, collections: Mapping[str, IntervalCollection], reasons: list[str]
-    ) -> Sequence[str]:
-        """The kernels worth pricing: all of them, unless something rules first.
+    @staticmethod
+    def _kernels(query: RTJQuery, reasons: list[str]) -> Sequence[str]:
+        """The kernels worth pricing: all of them, except for hybrid queries.
 
-        Hybrid queries stay scalar (attribute constraints force a per-candidate
-        Python filter inside the columnar kernels, which voids their premise),
-        and a warm cost store's observed ranking overrides the unit table.
+        Hybrid queries stay scalar: attribute constraints force a per-candidate
+        Python filter inside the columnar kernels, which voids their premise.
         """
         if query.has_attribute_constraints:
             reasons.append(
@@ -421,28 +406,7 @@ class AutoPlanner:
                 "Python filtering, which the columnar kernels cannot amortise"
             )
             return ("scalar",)
-        if self.cost_store is None:
-            return KERNELS
-        from .feedback import workload_fingerprint
-
-        calibration = self.cost_store.calibrated_kernel(
-            workload_fingerprint(query, collections), self.calibration_min_observations
-        )
-        if calibration is None:
-            reasons.append(
-                "kernel cost model: unit-cost table (cost store cold for this "
-                "workload fingerprint)"
-            )
-            return KERNELS
-        kernel, costs = calibration
-        ranking = ", ".join(f"{name}={costs[name]:.3g}s" for name in sorted(costs))
-        reasons.append(
-            f"kernel={kernel}: observed calibration — lowest mean "
-            f"per-candidate join cost over {len(costs)} observed kernels "
-            f"({ranking}; >= {self.calibration_min_observations} "
-            f"observations each for this workload fingerprint)"
-        )
-        return (kernel,)
+        return KERNELS
 
     def _price(
         self,

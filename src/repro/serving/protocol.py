@@ -5,7 +5,7 @@ client-facing description of every verb, field and error code lives in
 ``docs/PROTOCOL.md`` (a test diffs that document's verbs and request fields
 against :data:`~repro.serving.server.VERB_FIELDS` so the two cannot drift).
 :func:`intervals` is the wire's own request-field check, in the
-``check(name, value)`` vocabulary of :mod:`repro.plan.algorithm`.
+``check(name, value)`` vocabulary of :mod:`repro.checks`.
 
 Framing
 -------

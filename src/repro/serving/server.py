@@ -34,6 +34,18 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
+from ..checks import (
+    KnobCheck,
+    boolean,
+    integer,
+    json_object,
+    name_list,
+    non_negative_int,
+    one_of,
+    positive_int,
+    positive_seconds,
+    string,
+)
 from ..datagen.synthetic import SyntheticConfig, generate_uniform_collection
 from ..experiments.workloads import PARAMETERS, QUERIES, build_query
 from ..mapreduce import (
@@ -45,24 +57,9 @@ from ..mapreduce import (
     cancel_scope,
     check_cancelled,
 )
-from ..plan import ExecutionContext, REGISTRY, get_algorithm
-from ..plan.algorithm import (
-    Algorithm,
-    KnobCheck,
-    RunReport,
-    boolean,
-    integer,
-    json_object,
-    name_list,
-    non_negative_int,
-    one_of,
-    path,
-    positive_int,
-    positive_seconds,
-    string,
-)
+from ..plan import ExecutionContext, PlanCache, REGISTRY, get_algorithm
+from ..plan.algorithm import Algorithm, RunReport
 from ..plan.context import atomic_pickle_dump, malformed_checkpoint, read_checkpoint
-from ..plan.feedback import CostStore, PlanCache, PlanFeedback
 from ..query.graph import RTJQuery
 from ..streaming.collection import StreamingCollection
 from ..temporal.interval import IntervalCollection
@@ -134,9 +131,6 @@ SERVER_FLAGS: dict[str, ServerFlag] = {
     "--plan-cache-entries": ServerFlag(
         "plan_cache_entries", int, non_negative_int, "bound the auto-plan cache; 0 disables it"
     ),
-    "--cost-store": ServerFlag(
-        "cost_store_path", str, path, "observed-cost log; in supervisor mode a directory of them"
-    ),
 }
 
 
@@ -154,7 +148,6 @@ class ServerSettings:
     drain_timeout: float = 30.0
     stats_cache_entries: int | None = None
     plan_cache_entries: int = 128
-    cost_store_path: Path | None = None
 
     def __post_init__(self) -> None:
         for flag, row in SERVER_FLAGS.items():
@@ -224,11 +217,7 @@ def parse_fields(table: FieldTable, request: Mapping[str, Any], prefix: str = ""
 
 
 def _fault_plan(name: str, value: Any) -> FaultPlan:
-    # FaultPlan's range checks compare before they type-check ("x" < 0).
-    try:
-        return FaultPlan.from_json(json_object(name, value))
-    except TypeError as error:
-        raise ValueError(f"{name}: {error}") from None
+    return FaultPlan.from_json(json_object(name, value))
 
 
 #: The fields of ``query``'s ``fault`` object (a fault plan scoped to that query).
@@ -311,14 +300,8 @@ class QueryServer:
             # Bound the warm statistics cache: LRU eviction past this many
             # (collections, granularity) entries.
             self.context.statistics.max_entries = self.settings.stats_cache_entries
-        if self.settings.plan_cache_entries and self.context.feedback is None:
-            # Attach the planner feedback loop: memoized auto plans plus the
-            # (optional, on-disk) observed-cost store.
-            cost_store_path = self.settings.cost_store_path
-            self.context.feedback = PlanFeedback(
-                plan_cache=PlanCache(max_entries=self.settings.plan_cache_entries),
-                cost_store=CostStore(cost_store_path) if cost_store_path else None,
-            )
+        if self.settings.plan_cache_entries and self.context.plan_cache is None:
+            self.context.plan_cache = PlanCache(self.settings.plan_cache_entries)
         self.host = host
         self.port = port
         self.worker_id = worker_id
@@ -736,11 +719,8 @@ class QueryServer:
                 "collections": len(self.collections),
             }
         )
-        feedback = self.context.feedback
-        if feedback is not None:
-            payload["plan_cache"] = feedback.plan_cache.describe()
-            if feedback.cost_store is not None:
-                payload["cost_store"] = feedback.cost_store.describe()
+        if self.context.plan_cache is not None:
+            payload["plan_cache"] = self.context.plan_cache.describe()
         return payload
 
     async def _handle_collections(self, fields: dict[str, Any], session_id: int) -> dict:

@@ -44,7 +44,6 @@ import sys
 import tempfile
 import time
 from collections import deque
-from dataclasses import replace
 from hashlib import blake2b
 from pathlib import Path
 from typing import Any
@@ -115,9 +114,8 @@ class ServerSupervisor:
     (removed on :meth:`stop`); pass a path to keep checkpoints across
     supervisor restarts.  The keyword ``settings`` are
     :class:`~repro.serving.server.ServerSettings` fields, forwarded to every
-    worker; ``cost_store_path`` names a directory holding one
-    ``worker-<id>.costs`` file per worker.  All methods must run on one event
-    loop — the supervisor owns no locks, exactly like the server it multiplies.
+    worker.  All methods must run on one event loop — the supervisor owns no
+    locks, exactly like the server it multiplies.
     """
 
     def __init__(
@@ -236,16 +234,10 @@ class ServerSupervisor:
     def _spawn(self, handle: WorkerHandle) -> None:
         handle.port_file.unlink(missing_ok=True)
         handle.port = None
-        settings = self.settings
-        if settings.cost_store_path is not None:
-            # One store file per worker: the append-only log is single-writer.
-            settings.cost_store_path.mkdir(parents=True, exist_ok=True)
-            store = settings.cost_store_path / f"worker-{handle.worker_id}.costs"
-            settings = replace(settings, cost_store_path=store)
         command = [sys.executable, "-m", "repro.serving.worker", "--host", self.host, "--port", "0"]
         command += ["--worker-id", str(handle.worker_id), "--port-file", str(handle.port_file)]
         command += ["--checkpoint", str(handle.checkpoint_path), "--parent-pid", str(os.getpid())]
-        command += settings.argv()
+        command += self.settings.argv()
         # The spawned interpreter must import `repro` even when the parent got
         # it from a pytest pythonpath entry that does not propagate.
         package_root = Path(__file__).resolve().parents[2]

@@ -45,10 +45,11 @@ from ..core.operators import (
     collections_by_name,
     run_pipeline,
 )
+from ..checks import string
 from ..core.statistics import batch_arrays, bucket_counts
 from ..mapreduce import MapReduceEngine
 from ..mapreduce.cluster import JobMetrics
-from ..plan.algorithm import Algorithm, ExecutionPlan, RunReport, string
+from ..plan.algorithm import Algorithm, ExecutionPlan, RunReport
 from ..plan.algorithms import TKIJAlgorithm
 from ..plan.context import ExecutionContext
 from ..plan.feedback import query_fingerprint

@@ -349,6 +349,21 @@ class TestServeDispatch:
         assert code == 1
         assert "cannot read fault plan" in capsys.readouterr().err
 
+    def test_serve_rejects_mistyped_fault_plan_field(self, tmp_path, capsys, monkeypatch):
+        import asyncio
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a bad fault plan must be refused before serving")
+
+        monkeypatch.setattr(asyncio, "start_server", forbidden)
+        path = tmp_path / "plan.json"
+        path.write_text('{"rules": [{"action": "delay", "delay_seconds": 0.1, "delay_once": "x"}]}')
+        code = main(["serve", "--fault-plan", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "delay_once must be a boolean" in err
+
     def test_serve_rejects_nonpositive_drain_timeout(self, capsys):
         code = main(["serve", "--drain-timeout", "0"])
         assert code == 1

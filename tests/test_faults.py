@@ -11,6 +11,7 @@ visible only in the separate ``JobMetrics.failed_attempts`` /
 from __future__ import annotations
 
 import pickle
+import re
 import time
 
 import pytest
@@ -112,6 +113,20 @@ class TestFaultRule:
         with pytest.raises(ValueError, match="non-negative"):
             FaultRule(action="fail", attempts=(-1,))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"task": "x"}, "task must be a non-negative integer or null, got 'x'"),
+            ({"task": True}, "task must be a non-negative integer or null, got True"),
+            ({"attempts": [1.5]}, "attempts must be a list of non-negative integers"),
+            ({"delay_once": "x"}, "delay_once must be a boolean, got 'x'"),
+            ({"job": 5}, "job must be a string, got 5"),
+        ],
+    )
+    def test_every_field_is_type_checked(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            FaultRule(action="fail", **fields)
+
 
 class TestFaultPlan:
     def test_explicit_rule_first_match_wins(self):
@@ -153,6 +168,19 @@ class TestFaultPlan:
             FaultPlan(failure_rate=0.5)
         with pytest.raises(ValueError, match="max_failures_per_task"):
             FaultPlan(seed=1, failure_rate=0.5, max_failures_per_task=0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"seed": "s", "failure_rate": 0.5}, "seed must be an integer or null, got 's'"),
+            ({"seed": 1, "failure_rate": True}, "failure_rate must be a number in [0, 1]"),
+            ({"max_failures_per_task": True}, "max_failures_per_task must be a positive integer"),
+            ({"rules": [{"action": "fail"}]}, "rules must be a list of fault rules"),
+        ],
+    )
+    def test_every_field_is_type_checked(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            FaultPlan(**fields)
 
     def test_json_roundtrip(self, tmp_path):
         plan = FaultPlan(

@@ -1,9 +1,8 @@
-"""Tests for feedback-driven planning: fingerprints, cost store, plan cache.
+"""Tests for plan memory: fingerprints, the plan cache, the bounded statistics cache.
 
-Covers the ISSUE's acceptance matrix: repeated identical queries hit the plan
-cache, statistics drift misses it, LRU churn never evicts the just-used entry,
-calibration is deterministic given the same observation log, and the bounded
-statistics cache stays within ``max_entries`` under multi-dataset churn.
+Repeated identical queries hit the plan cache, statistics drift misses it, LRU
+churn never evicts the just-used entry, and the bounded statistics cache stays
+within ``max_entries`` under multi-dataset churn.
 """
 
 import threading
@@ -14,16 +13,12 @@ from repro.datagen import SyntheticConfig, generate_collections
 from repro.experiments import build_query
 from repro.mapreduce import ClusterConfig
 from repro.plan import (
-    AutoPlanner,
-    CostStore,
     ExecutionContext,
     PlanCache,
-    PlanFeedback,
     StatisticsCache,
     get_algorithm,
     query_fingerprint,
     statistics_fingerprint,
-    workload_fingerprint,
 )
 from repro.plan.planner import PlanExplanation
 from repro.temporal import Interval, IntervalCollection
@@ -63,90 +58,10 @@ class TestFingerprints:
         drifted[0] = IntervalCollection(drifted[0].name, moved)
         assert statistics_fingerprint(named(drifted)) != before
 
-    def test_workload_fingerprint_pools_same_magnitude_data(self, p1):
-        config = SyntheticConfig(size=40, start_max=800.0, length_max=60.0)
-        run_a = list(generate_collections(3, config, seed=1).values())
-        run_b = list(generate_collections(3, config, seed=2).values())
-        qa = build_query("Qs,m", run_a, p1, k=10)
-        qb = build_query("Qs,m", run_b, p1, k=10)
-        # Different contents, same shape: observations pool together...
-        assert workload_fingerprint(qa, named(run_a)) == workload_fingerprint(qb, named(run_b))
-        # ...while the exact planning problems stay distinct.
-        assert statistics_fingerprint(named(run_a)) != statistics_fingerprint(named(run_b))
-
-    def test_workload_fingerprint_splits_predicates(self, tiny_collections, p1):
-        qa = build_query("Qs,m", tiny_collections, p1, k=10)
-        qb = build_query("Qo,o", tiny_collections, p1, k=10)
-        cols = named(tiny_collections)
-        assert workload_fingerprint(qa, cols) != workload_fingerprint(qb, cols)
 
 
 KNOBS_VECTOR = {"num_granules": 20, "strategy": "loose", "assigner": "dtb", "kernel": "vector"}
 KNOBS_SWEEP = {"num_granules": 20, "strategy": "loose", "assigner": "dtb", "kernel": "sweep"}
-
-
-def outcome(join_seconds: float, candidates: float) -> dict:
-    return {"join_seconds": join_seconds, "candidates_examined": candidates}
-
-
-class TestCostStore:
-    def test_record_and_observations(self):
-        store = CostStore()
-        store.record("w1", KNOBS_VECTOR, outcome(0.5, 100.0))
-        store.record("w1", KNOBS_VECTOR, outcome(0.7, 100.0))
-        store.record("w2", KNOBS_SWEEP, outcome(0.1, 10.0))
-        assert len(store) == 3
-        by_knobs = store.observations("w1")
-        assert list(by_knobs) == [CostStore.knob_key(KNOBS_VECTOR)]
-        assert len(by_knobs[CostStore.knob_key(KNOBS_VECTOR)]) == 2
-        summary = store.describe()
-        assert summary["observations"] == 3
-        assert summary["workloads"] == 2
-        assert summary["recorded"] == 3
-
-    def test_persists_and_reloads_identically(self, tmp_path):
-        path = tmp_path / "observed.costs"
-        store = CostStore(path)
-        for _ in range(3):
-            store.record("w1", KNOBS_VECTOR, outcome(0.9, 100.0))
-            store.record("w1", KNOBS_SWEEP, outcome(0.3, 100.0))
-        reloaded = CostStore(path)
-        assert reloaded.describe()["loaded"] == 6
-        # Calibration is deterministic given the same log.
-        assert reloaded.kernel_costs("w1") == store.kernel_costs("w1")
-        assert reloaded.calibrated_kernel("w1") == store.calibrated_kernel("w1")
-
-    def test_corrupt_tail_line_is_skipped_and_counted(self, tmp_path):
-        path = tmp_path / "observed.costs"
-        store = CostStore(path)
-        store.record("w1", KNOBS_VECTOR, outcome(0.5, 10.0))
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"workload": "w1", "knobs": {"kern')  # torn mid-append
-        reloaded = CostStore(path)
-        assert reloaded.describe()["loaded"] == 1
-        assert reloaded.describe()["corrupt_lines"] == 1
-
-    def test_calibration_needs_two_warm_kernels(self):
-        store = CostStore()
-        for _ in range(3):
-            store.record("w1", KNOBS_VECTOR, outcome(0.5, 100.0))
-        # One warm kernel carries no ratio.
-        assert store.calibrated_kernel("w1") is None
-        for _ in range(2):
-            store.record("w1", KNOBS_SWEEP, outcome(0.1, 100.0))
-        # The second kernel is still below the observation threshold.
-        assert store.calibrated_kernel("w1", min_observations=3) is None
-        store.record("w1", KNOBS_SWEEP, outcome(0.1, 100.0))
-        kernel, costs = store.calibrated_kernel("w1", min_observations=3)
-        assert kernel == "sweep"
-        assert set(costs) == {"vector", "sweep"}
-        assert costs["sweep"] == pytest.approx(0.001)
-
-    def test_zero_candidate_outcomes_do_not_poison_means(self):
-        store = CostStore()
-        for _ in range(3):
-            store.record("w1", KNOBS_VECTOR, outcome(0.5, 0.0))
-        assert store.kernel_costs("w1") == {}
 
 
 def explanation(num_granules: int = 20) -> PlanExplanation:
@@ -217,68 +132,33 @@ class TestPlanCache:
             PlanCache(max_entries=0)
 
 
-class TestPlannerCalibration:
-    def test_cold_store_reason_mentions_static_fallback(self, tiny_collections, p1):
-        query = build_query("Qs,m", tiny_collections, p1, k=10)
-        context = make_context()
-        planner = AutoPlanner(cost_store=CostStore())
-        _, exp = planner.plan(query, context)
-        assert any("cost store cold" in reason for reason in exp.reasons)
-
-    def test_warm_store_overrides_static_kernel_choice(self, tiny_collections, p1):
-        query = build_query("Qs,m", tiny_collections, p1, k=10)
-        workload = workload_fingerprint(query, named(tiny_collections))
-        store = CostStore()
-        # Contrived evidence: "sweep" is observed far cheaper per candidate.
-        for _ in range(3):
-            store.record(workload, KNOBS_VECTOR, outcome(5.0, 100.0))
-            store.record(workload, KNOBS_SWEEP, outcome(0.01, 100.0))
-        context = make_context()
-        planner = AutoPlanner(cost_store=store)
-        chosen, exp = planner.plan(query, context)
-        assert chosen["kernel"] == "sweep"
-        assert any("observed calibration" in reason for reason in exp.reasons)
-
-    def test_calibration_is_deterministic_for_a_given_log(self, tiny_collections, p1, tmp_path):
-        query = build_query("Qs,m", tiny_collections, p1, k=10)
-        workload = workload_fingerprint(query, named(tiny_collections))
-        path = tmp_path / "observed.costs"
-        store = CostStore(path)
-        for _ in range(4):
-            store.record(workload, KNOBS_VECTOR, outcome(0.02, 100.0))
-            store.record(workload, KNOBS_SWEEP, outcome(2.0, 100.0))
-        picks = []
-        for _ in range(3):
-            planner = AutoPlanner(cost_store=CostStore(path))
-            chosen, _ = planner.plan(query, make_context())
-            picks.append(chosen["kernel"])
-        assert picks == ["vector", "vector", "vector"]
-
-
 class TestAlgorithmIntegration:
     def test_second_auto_plan_hits_cache_with_identical_results(self, tiny_collections, p1):
         query = build_query("Qs,m", tiny_collections, p1, k=10)
         context = make_context()
-        context.feedback = PlanFeedback(plan_cache=PlanCache(max_entries=8), cost_store=CostStore())
+        context.plan_cache = PlanCache(max_entries=8)
         algorithm = get_algorithm("tkij")
         first = algorithm.execute(algorithm.plan(query, context, mode="auto"))
         plan = algorithm.plan(query, context, mode="auto")
         second = algorithm.execute(plan)
-        stats = context.feedback.plan_cache.describe()
+        stats = context.plan_cache.describe()
         assert stats == {**stats, "hits": 1, "misses": 1, "entries": 1}
         assert any("plan cache" in reason for reason in plan.explanation.reasons)
         assert [(r.uids, r.score) for r in first.results] == [
             (r.uids, r.score) for r in second.results
         ]
-        # Both executions fed the observed-cost store.
-        assert context.feedback.cost_store.describe()["recorded"] == 2
+        # A session view shares the plan cache by reference.
+        view = context.session_view()
+        algorithm.plan(query, view, mode="auto")
+        assert view.plan_cache is context.plan_cache
+        assert context.plan_cache.describe()["hits"] == 2
 
     def test_without_feedback_auto_mode_is_unchanged(self, tiny_collections, p1):
         query = build_query("Qs,m", tiny_collections, p1, k=10)
         context = make_context()
         algorithm = get_algorithm("tkij")
         plan = algorithm.plan(query, context, mode="auto")
-        assert context.feedback is None
+        assert context.plan_cache is None
         assert all("plan cache" not in reason for reason in plan.explanation.reasons)
 
 

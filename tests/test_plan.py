@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.baselines import naive_boolean_matches, naive_top_k
-from repro.core import STRATEGIES, collect_statistics, collections_by_name
+from repro.core import KERNELS, STRATEGIES, collect_statistics, collections_by_name
 from repro.core.distribution import ASSIGNERS
 from repro.datagen import SyntheticConfig, generate_collections
 from repro.experiments import build_query
@@ -307,6 +307,18 @@ class TestAutoPlanner:
         assert summary["plan_strategy"] == report.explanation.strategy
         assert summary["plan_num_granules"] == report.explanation.num_granules
         assert report.describe()["plan_assigner"] == report.explanation.assigner
+
+    def test_explicit_kernel_over_an_auto_plan_explains_itself(self, tiny_collections):
+        query = build_query("Qo,m", tiny_collections, "P1", k=8)
+        tkij = get_algorithm("tkij")
+        with make_context() as context:
+            priced = tkij.plan(query, context, mode="auto").explanation.kernel
+            forced = next(kernel for kernel in KERNELS if kernel != priced)
+            plan = tkij.plan(query, context, mode="auto", kernel=forced)
+        assert plan.knobs["join_config"].kernel == plan.explanation.kernel == forced
+        assert plan.explanation.reasons[-1] == (
+            f"kernel={forced}: set explicitly; the priced pick was {priced}"
+        )
 
     def test_auto_plan_still_exact(self, tiny_collections):
         query = build_query("Qs,f,m", tiny_collections, "P1", k=10)

@@ -403,17 +403,6 @@ class TestWarmCache:
         assert stats["statistics_cache"]["evictions"] >= 2
         assert stats["statistics_cache"]["max_entries"] == 2
 
-    def test_cost_store_counters_surface_in_stats(self, tmp_path):
-        server = QueryServer(
-            plan_cache_entries=16, cost_store_path=tmp_path / "observed.costs"
-        )
-        with BackgroundServer(server) as (host, port), QueryClient(host, port) as client:
-            register_collections(client, make_collections(size=80))
-            client.query("Qo,m", list(NAMES), k=10, options={"mode": "auto"})
-            stats = client.stats()
-        assert stats["cost_store"]["recorded"] == 1
-        assert (tmp_path / "observed.costs").exists()
-
 
 # ----------------------------------------------------------- deadline handling
 class TestDeadlines:
@@ -832,7 +821,20 @@ class TestWireFieldTypes:
 
     @pytest.mark.parametrize(
         "plan",
-        [{"failure_rate": "x"}, {"rules": [{"action": "fail", "job": 5}]}, {"rules": 5}],
+        [
+            {"failure_rate": "x"},
+            {"rules": [{"action": "fail", "job": 5}]},
+            {"rules": 5},
+            # Each field is type-checked: a bool is no integer, a string no flag.
+            {"rules": [{"action": "fail", "task": "x"}]},
+            {"rules": [{"action": "fail", "task": True}]},
+            {"rules": [{"action": "fail", "attempts": [1.5]}]},
+            {"rules": [{"action": "delay", "delay_seconds": 0.1, "delay_once": "x"}]},
+            {"rules": [{"action": "delay", "delay_seconds": 10**400}]},
+            {"seed": "s", "failure_rate": 0.5},
+            {"seed": 1, "failure_rate": True},
+            {"max_failures_per_task": True},
+        ],
     )
     def test_malformed_fault_plan_is_bad_request(self, plan):
         with WireServer() as wire:

@@ -11,10 +11,8 @@ from repro.experiments import build_query
 from repro.mapreduce import ClusterConfig
 from repro.plan import (
     AutoPlanner,
-    CostStore,
     ExecutionContext,
     PlanCache,
-    PlanFeedback,
     get_algorithm,
 )
 from repro.streaming import (
@@ -432,15 +430,15 @@ class TestFullTicksPlanThroughTKIJ:
     def test_auto_stream_matches_one_shot_tkij_and_replans_miss_the_plan_cache(
         self, stream_collections
     ):
-        # A full tick is tkij's own plan + execute: with planner feedback in
-        # the context it reaches tkij's plan cache and cost store, and a replan
-        # after growth sees a new statistics fingerprint, so it misses.
+        # A full tick is tkij's own plan + execute: with a plan cache in the
+        # context it reaches tkij's plan cache, and a replan after growth sees
+        # a new statistics fingerprint, so it misses.
         streams = [StreamingCollection(c.name) for c in stream_collections]
         query = build_query("Qo,m", streams, "P1", k=10)
         algorithm = get_algorithm("tkij-streaming")
-        feedback = PlanFeedback(plan_cache=PlanCache(max_entries=8), cost_store=CostStore())
+        plan_cache = PlanCache(max_entries=8)
         with make_context() as context:
-            context.feedback = feedback
+            context.plan_cache = plan_cache
             for tick in range(4):
                 for stream, source in zip(streams, stream_collections):
                     stream.ingest(source.intervals[tick * 9 : (tick + 1) * 9])
@@ -452,9 +450,9 @@ class TestFullTicksPlanThroughTKIJ:
         replans = report.raw.replans
         assert replans >= 1
         full_ticks = 1 + replans
-        assert feedback.plan_cache.describe()["hits"] == 0
-        assert feedback.plan_cache.describe()["misses"] == full_ticks
-        assert feedback.cost_store.describe()["recorded"] == full_ticks
+        assert plan_cache.describe()["hits"] == 0
+        assert plan_cache.describe()["misses"] == full_ticks
+        assert plan_cache.describe()["entries"] == full_ticks
 
 
 # ----------------------------------------------------------------- property

@@ -341,33 +341,28 @@ class TestSupervisedServing:
         assert not checkpoint_dir.exists()
 
 
-    def test_every_setting_reaches_every_worker(self, tmp_path):
-        costs = tmp_path / "costs"
+    def test_every_setting_reaches_every_worker(self):
         supervisor, background, address = start_supervisor(
             max_inflight=1,
             max_queue=0,
             stats_cache_entries=3,
             plan_cache_entries=8,
-            cost_store_path=costs,
         )
         try:
             for affinity in affinity_pair(supervisor):
                 with QueryClient(*address, affinity=affinity) as client:
                     for collection in make_collections(size=40):
                         client.register(collection.name, encode_intervals(collection.intervals))
-                    client.query("Qo,m", list(NAMES), k=5, options={"mode": "auto"})
+                    for _ in range(2):
+                        client.query("Qo,m", list(NAMES), k=5, options={"mode": "auto"})
                     stats = client.stats()
                 assert stats["admission"]["max_inflight"] == 1
                 assert stats["admission"]["max_queue"] == 0
                 assert stats["statistics_cache"]["max_entries"] == 3
-                assert stats["plan_cache"]["max_entries"] == 8
-                assert stats["cost_store"]["recorded"] == 1
+                plan_cache = stats["plan_cache"]
+                assert plan_cache == {**plan_cache, "hits": 1, "misses": 1, "max_entries": 8}
         finally:
             background.stop()
-        assert sorted(path.name for path in costs.iterdir()) == [
-            "worker-0.costs",
-            "worker-1.costs",
-        ]
 
 
 def _children(pid):
@@ -392,7 +387,7 @@ def _gone(pid):
 
 
 class TestServeCommand:
-    def test_serve_with_two_workers_end_to_end(self, tmp_path):
+    def test_serve_with_two_workers_end_to_end(self):
         expected = library_results()
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -401,7 +396,6 @@ class TestServeCommand:
         command += ["--port", "0", "--max-inflight", "2", "--max-queue", "4"]
         command += ["--default-deadline-ms", "60000", "--drain-timeout", "10"]
         command += ["--stats-cache-entries", "4", "--plan-cache-entries", "8"]
-        command += ["--cost-store", str(tmp_path / "costs")]
         process = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True)
         try:
             deadline = time.monotonic() + 60
@@ -418,10 +412,13 @@ class TestServeCommand:
             with QueryClient(host, int(port), affinity="e2e") as client:
                 client.load(list(NAMES), size=SIZE, seed=7)
                 response = client.query("Qo,m", list(NAMES), k=10)
+                for _ in range(2):
+                    client.query("Qo,m", list(NAMES), k=10, options={"mode": "auto"})
                 stats = client.stats()
             assert response["results"] == expected
             assert stats["admission"]["max_inflight"] == 2
-            assert stats["plan_cache"]["max_entries"] == 8
+            plan_cache = stats["plan_cache"]
+            assert plan_cache == {**plan_cache, "hits": 1, "misses": 1, "max_entries": 8}
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=60) == 0
         finally:
