@@ -77,6 +77,11 @@ class IntervalColumns:
     """Row-wise view, kept only when the batch was built from ``Interval``
     objects in-process; deliberately dropped from pickles (see ``__getstate__``)
     so the process backend ships arrays, not object graphs."""
+    _by_start: tuple[list[float], list[int], list[float]] | None = field(
+        default=None, repr=False, compare=False
+    )
+    """List twin of the start-sorted view, built lazily by :meth:`by_start`
+    for the scalar kernel's bisected windows; never pickled."""
     _sorted: SortedEndpointViews | None = field(
         default=None, repr=False, compare=False
     )
@@ -177,6 +182,17 @@ class IntervalColumns:
         object.__setattr__(self, "_sorted", views)
         return views
 
+    def by_start(self) -> tuple[list[float], list[int], list[float]]:
+        """Sorted starts, the stable start order and the ends in that order, as
+        Python lists (built once and memoised): the scalar kernel bisects them
+        without a numpy round trip per probe."""
+        if self._by_start is not None:
+            return self._by_start
+        order = np.argsort(self.starts, kind="stable")
+        lists = (self.starts[order].tolist(), order.tolist(), self.ends[order].tolist())
+        object.__setattr__(self, "_by_start", lists)
+        return lists
+
     def to_intervals(self) -> list[Interval]:
         """Row-wise :class:`Interval` objects (rebuilt once and memoised)."""
         if self._intervals is not None:
@@ -209,6 +225,7 @@ class IntervalColumns:
         for name, value in state.items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_intervals", None)
+        object.__setattr__(self, "_by_start", None)
 
 
 def as_columns(batch: "IntervalColumns | Sequence[Interval]") -> IntervalColumns:

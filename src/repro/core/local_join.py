@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .statistics import BucketKey
 __all__ = ["KERNELS", "LocalJoinConfig", "LocalJoinStats", "LocalTopKJoin"]
 
 VertexBucket = tuple[str, BucketKey]
+Scorer = Callable[[Interval, Interval], float]
 
 KERNELS = ("scalar", "vector", "sweep")
 """Valid values of ``LocalJoinConfig.kernel``."""
@@ -121,6 +122,54 @@ class _TopKHeap:
         return [ResultTuple(uids=uids, score=score) for score, uids in ordered]
 
 
+class _Step(NamedTuple):
+    """One join-order depth of the compiled walk (built once per join)."""
+
+    vertex: str
+    edges: tuple[tuple[int, Scorer, str, bool], ...]
+    """Connecting edges as ``(edge index, scorer, other vertex, candidate is
+    the edge's source)``."""
+    attribute_edges: tuple[QueryEdge, ...]
+    """Connecting edges carrying attribute constraints (almost always none)."""
+    driver: tuple[int, CompiledPredicateQuery, str] | None
+    """``(edge index, threshold-box query, fixed vertex)`` of the first
+    connecting edge; ``None`` for the first vertex."""
+    last: bool
+    """Binding this vertex completes a tuple."""
+
+
+def _plan_steps(query: RTJQuery, join_order: Sequence[str]) -> list[_Step]:
+    """One step plan per join-order depth: the edges resolved when its vertex
+    is bound, with their compiled scorers, and the driver edge's box query."""
+    steps = []
+    for depth, vertex in enumerate(join_order):
+        bound = join_order[:depth]
+        connecting = [
+            (index, edge)
+            for index, edge in enumerate(query.edges)
+            if (edge.source == vertex and edge.target in bound)
+            or (edge.target == vertex and edge.source in bound)
+        ]
+        edges = tuple(
+            (
+                index,
+                edge.predicate.compile(),
+                edge.target if edge.source == vertex else edge.source,
+                edge.source == vertex,
+            )
+            for index, edge in connecting
+        )
+        driver = None
+        if connecting:
+            index, edge = connecting[0]
+            fixed = edges[0][2]
+            renamed = edge.predicate.rename(edge.source, edge.target)
+            driver = (index, CompiledPredicateQuery(renamed, fixed, vertex), fixed)
+        attribute_edges = tuple(edge for _, edge in connecting if edge.attributes)
+        steps.append(_Step(vertex, edges, attribute_edges, driver, depth + 1 == len(join_order)))
+    return steps
+
+
 class LocalTopKJoin:
     """Evaluates an RTJ query over a set of bucket combinations, returning the top-k."""
 
@@ -130,33 +179,9 @@ class LocalTopKJoin:
         self._floor = 0.0
         self._num_edges = len(query.edges)
         self._join_order = query.join_order()
-        # Edges resolved when each join-order vertex is bound.
-        self._edges_at: list[list[tuple[int, QueryEdge]]] = []
-        bound: list[str] = []
-        for vertex in self._join_order:
-            connecting = [
-                (index, edge)
-                for index, edge in enumerate(query.edges)
-                if (edge.source == vertex and edge.target in bound)
-                or (edge.target == vertex and edge.source in bound)
-            ]
-            self._edges_at.append(connecting)
-            bound.append(vertex)
-        # Compiled per-edge scorers (hot path) and threshold-box queries (index path).
-        self._scorers = {
-            index: edge.predicate.compile() for index, edge in enumerate(query.edges)
-        }
-        self._threshold_queries: dict[tuple[int, str], CompiledPredicateQuery] = {}
-        for index, edge in enumerate(query.edges):
-            renamed = edge.predicate.rename(edge.source, edge.target)
-            self._threshold_queries[(index, edge.source)] = CompiledPredicateQuery(
-                renamed, fixed_var=edge.source, target_var=edge.target
-            )
-            self._threshold_queries[(index, edge.target)] = CompiledPredicateQuery(
-                renamed, fixed_var=edge.target, target_var=edge.source
-            )
-        # Vectorized per-edge scorers (x = source, y = target, like _scorers),
-        # shared by both columnar kernels.
+        self._steps = _plan_steps(query, self._join_order)
+        # Vectorized per-edge scorers (x = source, y = target), shared by both
+        # columnar kernels.
         self._vector_scorers = (
             {index: compile_vector(edge.predicate) for index, edge in enumerate(query.edges)}
             if self.config.kernel != "scalar"
@@ -165,7 +190,7 @@ class LocalTopKJoin:
         # The kernels read the same per-bucket columns and differ in how a
         # threshold box becomes candidates and in the extension body scoring them.
         self._resolve, self._extend_kernel = {
-            "scalar": (_window_rows, self._extend),
+            "scalar": (_window_rows, self._walk),
             "vector": (_mask_positions, self._extend_columnar),
             "sweep": (sweep_positions, self._extend_columnar),
         }[self.config.kernel]
@@ -234,9 +259,10 @@ class LocalTopKJoin:
         if any(len(columns) == 0 for columns in per_vertex.values()):
             return
 
+        # Every kernel carries one estimate per edge down the walk: the actual
+        # score of a resolved edge, the upper bound of an unresolved one.
         edge_ubs = self._edge_upper_bounds(combination)
         first_vertex = self._join_order[0]
-        empty_scores: list[float | None] = [None] * self._num_edges
         first = per_vertex[first_vertex]
         # The scalar kernel scores Interval rows (in process the original
         # objects), the columnar kernels lightweight records of the columns.
@@ -245,156 +271,144 @@ class LocalTopKJoin:
             if self.config.kernel == "scalar"
             else map(first.record, range(len(first)))
         )
+        assignment: dict = {}
         for row in rows:
-            self._extend_kernel(
-                per_vertex, {first_vertex: row}, empty_scores, 1, edge_ubs, heap, stats
-            )
+            assignment[first_vertex] = row
+            self._extend_kernel(1, per_vertex, assignment, edge_ubs, heap, stats)
 
     def _edge_upper_bounds(self, combination: BucketCombination) -> list[float]:
         if combination.edge_bounds and len(combination.edge_bounds) == self._num_edges:
             return [bounds[1] for bounds in combination.edge_bounds]
         return [1.0] * self._num_edges
 
+    def _threshold(self, heap: _TopKHeap) -> tuple[bool, float]:
+        """Whether the step prunes, and the score it must reach (frozen per step)."""
+        pruning = self.config.early_termination and (heap.is_full or self._floor > 0.0)
+        return pruning, (max(self._floor, heap.kth_score) if pruning else 0.0)
+
     def _candidates(
         self,
+        step: _Step,
         columns: IntervalColumns,
         assignment: Mapping[str, "Interval | FixedInterval"],
-        edge_scores: Sequence[float | None],
-        vertex: str,
-        connecting: Sequence[tuple[int, QueryEdge]],
-        edge_ubs: Sequence[float],
+        estimates: Sequence[float],
         threshold: float,
     ):
-        """Candidates for the next join-order vertex among its bucket ``columns``;
+        """Candidates for the step's vertex among its bucket ``columns``;
         ``None`` means the whole bucket.
 
         The residual score the driver edge must reach is boxed by its
         :class:`CompiledPredicateQuery` and the kernel's resolver turns the
         threshold box into candidate rows: a bisected start window over the
-        bucket's endpoint-sorted views returning intervals (scalar), a boolean
+        bucket's start-sorted lists returning intervals (scalar), a boolean
         range filter over the bucket columns (vector) or a searchsorted window
-        over the same sorted views (sweep) returning positions.  All three
+        over the endpoint-sorted views (sweep) returning positions.  All three
         select exactly the same rows, in bucket order.
         """
-        if not self.config.use_index or not connecting or threshold <= 0.0:
+        if not self.config.use_index or step.driver is None or threshold <= 0.0:
             return None
-
-        driver_index, driver_edge = connecting[0]
-        fixed_var = driver_edge.source if driver_edge.target == vertex else driver_edge.target
-        # Residual score the driver edge must reach: actual scores for resolved
-        # edges, upper bounds for every other unresolved edge.
-        known = {
-            index: score for index, score in enumerate(edge_scores) if score is not None
-        }
-        required = self.query.aggregation.residual_threshold(
-            threshold, driver_index, known, edge_ubs
-        )
+        driver_index, box_query, fixed_var = step.driver
+        required = self.query.aggregation.residual_threshold(threshold, driver_index, estimates)
         if required <= 0.0:
             return None
         if required > 1.0:
             return _EMPTY_POSITIONS
-        box = self._threshold_queries[(driver_index, fixed_var)].box(
-            assignment[fixed_var], required
-        )
+        box = box_query.box(assignment[fixed_var], required)
         if box is None:
             return _EMPTY_POSITIONS
         return self._resolve(box, columns)
 
     # ------------------------------------------------------------ scalar kernel
-    def _extend(
+    def _walk(
         self,
+        depth: int,
         per_vertex: Mapping[str, IntervalColumns],
         assignment: dict[str, Interval],
-        edge_scores: list[float | None],
-        depth: int,
-        edge_ubs: Sequence[float],
+        estimates: list[float],
         heap: _TopKHeap,
         stats: LocalJoinStats,
     ) -> None:
-        if depth == len(self._join_order):
-            score = self.query.aggregation.combine(edge_scores)
-            stats.tuples_scored += 1
-            uids = tuple(assignment[vertex].uid for vertex in self.query.vertices)
-            heap.offer(score, uids)
-            return
+        """Bind the join-order vertex at ``depth`` to each candidate, one at a time.
 
-        vertex = self._join_order[depth]
-        connecting = self._edges_at[depth]
-        pruning = self.config.early_termination and (heap.is_full or self._floor > 0.0)
-        threshold = max(self._floor, heap.kth_score) if pruning else 0.0
-        columns = per_vertex[vertex]
-        candidates = self._candidates(
-            columns, assignment, edge_scores, vertex, connecting, edge_ubs, threshold
-        )
+        The last depth scores, combines and offers its candidates in its own
+        loop; an inner depth recurses for every candidate whose optimistic
+        estimate can still reach the threshold, which is frozen at entry.
+        """
+        step = self._steps[depth]
+        pruning, threshold = self._threshold(heap)
+        columns = per_vertex[step.vertex]
+        candidates = self._candidates(step, columns, assignment, estimates, threshold)
         if candidates is None:
             candidates = columns.to_intervals()
+        stats.candidates_examined += len(candidates)
+        if not len(candidates):
+            return
 
-        aggregation = self.query.aggregation
-        scorers = self._scorers
+        vertex, last, attribute_edges = step.vertex, step.last, step.attribute_edges
         # Only the connecting-edge slots change between candidates, so the
-        # score vector and the optimistic estimate (actual scores for resolved
-        # edges, upper bounds for the rest) are built once per extension step
-        # and patched in place per candidate.  Callees copy ``new_scores`` on
-        # their own first mutation, so the in-place reuse never aliases a
-        # deeper frame.
-        new_scores = edge_scores.copy()
-        estimate_vector = [
-            edge_scores[index] if edge_scores[index] is not None else edge_ubs[index]
-            for index in range(self._num_edges)
+        # step patches its own copy of the estimates in place; the other side
+        # of every connecting edge is bound for the whole step.
+        estimates = estimates.copy()
+        edges = [
+            (index, scorer, assignment[other], is_source)
+            for index, scorer, other, is_source in step.edges
         ]
+        combine = self.query.aggregation.combine
+        if last:
+            uids = [
+                None if name == vertex else assignment[name].uid
+                for name in self.query.vertices
+            ]
+            slot = self.query.vertices.index(vertex)
         for candidate in candidates:
-            stats.candidates_examined += 1
-            assignment[vertex] = candidate
-            # Hybrid queries: attribute constraints are hard filters on the pair.
-            if any(
-                edge.attributes and not edge.attributes_hold(assignment)
-                for _, edge in connecting
-            ):
-                del assignment[vertex]
-                continue
-            for edge_index, edge in connecting:
-                score = scorers[edge_index](
-                    assignment[edge.source], assignment[edge.target]
+            if attribute_edges:
+                # Hybrid queries: attribute constraints are hard filters on the pair.
+                assignment[vertex] = candidate
+                if not all(edge.attributes_hold(assignment) for edge in attribute_edges):
+                    continue
+            for index, scorer, other, is_source in edges:
+                estimates[index] = (
+                    scorer(candidate, other) if is_source else scorer(other, candidate)
                 )
-                new_scores[edge_index] = score
-                estimate_vector[edge_index] = score
-            if pruning and aggregation.combine(estimate_vector) < threshold:
-                # The estimate cannot beat the current k-th score.
-                del assignment[vertex]
+            if not last:
+                if pruning and combine(estimates) < threshold:
+                    # The estimate cannot beat the current k-th score.
+                    continue
+                assignment[vertex] = candidate
+                self._walk(depth + 1, per_vertex, assignment, estimates, heap, stats)
                 continue
-            self._extend(
-                per_vertex, assignment, new_scores, depth + 1, edge_ubs, heap, stats
-            )
-            del assignment[vertex]
+            # Every edge is resolved: the estimate *is* the tuple's score.
+            score = combine(estimates)
+            if pruning and score < threshold:
+                continue
+            stats.tuples_scored += 1
+            uids[slot] = candidate.uid
+            heap.offer(score, tuple(uids))
 
     # --------------------------------------------------------- columnar kernels
     def _extend_columnar(
         self,
+        depth: int,
         per_vertex: Mapping[str, IntervalColumns],
         assignment: dict[str, FixedInterval],
-        edge_scores: list[float | None],
-        depth: int,
-        edge_ubs: Sequence[float],
+        estimates: list[float],
         heap: _TopKHeap,
         stats: LocalJoinStats,
     ) -> None:
         """Bind the join-order vertex at ``depth``, scoring all candidates at once.
 
-        Parity with the scalar :meth:`_extend` is exact by construction: the
+        Parity with the scalar :meth:`_walk` is exact by construction: the
         threshold is frozen at entry (as in the scalar loop), the candidate set
         comes from the same threshold box (:meth:`_candidates`), candidates are
         visited in the same bucket order, and the comparator/aggregation
         kernels produce bit-identical floats — so the same tuples pass the same
         pruning tests and the counters agree exactly.
         """
-        vertex = self._join_order[depth]
-        connecting = self._edges_at[depth]
-        pruning = self.config.early_termination and (heap.is_full or self._floor > 0.0)
-        threshold = max(self._floor, heap.kth_score) if pruning else 0.0
+        step = self._steps[depth]
+        vertex = step.vertex
+        pruning, threshold = self._threshold(heap)
         columns = per_vertex[vertex]
-        positions = self._candidates(
-            columns, assignment, edge_scores, vertex, connecting, edge_ubs, threshold
-        )
+        positions = self._candidates(step, columns, assignment, estimates, threshold)
         if positions is None:
             cand_uids, cand_starts, cand_ends = columns.uids, columns.starts, columns.ends
         else:
@@ -410,21 +424,21 @@ class LocalTopKJoin:
 
         # Hybrid queries: attribute constraints are hard filters on the pair.
         keep = self._attribute_mask(
-            connecting, assignment, vertex, columns, positions, count
+            step.attribute_edges, assignment, vertex, columns, positions, count
         )
 
-        parts: list[object] = list(edge_scores)
-        for edge_index, edge in connecting:
-            scorer = self._vector_scorers[edge_index]
-            if edge.source == vertex:
-                other = assignment[edge.target]
-                parts[edge_index] = scorer(cand_starts, cand_ends, other.start, other.end)
+        # Resolved edges keep their scores and unresolved ones their upper
+        # bounds, so ``parts`` is the optimistic estimate of every candidate.
+        parts: list[object] = list(estimates)
+        for index, _, other_vertex, is_source in step.edges:
+            scorer = self._vector_scorers[index]
+            other = assignment[other_vertex]
+            if is_source:
+                parts[index] = scorer(cand_starts, cand_ends, other.start, other.end)
             else:
-                other = assignment[edge.source]
-                parts[edge_index] = scorer(other.start, other.end, cand_starts, cand_ends)
+                parts[index] = scorer(other.start, other.end, cand_starts, cand_ends)
 
-        final = depth + 1 == len(self._join_order)
-        if final:
+        if step.last:
             # Every edge is resolved: the optimistic estimate *is* the score.
             scores = combine_scores_v(self.query.aggregation, parts, count)
             if pruning:
@@ -444,11 +458,7 @@ class LocalTopKJoin:
             return
 
         if pruning:
-            estimate_parts = [
-                parts[index] if parts[index] is not None else edge_ubs[index]
-                for index in range(self._num_edges)
-            ]
-            estimate = combine_scores_v(self.query.aggregation, estimate_parts, count)
+            estimate = combine_scores_v(self.query.aggregation, parts, count)
             if keep is None:
                 keep = estimate >= threshold
             else:
@@ -460,17 +470,14 @@ class LocalTopKJoin:
             assignment[vertex] = FixedInterval(
                 int(cand_uids[row]), float(cand_starts[row]), float(cand_ends[row]), payload
             )
-            new_scores = edge_scores.copy()
-            for edge_index, _ in connecting:
-                new_scores[edge_index] = float(parts[edge_index][row])
-            self._extend_columnar(
-                per_vertex, assignment, new_scores, depth + 1, edge_ubs, heap, stats
-            )
-            del assignment[vertex]
+            new_estimates = estimates.copy()
+            for index, *_ in step.edges:
+                new_estimates[index] = float(parts[index][row])
+            self._extend_columnar(depth + 1, per_vertex, assignment, new_estimates, heap, stats)
 
     def _attribute_mask(
         self,
-        connecting: Sequence[tuple[int, QueryEdge]],
+        attribute_edges: Sequence[QueryEdge],
         assignment: dict[str, FixedInterval],
         vertex: str,
         columns: IntervalColumns,
@@ -478,34 +485,36 @@ class LocalTopKJoin:
         count: int,
     ) -> np.ndarray | None:
         """Per-candidate attribute filter; ``None`` when no edge carries one."""
-        attr_edges = [(i, e) for i, e in connecting if e.attributes]
-        if not attr_edges:
+        if not attribute_edges:
             return None
         keep = np.ones(count, dtype=bool)
         for row in range(count):
             original = int(positions[row]) if positions is not None else row
             assignment[vertex] = columns.record(original)
-            if any(not edge.attributes_hold(assignment) for _, edge in attr_edges):
+            if not all(edge.attributes_hold(assignment) for edge in attribute_edges):
                 keep[row] = False
-        del assignment[vertex]
         return keep
 
 
 def _window_rows(box: Rect, columns: IntervalColumns) -> list[Interval]:
     """Scalar resolver: the bucket's rows in ``box``, in bucket order.
 
-    Bisects the start window out of the batch's memoised endpoint-sorted views,
+    Bisects the start window out of the batch's memoised start-sorted lists,
     keeps the rows whose end lies in the box and sorts their positions — the
     rows at ``flatnonzero(box_mask(...))``, as interval objects.  Pure Python
     per call: on buckets of a few dozen rows it beats any numpy round trip.
     """
-    views = columns.sorted_views()
-    starts = views.starts_sorted
-    window = views.start_order[bisect_left(starts, box.min_x) : bisect_right(starts, box.max_x)]
-    rows = columns.to_intervals()
-    positions = [p for p in window.tolist() if box.min_y <= rows[p].end <= box.max_y]
+    starts, order, ends = columns.by_start()
+    low, high = bisect_left(starts, box.min_x), bisect_right(starts, box.max_x)
+    min_y, max_y = box.min_y, box.max_y
+    positions = [
+        position
+        for position, end in zip(order[low:high], ends[low:high])
+        if min_y <= end <= max_y
+    ]
     positions.sort()
-    return [rows[p] for p in positions]
+    rows = columns.to_intervals()
+    return [rows[position] for position in positions]
 
 
 def _mask_positions(box: Rect, columns: IntervalColumns) -> np.ndarray:

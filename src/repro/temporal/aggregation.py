@@ -11,16 +11,16 @@ Besides combining concrete scores, the join pipeline needs two more operations o
 * combining per-edge *bounds* into tuple-level bounds, which is valid verbatim for
   monotone functions (replace every partial score with its bound);
 * computing the *residual threshold* one designated edge must reach for the
-  aggregate to still attain a target value, given the scores already known for
-  some edges and upper bounds for the rest -- this drives the threshold index
-  lookups of the local join.
+  aggregate to still attain a target value, given one estimate per edge (the
+  actual score of a resolved edge, the upper bound of an unresolved one) --
+  this drives the threshold index lookups of the local join.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 __all__ = ["Aggregation", "AverageScore", "WeightedSum", "MinScore", "SumScore"]
 
@@ -34,18 +34,14 @@ class Aggregation(ABC):
 
     @abstractmethod
     def residual_threshold(
-        self,
-        target: float,
-        edge_index: int,
-        known_scores: Mapping[int, float],
-        upper_bounds: Sequence[float],
+        self, target: float, edge_index: int, estimates: Sequence[float]
     ) -> float:
         """Minimum score edge ``edge_index`` needs for the aggregate to reach ``target``.
 
-        ``known_scores`` maps already-resolved edge indices to their actual scores;
-        every other edge (except ``edge_index`` itself) is assumed to attain its
-        entry of ``upper_bounds``.  The returned value may be ``<= 0`` (no
-        constraint) or ``> 1`` (the target is unreachable).
+        ``estimates`` holds one value per edge: the actual score of a resolved
+        edge, the upper bound of an unresolved one; the entry of ``edge_index``
+        itself is ignored.  The returned value may be ``<= 0`` (no constraint)
+        or ``> 1`` (the target is unreachable).
         """
 
     def upper_bound(self, edge_upper_bounds: Sequence[float]) -> float:
@@ -56,20 +52,6 @@ class Aggregation(ABC):
         """Tuple-level lower bound from per-edge lower bounds (valid by monotonicity)."""
         return self.combine(edge_lower_bounds)
 
-    @staticmethod
-    def _other_contributions(
-        edge_index: int,
-        known_scores: Mapping[int, float],
-        upper_bounds: Sequence[float],
-    ) -> list[tuple[int, float]]:
-        """Per-edge contributions (actual or optimistic) of every edge except ``edge_index``."""
-        contributions = []
-        for index in range(len(upper_bounds)):
-            if index == edge_index:
-                continue
-            contributions.append((index, known_scores.get(index, upper_bounds[index])))
-        return contributions
-
 
 @dataclass(frozen=True)
 class SumScore(Aggregation):
@@ -79,14 +61,9 @@ class SumScore(Aggregation):
         return float(sum(scores))
 
     def residual_threshold(
-        self,
-        target: float,
-        edge_index: int,
-        known_scores: Mapping[int, float],
-        upper_bounds: Sequence[float],
+        self, target: float, edge_index: int, estimates: Sequence[float]
     ) -> float:
-        others = self._other_contributions(edge_index, known_scores, upper_bounds)
-        return target - sum(value for _, value in others)
+        return target - sum(_others(edge_index, estimates))
 
 
 @dataclass(frozen=True)
@@ -107,14 +84,9 @@ class AverageScore(Aggregation):
         return float(sum(scores)) / self.num_edges
 
     def residual_threshold(
-        self,
-        target: float,
-        edge_index: int,
-        known_scores: Mapping[int, float],
-        upper_bounds: Sequence[float],
+        self, target: float, edge_index: int, estimates: Sequence[float]
     ) -> float:
-        others = self._other_contributions(edge_index, known_scores, upper_bounds)
-        return target * self.num_edges - sum(value for _, value in others)
+        return target * self.num_edges - sum(_others(edge_index, estimates))
 
 
 @dataclass(frozen=True)
@@ -137,14 +109,13 @@ class WeightedSum(Aggregation):
         return float(sum(w * s for w, s in zip(self.weights, scores)))
 
     def residual_threshold(
-        self,
-        target: float,
-        edge_index: int,
-        known_scores: Mapping[int, float],
-        upper_bounds: Sequence[float],
+        self, target: float, edge_index: int, estimates: Sequence[float]
     ) -> float:
-        others = self._other_contributions(edge_index, known_scores, upper_bounds)
-        rest = sum(self.weights[index] * value for index, value in others)
+        rest = sum(
+            weight * value
+            for index, (weight, value) in enumerate(zip(self.weights, estimates))
+            if index != edge_index
+        )
         weight = self.weights[edge_index]
         if weight == 0:
             # The designated edge cannot influence the aggregate at all.
@@ -160,13 +131,13 @@ class MinScore(Aggregation):
         return float(min(scores))
 
     def residual_threshold(
-        self,
-        target: float,
-        edge_index: int,
-        known_scores: Mapping[int, float],
-        upper_bounds: Sequence[float],
+        self, target: float, edge_index: int, estimates: Sequence[float]
     ) -> float:
-        others = self._other_contributions(edge_index, known_scores, upper_bounds)
-        if any(value < target for _, value in others):
+        if any(value < target for value in _others(edge_index, estimates)):
             return float("inf")
         return target
+
+
+def _others(edge_index: int, estimates: Sequence[float]) -> list[float]:
+    """Every estimate except ``edge_index``'s, in edge order (the summation order)."""
+    return [*estimates[:edge_index], *estimates[edge_index + 1 :]]

@@ -136,6 +136,61 @@ def _rename_term(term: Term, mapping: Mapping[str, str]) -> Term:
     return Term(coeffs, term.constant)
 
 
+def _compile_comparison(
+    is_equals: bool,
+    coefficients: tuple[float, float, float, float],
+    constant: float,
+    lam: float,
+    rho: float,
+) -> Callable[[Interval, Interval], float]:
+    """Scorer of one comparison plan (see :meth:`ScoredPredicate.compiled_comparisons`).
+
+    The endpoint form and the comparator cascade are the exact arithmetic of
+    :mod:`repro.columnar.kernels` (same operations, same order), so the scalar
+    and vectorized kernels stay bit-identical; only the branches that cannot
+    apply to this plan are left out.  A slope is capped at 1.0, as the running
+    minimum of :meth:`ScoredPredicate.compile` (which starts at 1.0) always
+    capped it: just past ``lam`` the slope can round to 1.0000000000000002.
+    """
+    a, b, c, d = coefficients
+    edge = lam + rho
+    if is_equals and rho == 0.0:
+
+        def score(x: Interval, y: Interval) -> float:
+            value = abs(a * x.start + b * x.end + c * y.start + d * y.end + constant)
+            return 1.0 if value <= lam else 0.0
+
+    elif is_equals:
+
+        def score(x: Interval, y: Interval) -> float:
+            value = abs(a * x.start + b * x.end + c * y.start + d * y.end + constant)
+            if value <= lam:
+                return 1.0
+            if value >= edge:
+                return 0.0
+            s = (edge - value) / rho
+            return s if s < 1.0 else 1.0
+
+    elif rho == 0.0:
+
+        def score(x: Interval, y: Interval) -> float:
+            value = a * x.start + b * x.end + c * y.start + d * y.end + constant
+            return 1.0 if value > lam else 0.0
+
+    else:
+
+        def score(x: Interval, y: Interval) -> float:
+            value = a * x.start + b * x.end + c * y.start + d * y.end + constant
+            if value <= lam:
+                return 0.0
+            if value >= edge:
+                return 1.0
+            s = (value - lam) / rho
+            return s if s < 1.0 else 1.0
+
+    return score
+
+
 @dataclass(frozen=True)
 class ScoredPredicate:
     """A named conjunction of :class:`Comparison` objects over variables ``x, y``.
@@ -225,34 +280,25 @@ class ScoredPredicate:
     def compile(self, first_var: str = _X, second_var: str = _Y):
         """Return a fast scorer ``f(x_interval, y_interval) -> float``.
 
-        The closure inlines the comparator arithmetic and avoids the per-call
-        assignment dictionaries; it is the hot path of the local join and of the
-        naive oracle.  ``first_var``/``second_var`` name the predicate's two
-        variables (``x``/``y`` unless the predicate was renamed).
+        One closure per comparison, specialised on the comparator kind and on
+        ``rho == 0`` (:func:`_compile_comparison`); a single-comparison
+        predicate *is* that closure, a conjunction takes the running ``min``
+        over its closures and stops at 0.  It is the hot path of the local
+        join and of the naive oracle.  ``first_var``/``second_var`` name the
+        predicate's two variables (``x``/``y`` unless the predicate was
+        renamed).
         """
-        compiled = self.compiled_comparisons(first_var, second_var)
+        parts = [
+            _compile_comparison(*plan)
+            for plan in self.compiled_comparisons(first_var, second_var)
+        ]
+        if len(parts) == 1:
+            return parts[0]
 
         def score(x: Interval, y: Interval) -> float:
             best = 1.0
-            for is_equals, (a, b, c, d), constant, lam, rho in compiled:
-                value = a * x.start + b * x.end + c * y.start + d * y.end + constant
-                if is_equals:
-                    value = abs(value)
-                    if value <= lam:
-                        s = 1.0
-                    elif rho == 0.0 or value >= lam + rho:
-                        s = 0.0
-                    else:
-                        s = (lam + rho - value) / rho
-                else:
-                    if rho == 0.0:
-                        s = 1.0 if value > lam else 0.0
-                    elif value <= lam:
-                        s = 0.0
-                    elif value >= lam + rho:
-                        s = 1.0
-                    else:
-                        s = (value - lam) / rho
+            for part in parts:
+                s = part(x, y)
                 if s < best:
                     best = s
                     if best == 0.0:

@@ -17,12 +17,14 @@ from repro.core import (
     collect_statistics,
 )
 from repro.core.local_join import _window_rows
+from repro.datagen import SyntheticConfig, generate_collections
 from repro.index import Rect
 from repro.experiments import build_query
 from repro.mapreduce import ClusterConfig
 from repro.query import QueryBuilder
 from repro.streaming.parity import equivalent_top_k
 from repro.temporal import AttributeDiffers, Interval, IntervalCollection, PredicateParams
+from repro.temporal.aggregation import MinScore, SumScore, WeightedSum
 
 P1 = PredicateParams.of(4, 16, 0, 10)
 P2 = PredicateParams.of(0, 16, 2, 8)
@@ -137,6 +139,34 @@ class TestLocalJoinConfigurations:
         assert (a.candidates_examined, a.tuples_scored) == (33, 44)
 
 
+_AGGREGATIONS = {
+    "sum": SumScore(),
+    "weighted": WeightedSum((2.0, 0.5)),
+    "min": MinScore(),
+}
+
+
+def _parity_query(case, collections):
+    """A Table-1 query by name, ``Qb*(n=4)``, or ``Qo,m`` under another aggregation."""
+    if case == "Qb*(n=4)":
+        # Half of each collection: without early termination the star
+        # enumerates every 4-tuple.
+        halves = [IntervalCollection(c.name, list(c)[: len(c) // 2]) for c in collections]
+        return build_query("Qb*", [*halves, halves[0]], P1, k=8, num_vertices=4)
+    if case not in _AGGREGATIONS:
+        return build_query(case, collections, P1, k=8)
+    builder = QueryBuilder(name=f"Qo,m-{case}", params=P1)
+    for vertex, collection in zip(("x", "y", "z"), collections):
+        builder.add_collection(vertex, collection)
+    return (
+        builder.add_predicate("x", "y", "overlaps")
+        .add_predicate("y", "z", "meets")
+        .aggregate_with(_AGGREGATIONS[case])
+        .top(8)
+        .build()
+    )
+
+
 def _stats_tuple(stats):
     return (
         stats.combinations_processed,
@@ -163,13 +193,28 @@ class TestKernelParity:
     with ``==`` — any drift is a real bug, not noise.
     """
 
-    @pytest.mark.parametrize("query_name", ["Qs,m", "Qb,b", "Qo,o", "Qo,m"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "Qs,m",
+            "Qb,b",
+            "Qo,o",
+            "Qo,m",
+            "Qs,f,m",  # cyclic: two connecting edges at the last vertex
+            "QjB,jB",
+            "Qf,b",
+            "Qb*(n=4)",
+            "sum",
+            "weighted",
+            "min",
+        ],
+    )
     @pytest.mark.parametrize("use_index", [True, False])
     @pytest.mark.parametrize("early_termination", [True, False])
     def test_local_join_kernels_agree(
-        self, tiny_collections, query_name, use_index, early_termination
+        self, tiny_collections, case, use_index, early_termination
     ):
-        query = build_query(query_name, tiny_collections, P1, k=8)
+        query = _parity_query(case, tiny_collections)
         _, selected, intervals = _prepare(query)
         outcomes = {}
         for kernel in KERNELS:
@@ -286,6 +331,175 @@ class TestKernelParity:
         assert equivalent_top_k(scalar_results, results)
         assert _stats_tuple(scalar_stats) == _stats_tuple(stats)
         assert all(result.score > floor for result in results)
+
+
+# Counters ``(processed, skipped, candidates, scored)`` and exact ``(uids,
+# score)`` lists of fixed-seed runs, recorded from the recursive scalar walk
+# that preceded the compiled one: every kernel must enumerate the same tuples,
+# with the same floats, doing the same work.
+GOLDEN = {
+    "Qb,b": (
+        (1, 74, 963, 686),
+        [
+            ((6, 2, 44), 1.0),
+            ((6, 2, 51), 1.0),
+            ((6, 5, 0), 1.0),
+            ((6, 5, 10), 1.0),
+            ((6, 5, 11), 1.0),
+            ((6, 5, 22), 1.0),
+            ((6, 5, 44), 1.0),
+        ],
+    ),
+    "QjB,jB": (
+        (1, 209, 950, 551),
+        [
+            ((9, 53, 10), 1.0),
+            ((42, 53, 10), 1.0),
+            ((54, 2, 44), 1.0),
+            ((55, 25, 45), 1.0),
+            ((55, 25, 69), 1.0),
+            ((55, 54, 45), 1.0),
+            ((79, 2, 44), 1.0),
+        ],
+    ),
+    "Qo,m": (
+        (29, 181, 5308, 1002),
+        [
+            ((38, 50, 59), 1.0),
+            ((64, 27, 29), 0.9286610457879817),
+            ((44, 34, 40), 0.9265993154088221),
+            ((66, 0, 28), 0.9225541940499653),
+            ((64, 32, 17), 0.9069353045328228),
+            ((72, 68, 35), 0.8925011713015749),
+            ((66, 31, 68), 0.7670030650999848),
+        ],
+    ),
+    "Qs,f,m": (
+        (48, 162, 41265, 265),
+        [
+            ((31, 73, 56), 0.6179109769616199),
+            ((53, 69, 40), 0.5895676649992462),
+            ((78, 57, 39), 0.5299659070293122),
+            ((52, 59, 66), 0.5118003707011098),
+            ((66, 0, 68), 0.5008905017119692),
+            ((44, 69, 40), 0.4881687035502485),
+            ((64, 27, 17), 0.47492386646350343),
+        ],
+    ),
+    "Qf,b": (
+        (14, 127, 1573, 1251),
+        [
+            ((36, 45, 1), 1.0),
+            ((36, 45, 6), 1.0),
+            ((36, 45, 20), 1.0),
+            ((36, 45, 25), 1.0),
+            ((36, 45, 27), 1.0),
+            ((36, 45, 28), 1.0),
+            ((36, 45, 47), 1.0),
+        ],
+    ),
+    "Qs,m": (
+        (32, 178, 5847, 701),
+        [
+            ((6, 6, 69), 0.5),
+            ((6, 8, 10), 0.5),
+            ((6, 53, 10), 0.5),
+            ((8, 6, 69), 0.5),
+            ((8, 8, 10), 0.5),
+            ((8, 53, 10), 0.5),
+            ((9, 6, 69), 0.5),
+        ],
+    ),
+    "Qb*(n=4)": (
+        (1, 877, 44868, 42160),
+        [
+            ((6, 2, 0, 0), 1.0),
+            ((6, 2, 0, 3), 1.0),
+            ((6, 2, 0, 19), 1.0),
+            ((6, 2, 0, 31), 1.0),
+            ((6, 2, 0, 35), 1.0),
+            ((6, 2, 0, 37), 1.0),
+            ((6, 2, 0, 39), 1.0),
+        ],
+    ),
+    "hybrid": (
+        (2, 208, 3410, 1903),
+        [
+            ((17, 63, 12), 1.0),
+            ((17, 63, 13), 1.0),
+            ((17, 63, 15), 1.0),
+            ((17, 63, 18), 1.0),
+            ((17, 63, 33), 1.0),
+            ((17, 63, 49), 1.0),
+            ((56, 23, 51), 1.0),
+        ],
+    ),
+    "Qo,m@0.6": (
+        (29, 181, 82, 10),
+        [
+            ((38, 50, 59), 1.0),
+            ((64, 27, 29), 0.9286610457879817),
+            ((44, 34, 40), 0.9265993154088221),
+            ((66, 0, 28), 0.9225541940499653),
+            ((64, 32, 17), 0.9069353045328228),
+            ((72, 68, 35), 0.8925011713015749),
+            ((66, 31, 68), 0.7670030650999848),
+        ],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_collections():
+    config = SyntheticConfig(size=80, start_max=8000.0, length_max=120.0, integer_endpoints=False)
+    return list(generate_collections(4, config, seed=404).values())
+
+
+def _golden_case(label, collections):
+    """The query and score floor of one :data:`GOLDEN` entry."""
+    if label == "Qb*(n=4)":
+        return build_query("Qb*", collections, P1, k=7, num_vertices=4), 0.0
+    if label == "Qo,m@0.6":
+        return build_query("Qo,m", collections[:3], P1, k=7), 0.6
+    if label != "hybrid":
+        return build_query(label, collections[:3], P1, k=7), 0.0
+    tagged = [
+        IntervalCollection(
+            collection.name,
+            [
+                Interval(x.uid, x.start, x.end, payload={"side": (x.uid + shift) % 3})
+                for x in collection
+            ],
+        )
+        for shift, collection in enumerate(collections[:3])
+    ]
+    query = (
+        QueryBuilder(name="hybrid", params=P1)
+        .add_collection("x", tagged[0])
+        .add_collection("y", tagged[1])
+        .add_collection("z", tagged[2])
+        .add_predicate("x", "y", "overlaps")
+        .add_predicate("y", "z", "before", attributes=[AttributeDiffers("side")])
+        .top(7)
+        .build()
+    )
+    return query, 0.0
+
+
+class TestGoldenCounters:
+    """Same tuples, same floats, same counters as the recorded scalar walk."""
+
+    @pytest.mark.parametrize("label", list(GOLDEN))
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matches_recorded_walk(self, golden_collections, label, kernel):
+        query, floor = _golden_case(label, golden_collections)
+        _, selected, intervals = _prepare(query, num_granules=5)
+        results, stats = LocalTopKJoin(query, LocalJoinConfig(kernel=kernel)).run(
+            selected, intervals, initial_threshold=floor
+        )
+        counters, expected = GOLDEN[label]
+        assert _stats_tuple(stats) == counters
+        assert [(result.uids, result.score) for result in results] == expected
 
 
 _INF = float("inf")

@@ -125,7 +125,7 @@ class _OpaqueAggregation(Aggregation):
     def combine(self, scores):
         return max(scores)
 
-    def residual_threshold(self, target, edge_index, known_scores, upper_bounds):
+    def residual_threshold(self, target, edge_index, estimates):
         return 0.0
 
 
