@@ -1,16 +1,19 @@
 """Micro-benchmarks of the substrate primitives (timed with real pytest-benchmark rounds).
 
 These are not paper figures; they document the per-operation costs that the
-laptop-scale experiment parameters are derived from: predicate scoring, the
+laptop-scale experiment parameters are derived from: predicate scoring in its
+three printed forms (which must agree bit for bit), the
 kernels' threshold box -> candidate rows resolvers, pairwise bound computation,
 and joint branch-and-bound bounds.
 """
 
+import math
+import sqlite3
 import time
 
 import numpy as np
 
-from repro.columnar import IntervalColumns, score_range_v, sweep_positions
+from repro.columnar import IntervalColumns, compile_vector, score_range_v, sweep_positions
 from repro.core import (
     KERNELS,
     BoundsEstimator,
@@ -25,9 +28,11 @@ from repro.core.local_join import _mask_positions, _window_rows
 from repro.datagen import SyntheticConfig, generate_collections
 from repro.experiments import build_query
 from repro.index import CompiledPredicateQuery
+from repro.plan.sql_oracle import compile_query_sql
+from repro.query import QueryEdge, RTJQuery
 from repro.solver import AggregateObjective, BranchAndBoundSolver, DomainSet, EdgeObjective, VariableBox
-from repro.temporal import AverageScore, Interval, IntervalCollection, PredicateParams
-from repro.temporal.predicates import meets, overlaps, starts
+from repro.temporal import AverageScore, Interval, IntervalCollection, MinScore, PredicateParams
+from repro.temporal.predicates import meets, starts
 
 P1 = PredicateParams.of(4, 16, 0, 10)
 
@@ -41,19 +46,78 @@ def _intervals(n, seed=0):
     ]
 
 
+TABLE1_SHAPES = ("Qb,b", "QjB,jB", "Qo,m", "Qs,f,m", "Qf,b")
+
+
+def _sql_scores(predicate, xs, ys):
+    """Every ``(x, y)`` score, x-major, from the SQL oracle's printed CASE run by
+    sqlite3, and the seconds its SELECT took."""
+    left, right = IntervalCollection("L", xs), IntervalCollection("R", ys)
+    query = RTJQuery(
+        vertices=("x", "y"),
+        collections={"x": left, "y": right},
+        edges=(QueryEdge("x", "y", predicate),),
+        k=len(xs) * len(ys),
+        aggregation=MinScore(),
+    )
+    connection = sqlite3.connect(":memory:")
+    try:
+        for table, intervals in (("l", xs), ("r", ys)):
+            rows = [(i.uid, i.start, i.end) for i in intervals]
+            connection.execute(f"CREATE TABLE {table} (uid INTEGER, s REAL, e REAL)")
+            connection.executemany(f"INSERT INTO {table} VALUES (?, ?, ?)", rows)
+        sql = compile_query_sql(query, {"L": "l", "R": "r"})
+        seconds, rows = _best_of(lambda: connection.execute(sql).fetchall(), rounds=3)
+    finally:
+        connection.close()
+    scores = {(x_uid, y_uid): score for x_uid, y_uid, score in rows}
+    return seconds, [scores[x.uid, y.uid] for x in xs for y in ys]
+
+
 def bench_predicate_scoring_compiled(benchmark):
-    scorer = overlaps(P1).compile()
-    xs = _intervals(200, seed=1)
-    ys = _intervals(200, seed=2)
+    """The three printed forms of every predicate of the five ``table1_mix``
+    shapes (P1) over the same 100 x 100 pairs: the generated scalar scorer, the
+    numpy scorer (one call per left interval) and the SQL oracle's CASE.  Their
+    totals must be ``float.hex``-identical; ``extra_info`` holds each form's
+    nanoseconds per score."""
+    collections = _uniform(3, 200, 100_000.0, seed=5)
+    predicates = {
+        edge.predicate.name: edge.predicate
+        for shape in TABLE1_SHAPES
+        for edge in build_query(shape, collections, "P1", k=20).edges
+    }
+    xs, ys = (list(c) for c in _uniform(2, 100, 1_000.0, seed=14))
+    y_columns = IntervalColumns.from_intervals(ys)
+    pairs = len(xs) * len(ys)
+
+    def scalar(predicate):
+        scorer = predicate.compile()
+        return _best_of(lambda: [scorer(x, y) for x in xs for y in ys])
+
+    def vector(predicate):
+        scorer = compile_vector(predicate)
+        starts, ends = y_columns.starts, y_columns.ends
+        seconds, rows = _best_of(lambda: [scorer(x.start, x.end, starts, ends) for x in xs])
+        return seconds, np.concatenate(rows).tolist()
+
+    forms = {"scalar": scalar, "vector": vector, "sql": lambda p: _sql_scores(p, xs, ys)}
 
     def run():
-        total = 0.0
-        for x in xs[:100]:
-            for y in ys[:100]:
-                total += scorer(x, y)
-        return total
+        readings = {}
+        for name, predicate in predicates.items():
+            totals = {}
+            for form, score_all in forms.items():
+                seconds, scores = score_all(predicate)
+                totals[form] = math.fsum(scores).hex()
+                readings[f"{name}_{form}_ns_per_score"] = seconds / pairs * 1e9
+            assert totals["scalar"] == totals["vector"] == totals["sql"], (name, totals)
+            assert float.fromhex(totals["scalar"]) > 0.0, name
+        return readings
 
-    benchmark(run)
+    readings = benchmark.pedantic(run, rounds=1, iterations=1)
+    for name, reading in readings.items():
+        print(f"scoring {name} = {reading:.3g}")
+    benchmark.extra_info.update(readings)
 
 
 def bench_box_resolvers(benchmark):

@@ -22,8 +22,6 @@ from .kernels import (
     box_mask,
     combine_scores_v,
     compile_vector,
-    equals_score_v,
-    greater_score_v,
     score_range_v,
     sweep_positions,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "box_mask",
     "combine_scores_v",
     "compile_vector",
-    "equals_score_v",
-    "greater_score_v",
     "score_range_v",
     "sweep_positions",
 ]

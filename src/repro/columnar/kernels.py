@@ -5,10 +5,12 @@ evaluates one operation over a whole candidate array instead of one tuple at a
 time, with bit-identical float results.  Parity is load-bearing, not cosmetic —
 the local join's pruning decisions compare scores against thresholds, so any
 rounding difference would change *which* tuples get enumerated, not just how
-fast.  Every formula below therefore applies the exact arithmetic (same
-operations, same order) as its scalar twin in
-:mod:`repro.temporal.comparators` / :meth:`ScoredPredicate.compile`, and the
-hypothesis suite in ``tests/test_columnar.py`` asserts elementwise equality.
+fast.  The predicate scorers are therefore printed from the same
+:class:`~repro.temporal.comparison_plan.ComparisonPlan` branch tables as the
+scalar :meth:`ScoredPredicate.compile` (same operations, same order, the same
+1.0 cap), the aggregation kernel folds in the scalar ``combine``'s order, and
+the hypothesis suite in ``tests/test_columnar.py`` asserts elementwise
+equality.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from ..temporal.aggregation import (
     SumScore,
     WeightedSum,
 )
-from ..temporal.comparators import ComparatorParams
 from ..temporal.predicates import ScoredPredicate
 from ..temporal.terms import EndpointVar
 
@@ -33,8 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .columns import IntervalColumns
 
 __all__ = [
-    "equals_score_v",
-    "greater_score_v",
     "compile_vector",
     "score_range_v",
     "combine_scores_v",
@@ -49,45 +48,7 @@ array (numpy broadcasting), so one compiled scorer serves both orientations
 of an edge."""
 
 
-def _equals_part(value, lam: float, rho: float) -> np.ndarray:
-    """``equals`` over a difference array, mirroring the scalar if-cascade.
-
-    The plateau/zero branches are selected exactly like the scalar
-    comparator's ``if`` cascade (the slope formula evaluated *on* a plateau
-    can round to 0.999…, so clipping alone is not bit-identical).
-    """
-    distance = np.abs(np.asarray(value, dtype=float))
-    if rho == 0.0:
-        return (distance <= lam).astype(float)
-    edge = lam + rho
-    # np.where evaluates the slope formula on plateau elements too, where it
-    # may overflow for subnormal rho; those lanes are discarded by the mask.
-    with np.errstate(over="ignore"):
-        return np.where(
-            distance <= lam, 1.0, np.where(distance >= edge, 0.0, (edge - distance) / rho)
-        )
-
-
-def _greater_part(value, lam: float, rho: float) -> np.ndarray:
-    """``greater`` over a difference array, mirroring the scalar if-cascade."""
-    value = np.asarray(value, dtype=float)
-    if rho == 0.0:
-        return (value > lam).astype(float)
-    edge = lam + rho
-    with np.errstate(over="ignore"):
-        return np.where(
-            value <= lam, 0.0, np.where(value >= edge, 1.0, (value - lam) / rho)
-        )
-
-
-def equals_score_v(d, params: ComparatorParams) -> np.ndarray:
-    """Vectorized ``equals`` comparator over an array of differences ``d = a - b``."""
-    return _equals_part(d, params.lam, params.rho)
-
-
-def greater_score_v(d, params: ComparatorParams) -> np.ndarray:
-    """Vectorized ``greater`` comparator over an array of differences ``d = a - b``."""
-    return _greater_part(d, params.lam, params.rho)
+_VECTOR_OPERANDS = ("x_start", "x_end", "y_start", "y_end")
 
 
 def compile_vector(
@@ -97,22 +58,22 @@ def compile_vector(
 
     The returned scorer takes the four endpoint operands (scalars or aligned
     arrays) and returns the per-candidate predicate score: the running ``min``
-    over the conjunct comparators, each evaluated with the same closed-form
-    arithmetic as the scalar closure.
+    over the conjuncts' ``np.where`` chains, printed from the same plans as the
+    scalar scorer.  ``np.where`` evaluates the slope on plateau lanes too,
+    where a subnormal ``rho`` may overflow; those lanes are discarded.
     """
-    compiled = predicate.compiled_comparisons(first_var, second_var)
-
-    def score_v(x_start, x_end, y_start, y_end) -> np.ndarray:
-        best: np.ndarray | None = None
-        for is_equals, (a, b, c, d), constant, lam, rho in compiled:
-            value = a * x_start + b * x_end + c * y_start + d * y_end + constant
-            part = _equals_part(value, lam, rho) if is_equals else _greater_part(value, lam, rho)
-            best = part if best is None else np.minimum(best, part)
-        if best is None:
-            raise ValueError("predicate has no comparisons")
-        return np.asarray(best, dtype=float)
-
-    return score_v
+    plans = predicate.comparison_plans(first_var, second_var)
+    if not plans:
+        raise ValueError("predicate has no comparisons")
+    lines = ["def score_v(x_start, x_end, y_start, y_end):", "  with np.errstate(over='ignore'):"]
+    for position, plan in enumerate(plans):
+        part = plan.numpy_expression("v")
+        lines.append(f"    v = {plan.difference(_VECTOR_OPERANDS, 'np.abs')}")
+        lines.append(f"    best = {f'np.minimum(best, {part})' if position else part}")
+    lines.append("  return np.asarray(best, dtype=float)")
+    namespace = {"np": np}
+    exec("\n".join(lines), namespace)
+    return namespace["score_v"]
 
 
 def score_range_v(
@@ -125,8 +86,8 @@ def score_range_v(
     broadcast against each other, and the result has one element per combination
     of boxes (``(4, S, 1)`` against ``(4, 1, T)`` bounds every pair).  The
     difference range of every conjunct comes from the scalar :meth:`Term.bounds`
-    itself (its arithmetic is elementwise on arrays), the comparator images pick
-    the closest/farthest difference exactly like ``equals_score_range`` /
+    itself (its arithmetic is elementwise on arrays), the plan's ``np.where``
+    chain scores the closest/farthest difference exactly like ``equals_score_range`` /
     ``greater_score_range``, and the running ``min`` starts from 1.0, so every
     element equals the scalar result bit for bit.
     """
@@ -136,17 +97,19 @@ def score_range_v(
         domains[EndpointVar(var, "end")] = (sides[2], sides[3])
     lo: object = 1.0
     hi: object = 1.0
-    for comparison in predicate.comparisons:
+    plans = predicate.comparison_plans(*boxes)
+    for comparison, plan in zip(predicate.comparisons, plans):
         d_min, d_max = (comparison.left - comparison.right).bounds(domains)
-        params = comparison.comparator_params(predicate.params)
-        if comparison.kind == "equals":
-            closest = np.where(
-                (d_min <= 0.0) & (d_max >= 0.0), 0.0, np.where(d_max < 0.0, d_max, d_min)
-            )
-            farthest = np.where(np.abs(d_min) >= np.abs(d_max), d_min, d_max)
-            c_lo, c_hi = equals_score_v(farthest, params), equals_score_v(closest, params)
-        else:
-            c_lo, c_hi = greater_score_v(d_min, params), greater_score_v(d_max, params)
+        image = eval(f"lambda v: {plan.numpy_expression('v')}", {"np": np})
+        with np.errstate(over="ignore"):
+            if plan.kind == "equals":
+                closest = np.where(
+                    (d_min <= 0.0) & (d_max >= 0.0), 0.0, np.where(d_max < 0.0, d_max, d_min)
+                )
+                farthest = np.where(np.abs(d_min) >= np.abs(d_max), d_min, d_max)
+                c_lo, c_hi = image(np.abs(farthest)), image(np.abs(closest))
+            else:
+                c_lo, c_hi = image(d_min), image(d_max)
         lo = np.minimum(lo, c_lo)
         hi = np.minimum(hi, c_hi)
     return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)

@@ -89,40 +89,20 @@ class Rect:
 class CompiledPredicateQuery:
     """Pre-analysed threshold-box computation for one (predicate, fixed var, target var).
 
-    Splitting every comparison's linear difference into fixed-variable and
-    target-variable coefficients once lets the hot path compute the box for a given
-    fixed interval and threshold with plain arithmetic.
+    Each comparison's plan (:meth:`ScoredPredicate.comparison_plans` over the
+    fixed and target variables) already splits its linear difference into
+    fixed-variable and target-variable coefficients, so the hot path computes
+    the box for a given fixed interval and threshold with plain arithmetic.
     """
 
     def __init__(self, predicate: ScoredPredicate, fixed_var: str, target_var: str) -> None:
         self.predicate = predicate
         self.fixed_var = fixed_var
         self.target_var = target_var
-        self._comparisons: list[tuple[str, ComparatorParams, float, float, float, float, float]] = []
-        for comparison in predicate.comparisons:
-            diff = comparison.left - comparison.right
-            fixed_start = fixed_end = target_start = target_end = 0.0
-            for ev, coeff in diff.coefficients:
-                if ev.var == fixed_var:
-                    if ev.endpoint == "start":
-                        fixed_start += coeff
-                    else:
-                        fixed_end += coeff
-                elif ev.var == target_var:
-                    if ev.endpoint == "start":
-                        target_start += coeff
-                    else:
-                        target_end += coeff
-                else:
-                    raise ValueError(
-                        f"comparison references variable {ev.var!r}, expected only "
-                        f"{fixed_var!r} and {target_var!r}"
-                    )
-            params = comparison.comparator_params(predicate.params)
-            self._comparisons.append(
-                (comparison.kind, params, fixed_start, fixed_end,
-                 target_start, target_end, diff.constant)
-            )
+        self._comparisons = [
+            (plan.kind, ComparatorParams(plan.lam, plan.rho), *plan.coefficients, plan.constant)
+            for plan in predicate.comparison_plans(fixed_var, target_var)
+        ]
 
     def box(self, fixed_interval: Interval, threshold: float) -> Rect | None:
         """Bounding box of target intervals whose score can reach ``threshold``.

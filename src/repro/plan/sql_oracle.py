@@ -8,15 +8,15 @@ the whole query as a single cross join with a computed score column::
     FROM c0 AS v0, c1 AS v1
     ORDER BY score DESC, v0.uid ASC, v1.uid ASC LIMIT k
 
-The score expressions are generated from the same
-:meth:`~repro.temporal.predicates.ScoredPredicate.compiled_comparisons` plans
-the scalar and vector kernels compile from, but the *evaluation* is SQLite's —
-no scoring code is shared with the engine, so agreement across the parity
-matrix is evidence of correctness rather than of shared bugs.  Every generated
-expression replays the scalar closure's branch structure and left-associative
-float arithmetic (both engines evaluate IEEE doubles in the same operation
-order), so scores come out bit-identical, and the ``ORDER BY`` above matches
-the engine's ``(-score, uids)`` result order exactly.
+Each comparison's ``CASE`` is printed from its
+:class:`~repro.temporal.comparison_plan.ComparisonPlan` branch table
+(:meth:`~repro.temporal.comparison_plan.ComparisonPlan.sql_case`), the table
+the scalar and vector scorers are printed from, so the three cannot drift.
+What stays independent is the *evaluation*: SQLite runs the printed
+arithmetic, not the engine, and ``repro.temporal.comparators`` stays a
+separate reference.  SQLite evaluates the IEEE doubles in the printed order,
+so scores come out bit-identical, and the ``ORDER BY`` above matches the
+engine's ``(-score, uids)`` result order exactly.
 
 The oracle doubles as a perf baseline: it is what a row-store SQL engine pays
 for the same join without TKIJ's bucket pruning — a full O(n^m) cross product
@@ -41,6 +41,7 @@ from ..temporal.aggregation import (
     SumScore,
     WeightedSum,
 )
+from ..temporal.comparison_plan import float_literal
 from .algorithm import Algorithm, ExecutionPlan, RunReport
 from .context import ExecutionContext
 from .registry import register
@@ -48,61 +49,17 @@ from .registry import register
 __all__ = ["SQLOracleAlgorithm", "compile_query_sql"]
 
 
-def _literal(value: float) -> str:
-    """A float as a SQL literal parsing back to the same double (repr round-trips)."""
-    return repr(float(value))
-
-
-def _comparison_sql(
-    plan: tuple[bool, tuple[float, float, float, float], float, float, float],
-    x_alias: str,
-    y_alias: str,
-) -> str:
-    """One comparison plan as a CASE cascade over the two rows' endpoints.
-
-    The branches (and their order) mirror the scalar ``compile`` closure's
-    ``if`` cascade, with the ``rho == 0`` degenerate case resolved here at
-    generation time exactly like the closure resolves it per call; ``lam + rho``
-    is pre-added in Python so the slope's numerator subtracts the identical
-    double the closure uses.
-    """
-    is_equals, (a, b, c, d), constant, lam, rho = plan
-    value = (
-        f"({_literal(a)}*{x_alias}.s + {_literal(b)}*{x_alias}.e + "
-        f"{_literal(c)}*{y_alias}.s + {_literal(d)}*{y_alias}.e + "
-        f"{_literal(constant)})"
-    )
-    if is_equals:
-        if rho == 0.0:
-            return f"(CASE WHEN ABS{value} <= {_literal(lam)} THEN 1.0 ELSE 0.0 END)"
-        edge = lam + rho
-        return (
-            f"(CASE WHEN ABS{value} <= {_literal(lam)} THEN 1.0 "
-            f"WHEN ABS{value} >= {_literal(edge)} THEN 0.0 "
-            f"ELSE ({_literal(edge)} - ABS{value}) / {_literal(rho)} END)"
-        )
-    if rho == 0.0:
-        return f"(CASE WHEN {value} > {_literal(lam)} THEN 1.0 ELSE 0.0 END)"
-    edge = lam + rho
-    return (
-        f"(CASE WHEN {value} <= {_literal(lam)} THEN 0.0 "
-        f"WHEN {value} >= {_literal(edge)} THEN 1.0 "
-        f"ELSE ({value} - {_literal(lam)}) / {_literal(rho)} END)"
-    )
-
-
 def _edge_sql(edge: QueryEdge, x_alias: str, y_alias: str) -> str:
     """One edge's predicate score: the minimum over its conjunct comparisons.
 
-    Comparator scores never exceed 1.0, so the scalar closure's ``best = 1.0``
-    seed is redundant under ``MIN`` and omitted.  SQLite's multi-argument
-    ``MIN`` is the scalar minimum; a single conjunct must stay bare (one
-    argument would select the *aggregate* ``MIN``).
+    Comparator scores never exceed 1.0 (the plan caps the slope), so the
+    scalar scorer's ``best = 1.0`` seed is redundant under ``MIN`` and
+    omitted.  SQLite's multi-argument ``MIN`` is the scalar minimum; a single
+    conjunct must stay bare (one argument would select the *aggregate*
+    ``MIN``).
     """
-    parts = [
-        _comparison_sql(plan, x_alias, y_alias)
-        for plan in edge.predicate.compiled_comparisons()
-    ]
+    operands = (f"{x_alias}.s", f"{x_alias}.e", f"{y_alias}.s", f"{y_alias}.e")
+    parts = [plan.sql_case(operands) for plan in edge.predicate.comparison_plans()]
     if len(parts) == 1:
         return parts[0]
     return f"MIN({', '.join(parts)})"
@@ -121,7 +78,7 @@ def _aggregate_sql(aggregation: Aggregation, edge_exprs: Sequence[str]) -> str:
             raise ValueError(
                 f"expected {aggregation.num_edges} edge scores, got {len(edge_exprs)}"
             )
-        return f"(({' + '.join(edge_exprs)}) / {_literal(aggregation.num_edges)})"
+        return f"(({' + '.join(edge_exprs)}) / {float_literal(aggregation.num_edges)})"
     if isinstance(aggregation, SumScore):
         return f"({' + '.join(edge_exprs)})"
     if isinstance(aggregation, WeightedSum):
@@ -130,7 +87,7 @@ def _aggregate_sql(aggregation: Aggregation, edge_exprs: Sequence[str]) -> str:
                 f"expected {len(aggregation.weights)} edge scores, got {len(edge_exprs)}"
             )
         terms = [
-            f"{_literal(weight)}*{expr}"
+            f"{float_literal(weight)}*{expr}"
             for weight, expr in zip(aggregation.weights, edge_exprs)
         ]
         return f"({' + '.join(terms)})"
@@ -160,8 +117,6 @@ def compile_query_sql(query: RTJQuery, tables: Mapping[str, str]) -> str:
     distinct collection; two vertices over the same collection self-join
     through aliases).
     """
-    if not query.edges:
-        raise NotImplementedError("sql-oracle requires at least one scored edge")
     aliases = {vertex: f"v{position}" for position, vertex in enumerate(query.vertices)}
     edge_exprs = [
         _edge_sql(edge, aliases[edge.source], aliases[edge.target])
@@ -197,7 +152,7 @@ class SQLOracleAlgorithm(Algorithm):
                 "sql-oracle does not support hybrid attribute constraints: "
                 "payloads are opaque Python objects with no SQL column form"
             )
-        # Fail fast on unsupported shapes (unknown aggregations, zero edges):
+        # Fail fast on unsupported shapes (unknown aggregations):
         # generating the SQL exercises every refusal path without touching data.
         compile_query_sql(query, _table_names(query))
         return ExecutionPlan(self.name, query, context)

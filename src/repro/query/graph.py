@@ -99,17 +99,18 @@ class RTJQuery:
     _edge_index: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.aggregation is None:
-            self.aggregation = AverageScore(num_edges=max(1, len(self.edges)))
-        self._edge_index = {edge.key(): i for i, edge in enumerate(self.edges)}
         self.validate()
+        if self.aggregation is None:
+            self.aggregation = AverageScore(num_edges=len(self.edges))
+        self._edge_index = {edge.key(): i for i, edge in enumerate(self.edges)}
 
     # -------------------------------------------------------------- validation
     def validate(self) -> None:
         """Check the structural constraints of Section 2.
 
-        The query graph must be simple (no self loops, no anti-parallel duplicate
-        edges), oriented, weakly connected, and every vertex must be bound to a
+        The query graph must have an edge (a tuple's score aggregates edge
+        scores), be simple (no self loops, no anti-parallel duplicate edges),
+        oriented and weakly connected, and every vertex must be bound to a
         collection.  ``k`` must be positive.
         """
         if self.k <= 0:
@@ -121,8 +122,8 @@ class RTJQuery:
         missing = [v for v in self.vertices if v not in self.collections]
         if missing:
             raise ValueError(f"vertices without a collection: {missing}")
-        if not self.edges and len(self.vertices) > 1:
-            raise ValueError("a multi-vertex query needs at least one edge")
+        if not self.edges:
+            raise ValueError("a query needs at least one edge: every score is an edge score")
         seen: set[tuple[str, str]] = set()
         for edge in self.edges:
             if edge.source == edge.target:
@@ -140,8 +141,6 @@ class RTJQuery:
             raise ValueError("query graph must be weakly connected")
 
     def _is_weakly_connected(self) -> bool:
-        if len(self.vertices) <= 1:
-            return True
         adjacency: dict[str, set[str]] = {v: set() for v in self.vertices}
         for edge in self.edges:
             adjacency[edge.source].add(edge.target)

@@ -13,6 +13,9 @@ Setting ``lambda = rho = 0`` recovers the Boolean interpretation (exact equality
 strict inequality), which is how the paper's ``PB`` parameter set and the Boolean
 baselines are expressed.
 
+A slope is capped at 1.0: just past ``lambda`` it can round to
+1.0000000000000002.
+
 Both comparators are functions of the single scalar ``d``; this module also exposes
 their exact image over an interval of ``d`` values, which is the primitive the
 bound solver uses.
@@ -20,6 +23,7 @@ bound solver uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -40,6 +44,8 @@ class ComparatorParams:
     rho: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lam) and math.isfinite(self.rho)):
+            raise ValueError(f"lambda and rho must be finite, got {self.lam!r}, {self.rho!r}")
         if self.lam < 0 or self.rho < 0:
             raise ValueError("lambda and rho must be non-negative")
 
@@ -84,7 +90,7 @@ def equals_score(a: float, b: float, params: ComparatorParams) -> float:
         return 0.0
     if d >= params.lam + params.rho:
         return 0.0
-    return (params.lam + params.rho - d) / params.rho
+    return min((params.lam + params.rho - d) / params.rho, 1.0)
 
 
 def greater_score(a: float, b: float, params: ComparatorParams) -> float:
@@ -96,7 +102,7 @@ def greater_score(a: float, b: float, params: ComparatorParams) -> float:
         return 0.0
     if d >= params.lam + params.rho:
         return 1.0
-    return (d - params.lam) / params.rho
+    return min((d - params.lam) / params.rho, 1.0)
 
 
 def equals_score_range(

@@ -21,6 +21,7 @@ from .comparators import (
     greater_score,
     greater_score_range,
 )
+from .comparison_plan import ComparisonPlan, python_scorer
 from .interval import Interval
 from .terms import EndpointVar, Term, constant, end_of, length_of, start_of
 
@@ -115,6 +116,23 @@ class Comparison:
             return equals_score_range(d_min, d_max, cp)
         return greater_score_range(d_min, d_max, cp)
 
+    def plan(self, params: PredicateParams, first_var: str, second_var: str) -> ComparisonPlan:
+        """This conjunct's :class:`ComparisonPlan` over two variables' endpoints."""
+        endpoints = [(var, end) for var in (first_var, second_var) for end in ("start", "end")]
+        slot = {endpoint: position for position, endpoint in enumerate(endpoints)}
+        diff = self.left - self.right
+        coefficients = [0.0, 0.0, 0.0, 0.0]
+        for ev, coeff in diff.coefficients:
+            key = (ev.var, ev.endpoint)
+            if key not in slot:
+                raise ValueError(
+                    f"predicate references variable {ev.var!r}, expected "
+                    f"{first_var!r} or {second_var!r}"
+                )
+            coefficients[slot[key]] += coeff
+        cp = self.comparator_params(params)
+        return ComparisonPlan(self.kind, tuple(coefficients), diff.constant, cp.lam, cp.rho)
+
     def variables(self) -> set[str]:
         """Query variables referenced by either side."""
         return self.left.variables() | self.right.variables()
@@ -134,61 +152,6 @@ def _rename_term(term: Term, mapping: Mapping[str, str]) -> Term:
         for ev, c in term.coefficients
     )
     return Term(coeffs, term.constant)
-
-
-def _compile_comparison(
-    is_equals: bool,
-    coefficients: tuple[float, float, float, float],
-    constant: float,
-    lam: float,
-    rho: float,
-) -> Callable[[Interval, Interval], float]:
-    """Scorer of one comparison plan (see :meth:`ScoredPredicate.compiled_comparisons`).
-
-    The endpoint form and the comparator cascade are the exact arithmetic of
-    :mod:`repro.columnar.kernels` (same operations, same order), so the scalar
-    and vectorized kernels stay bit-identical; only the branches that cannot
-    apply to this plan are left out.  A slope is capped at 1.0, as the running
-    minimum of :meth:`ScoredPredicate.compile` (which starts at 1.0) always
-    capped it: just past ``lam`` the slope can round to 1.0000000000000002.
-    """
-    a, b, c, d = coefficients
-    edge = lam + rho
-    if is_equals and rho == 0.0:
-
-        def score(x: Interval, y: Interval) -> float:
-            value = abs(a * x.start + b * x.end + c * y.start + d * y.end + constant)
-            return 1.0 if value <= lam else 0.0
-
-    elif is_equals:
-
-        def score(x: Interval, y: Interval) -> float:
-            value = abs(a * x.start + b * x.end + c * y.start + d * y.end + constant)
-            if value <= lam:
-                return 1.0
-            if value >= edge:
-                return 0.0
-            s = (edge - value) / rho
-            return s if s < 1.0 else 1.0
-
-    elif rho == 0.0:
-
-        def score(x: Interval, y: Interval) -> float:
-            value = a * x.start + b * x.end + c * y.start + d * y.end + constant
-            return 1.0 if value > lam else 0.0
-
-    else:
-
-        def score(x: Interval, y: Interval) -> float:
-            value = a * x.start + b * x.end + c * y.start + d * y.end + constant
-            if value <= lam:
-                return 0.0
-            if value >= edge:
-                return 1.0
-            s = (value - lam) / rho
-            return s if s < 1.0 else 1.0
-
-    return score
 
 
 @dataclass(frozen=True)
@@ -237,75 +200,30 @@ class ScoredPredicate:
         """Return a copy using a different parameter set (overrides are preserved)."""
         return replace(self, params=params)
 
-    def compiled_comparisons(
+    def comparison_plans(
         self, first_var: str = _X, second_var: str = _Y
-    ) -> list[tuple[bool, tuple[float, float, float, float], float, float, float]]:
-        """Comparison plans ``(is_equals, endpoint coefficients, constant, lam, rho)``.
+    ) -> tuple[ComparisonPlan, ...]:
+        """One :class:`ComparisonPlan` per conjunct, in conjunct order.
 
-        Each plan scores one conjunct as a piecewise-linear function of
-        ``a*x.start + b*x.end + c*y.start + d*y.end + constant``.  Shared by the
-        scalar :meth:`compile` closure and the vectorized kernel compiler in
-        :mod:`repro.columnar.kernels`, so the two paths cannot drift apart.
+        The only derivation of the conjuncts' linear forms: the scalar
+        :meth:`compile`, the vector scorer, the threshold boxes and the SQL
+        oracle all read these plans.
         """
-        slot = {
-            (first_var, "start"): 0,
-            (first_var, "end"): 1,
-            (second_var, "start"): 2,
-            (second_var, "end"): 3,
-        }
-        compiled: list[tuple[bool, tuple[float, float, float, float], float, float, float]] = []
-        for comparison in self.comparisons:
-            diff = comparison.left - comparison.right
-            coefficients = [0.0, 0.0, 0.0, 0.0]
-            for ev, coeff in diff.coefficients:
-                key = (ev.var, ev.endpoint)
-                if key not in slot:
-                    raise ValueError(
-                        f"predicate references variable {ev.var!r}, expected "
-                        f"{first_var!r} or {second_var!r}"
-                    )
-                coefficients[slot[key]] += coeff
-            params = comparison.comparator_params(self.params)
-            compiled.append(
-                (
-                    comparison.kind == "equals",
-                    tuple(coefficients),
-                    diff.constant,
-                    params.lam,
-                    params.rho,
-                )
-            )
-        return compiled
+        return tuple(c.plan(self.params, first_var, second_var) for c in self.comparisons)
 
     def compile(self, first_var: str = _X, second_var: str = _Y):
         """Return a fast scorer ``f(x_interval, y_interval) -> float``.
 
-        One closure per comparison, specialised on the comparator kind and on
-        ``rho == 0`` (:func:`_compile_comparison`); a single-comparison
-        predicate *is* that closure, a conjunction takes the running ``min``
-        over its closures and stops at 0.  It is the hot path of the local
-        join and of the naive oracle.  ``first_var``/``second_var`` name the
+        One generated function per predicate (:func:`python_scorer`): each
+        conjunct's branch table inlined in conjunct order, with the running
+        ``min`` and its stop at 0.  It is the hot path of the local join and
+        of the naive oracle.  ``first_var``/``second_var`` name the
         predicate's two variables (``x``/``y`` unless the predicate was
         renamed).
         """
-        parts = [
-            _compile_comparison(*plan)
-            for plan in self.compiled_comparisons(first_var, second_var)
-        ]
-        if len(parts) == 1:
-            return parts[0]
-
-        def score(x: Interval, y: Interval) -> float:
-            best = 1.0
-            for part in parts:
-                s = part(x, y)
-                if s < best:
-                    best = s
-                    if best == 0.0:
-                        break
-            return best
-
-        return score
+        namespace: dict[str, object] = {}
+        exec(python_scorer(self.comparison_plans(first_var, second_var)), namespace)
+        return namespace["score"]
 
     def rename(self, x: str, y: str) -> "ScoredPredicate":
         """Return a copy whose canonical variables are renamed to ``x`` and ``y``."""

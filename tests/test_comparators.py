@@ -19,6 +19,14 @@ class TestComparatorParams:
         with pytest.raises(ValueError):
             ComparatorParams(0.0, -1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, value):
+        # The scorers print lambda and rho as literals; NaN passes `< 0`.
+        with pytest.raises(ValueError, match="finite"):
+            ComparatorParams(value, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ComparatorParams(1.0, value)
+
     def test_predicate_params_of(self):
         params = PredicateParams.of(4, 16, 0, 10)
         assert params.equals == ComparatorParams(4, 16)

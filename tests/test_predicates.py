@@ -3,6 +3,7 @@
 import pytest
 
 from repro.temporal import Interval, PredicateParams
+from repro.temporal.comparison_plan import python_scorer
 from repro.temporal.predicates import (
     ALLEN_PREDICATES,
     before,
@@ -198,3 +199,11 @@ class TestPredicateUtilities:
             predicate.compile()  # default variable names no longer match
         fast = predicate.compile("a", "b")
         assert fast(iv(0, 10), iv(10, 20)) == 1.0
+
+    def test_printed_scorers_hold_no_names(self):
+        # Variable names pick coefficient slots; they never reach the source.
+        predicate = sparks(P1).rename("x')\nimport os", "y")
+        source = python_scorer(predicate.comparison_plans("x')\nimport os", "y"))
+        assert "import" not in source and "'" not in source
+        for plan in predicate.comparison_plans("x')\nimport os", "y"):
+            assert "import" not in plan.sql_case(("v0.s", "v0.e", "v1.s", "v1.e"))

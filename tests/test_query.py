@@ -106,10 +106,12 @@ class TestValidation:
                 edges=(QueryEdge("x", "w", meets(P1)),),
             )
 
-    def test_single_vertex_query_allowed(self, three_collections):
+    def test_single_vertex_query_refused(self, three_collections):
+        # Every score aggregates edge scores: no algorithm can answer a query
+        # without an edge, so validation refuses it.
         c1, _, _ = three_collections
-        query = RTJQuery(vertices=("x",), collections={"x": c1}, edges=(), k=1)
-        assert query.num_edges == 0
+        with pytest.raises(ValueError, match="at least one edge"):
+            RTJQuery(vertices=("x",), collections={"x": c1}, edges=(), k=1)
 
 
 class TestScoring:
