@@ -275,12 +275,12 @@ class BoundsEstimator:
         return score_range_v(
             edge.predicate,
             {
-                edge.source: self._box_columns(edge.source)[:, :, None],
-                edge.target: self._box_columns(edge.target)[:, None, :],
+                edge.source: self.box_columns(edge.source)[:, :, None],
+                edge.target: self.box_columns(edge.target)[:, None, :],
             },
         )
 
-    def _box_columns(self, vertex: str) -> np.ndarray:
+    def box_columns(self, vertex: str) -> np.ndarray:
         """``(4, |B|)`` start-low/start-high/end-low/end-high columns of a vertex's boxes."""
         boxes = [self.space.box(vertex, key) for key in self.space.buckets_of(vertex)]
         return np.array(

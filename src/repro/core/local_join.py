@@ -18,6 +18,7 @@ v, return the x_j with s-p(x_i, x_j) >= v".
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -211,12 +212,15 @@ class LocalTopKJoin:
         columns once and shared by all combinations referencing it.
 
         ``initial_threshold`` seeds the early-termination score floor before the
-        local heap fills: tuples that cannot score *strictly above* it are
-        pruned from the start.  Callers that merge the returned list into an
-        existing top-k whose k-th score is the floor (the streaming evaluator)
-        lose nothing but boundary ties, which the merge ignores anyway.  The
-        floor is inert (0.0) for plain one-shot evaluation and disabled with
-        ``early_termination``.
+        local heap fills: combinations whose upper bound does not exceed it
+        are skipped, and inside a walked combination the tuples scoring below
+        it are pruned from the start.  The floor's rule is not strict: a tuple
+        scoring exactly the floor is still scored and offered, unlike a tie
+        at the full heap's own k-th score, which the heap could never accept.
+        Callers that merge the returned list into an existing top-k whose k-th
+        score is the floor (the streaming evaluator) lose nothing but boundary
+        ties, which the merge ignores anyway.  The floor is inert (0.0) for
+        plain one-shot evaluation and disabled with ``early_termination``.
         """
         k = k if k is not None else self.query.k
         heap = _TopKHeap(k)
@@ -281,10 +285,20 @@ class LocalTopKJoin:
             return [bounds[1] for bounds in combination.edge_bounds]
         return [1.0] * self._num_edges
 
-    def _threshold(self, heap: _TopKHeap) -> tuple[bool, float]:
-        """Whether the step prunes, and the score it must reach (frozen per step)."""
+    def _threshold(self, heap: _TopKHeap) -> tuple[bool, float, bool]:
+        """Whether the step prunes, the score it must reach and whether it must
+        exceed it (all frozen per step).
+
+        The rule is strict once the full heap sets the threshold: it accepts
+        only a score above its k-th, so a tie is dropped unoffered.  A seeded
+        floor above the k-th keeps its ties.
+        """
         pruning = self.config.early_termination and (heap.is_full or self._floor > 0.0)
-        return pruning, (max(self._floor, heap.kth_score) if pruning else 0.0)
+        if not pruning:
+            return False, 0.0, False
+        kth = heap.kth_score
+        strict = heap.is_full and kth >= self._floor
+        return True, max(self._floor, kth), strict
 
     def _candidates(
         self,
@@ -293,6 +307,7 @@ class LocalTopKJoin:
         assignment: Mapping[str, "Interval | FixedInterval"],
         estimates: Sequence[float],
         threshold: float,
+        strict: bool,
     ):
         """Candidates for the step's vertex among its bucket ``columns``;
         ``None`` means the whole bucket.
@@ -304,16 +319,25 @@ class LocalTopKJoin:
         range filter over the bucket columns (vector) or a searchsorted window
         over the endpoint-sorted views (sweep) returning positions.  All three
         select exactly the same rows, in bucket order.
+
+        A residual of zero or less asks nothing of the driver edge, unless the
+        rule is strict and a driver score of 0 leaves the estimate at the
+        threshold: then only a positive score can still win, and the box is
+        the predicate's support.
         """
         if not self.config.use_index or step.driver is None or threshold <= 0.0:
             return None
         driver_index, box_query, fixed_var = step.driver
-        required = self.query.aggregation.residual_threshold(threshold, driver_index, estimates)
-        if required <= 0.0:
-            return None
+        aggregation = self.query.aggregation
+        required = aggregation.residual_threshold(threshold, driver_index, estimates)
         if required > 1.0:
             return _EMPTY_POSITIONS
-        box = box_query.box(assignment[fixed_var], required)
+        if required > 0.0:
+            box = box_query.box(assignment[fixed_var], required)
+        elif strict and aggregation.combine(_zeroed(estimates, driver_index)) <= threshold:
+            box = box_query.support_box(assignment[fixed_var])
+        else:
+            return None
         if box is None:
             return _EMPTY_POSITIONS
         return self._resolve(box, columns)
@@ -332,12 +356,14 @@ class LocalTopKJoin:
 
         The last depth scores, combines and offers its candidates in its own
         loop; an inner depth recurses for every candidate whose optimistic
-        estimate can still reach the threshold, which is frozen at entry.
+        estimate can still reach the threshold (exceed it, when the rule is
+        strict), which is frozen at entry.
         """
         step = self._steps[depth]
-        pruning, threshold = self._threshold(heap)
+        pruning, threshold, strict = self._threshold(heap)
+        cut = _cut(threshold, strict)
         columns = per_vertex[step.vertex]
-        candidates = self._candidates(step, columns, assignment, estimates, threshold)
+        candidates = self._candidates(step, columns, assignment, estimates, threshold, strict)
         if candidates is None:
             candidates = columns.to_intervals()
         stats.candidates_examined += len(candidates)
@@ -371,7 +397,7 @@ class LocalTopKJoin:
                     scorer(candidate, other) if is_source else scorer(other, candidate)
                 )
             if not last:
-                if pruning and combine(estimates) < threshold:
+                if pruning and combine(estimates) < cut:
                     # The estimate cannot beat the current k-th score.
                     continue
                 assignment[vertex] = candidate
@@ -379,7 +405,7 @@ class LocalTopKJoin:
                 continue
             # Every edge is resolved: the estimate *is* the tuple's score.
             score = combine(estimates)
-            if pruning and score < threshold:
+            if pruning and score < cut:
                 continue
             stats.tuples_scored += 1
             uids[slot] = candidate.uid
@@ -406,9 +432,10 @@ class LocalTopKJoin:
         """
         step = self._steps[depth]
         vertex = step.vertex
-        pruning, threshold = self._threshold(heap)
+        pruning, threshold, strict = self._threshold(heap)
+        cut = _cut(threshold, strict)
         columns = per_vertex[vertex]
-        positions = self._candidates(step, columns, assignment, estimates, threshold)
+        positions = self._candidates(step, columns, assignment, estimates, threshold, strict)
         if positions is None:
             cand_uids, cand_starts, cand_ends = columns.uids, columns.starts, columns.ends
         else:
@@ -443,9 +470,9 @@ class LocalTopKJoin:
             scores = combine_scores_v(self.query.aggregation, parts, count)
             if pruning:
                 if keep is None:
-                    keep = scores >= threshold
+                    keep = scores >= cut
                 else:
-                    keep &= scores >= threshold
+                    keep &= scores >= cut
             rows = np.flatnonzero(keep) if keep is not None else range(count)
             slot = self.query.vertices.index(vertex)
             prefix = [
@@ -460,9 +487,9 @@ class LocalTopKJoin:
         if pruning:
             estimate = combine_scores_v(self.query.aggregation, parts, count)
             if keep is None:
-                keep = estimate >= threshold
+                keep = estimate >= cut
             else:
-                keep &= estimate >= threshold
+                keep &= estimate >= cut
         rows = np.flatnonzero(keep) if keep is not None else range(count)
         for row in rows:
             original = int(positions[row]) if positions is not None else int(row)
@@ -494,6 +521,19 @@ class LocalTopKJoin:
             if not all(edge.attributes_hold(assignment) for edge in attribute_edges):
                 keep[row] = False
         return keep
+
+
+def _cut(threshold: float, strict: bool) -> float:
+    """The least score a step keeps: ``threshold``, or the next float above it
+    when the rule is strict (``score >= cut`` is then ``score > threshold``)."""
+    return math.nextafter(threshold, math.inf) if strict else threshold
+
+
+def _zeroed(estimates: Sequence[float], index: int) -> list[float]:
+    """``estimates`` with edge ``index`` scoring 0."""
+    probe = list(estimates)
+    probe[index] = 0.0
+    return probe
 
 
 def _window_rows(box: Rect, columns: IntervalColumns) -> list[Interval]:

@@ -15,6 +15,7 @@ filter, so the box query always returns a superset of the true candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ __all__ = [
     "box_window",
     "CompiledPredicateQuery",
 ]
+
+_SMALLEST_POSITIVE = math.ulp(0.0)
+"""The smallest subnormal double: every positive score is at least this."""
 
 
 def threshold_difference_range(
@@ -138,3 +142,11 @@ class CompiledPredicateQuery:
         if min_x > max_x or min_y > max_y:
             return None
         return Rect(min_x, max_x, min_y, max_y)
+
+    def support_box(self, fixed_interval: Interval) -> Rect | None:
+        """Bounding box of target intervals scoring above 0: the predicate's support.
+
+        Every positive score reaches the smallest subnormal, so this is
+        :meth:`box` at that threshold, a closed superset like every box.
+        """
+        return self.box(fixed_interval, _SMALLEST_POSITIVE)

@@ -25,6 +25,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..columnar import combine_scores_v
 from ..core.bounds import BoundsEstimator, CombinationSpace, CombinationTable
 from ..core.local_join import KERNELS
 from ..core.operators import collections_by_name
@@ -32,6 +33,7 @@ from ..core.statistics import collect_statistics
 from ..core.top_buckets import top_bucket_rows
 from ..query.graph import RTJQuery
 from ..temporal.comparators import PredicateParams
+from ..temporal.comparison_plan import ComparisonPlan
 from .context import ExecutionContext
 
 __all__ = ["AutoPlanner", "PlanExplanation", "PricedPlan", "UNIT_COSTS", "kernel_seconds"]
@@ -165,22 +167,124 @@ def _is_boolean(query: RTJQuery) -> bool:
     return all(edge.predicate.params == boolean for edge in query.edges)
 
 
-def _share_above(lower: np.ndarray, upper: np.ndarray, frontier: float) -> np.ndarray:
-    """Expected share of each row's tuples scoring at least ``frontier``.
+_GRID_CELLS = 243
+"""Cap on the joint score grid of all edges, ``(levels + 1) ** edges``."""
 
-    Scores are taken as uniform between a row's bounds; a row whose lower bound
-    already reaches the frontier counts whole (that covers ``lower == upper``).
+
+def _levels(num_edges: int) -> int:
+    """Steps of the per-edge score grid: 4, halved while the joint grid of all
+    edges would pass :data:`_GRID_CELLS` (2 still holds 0, 1/2 and 1)."""
+    levels = 4
+    while levels > 2 and (levels + 1) ** num_edges > _GRID_CELLS:
+        levels //= 2
+    return levels
+
+
+def _uniform_difference_cdf(x0, x1, y0, y1, t):
+    """``P(Y - X <= t)`` for independent ``X ~ U[x0, x1]`` and ``Y ~ U[y0, y1]``
+    (broadcasting); a range of zero width is a point."""
+    wx, wy = x1 - x0, y1 - y0
+    t = np.clip(t, y0 - x1 - 1.0, y1 - x0 + 1.0)  # Y - X never leaves [y0 - x1, y1 - x0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf = np.where(
+            wx > 0.0,
+            np.where(
+                wy > 0.0,
+                (_swept(x1 + t - y0, wy) - _swept(x0 + t - y0, wy)) / (wx * wy),
+                np.clip(x1 + t - y0, 0.0, wx) / wx,
+            ),
+            np.where(wy > 0.0, np.clip(x0 + t - y0, 0.0, wy) / wy, y0 - x0 <= t),
+        )
+    return np.clip(cdf, 0.0, 1.0)
+
+
+def _swept(z, width):
+    """The integral of ``clip(s, 0, width)`` over ``s`` up to ``z``."""
+    return np.where(z <= 0.0, 0.0, np.where(z <= width, z * z / 2, width * (z - width / 2)))
+
+
+def _vertex_starts(box: np.ndarray, length: float) -> tuple[np.ndarray, ...]:
+    """``(low, high, length)`` of a bucket's start range when its intervals all
+    last the collection's average length, clipped to what the bucket allows."""
+    start_low, start_high, end_low, end_high = box
+    length = np.clip(length, np.maximum(end_low - start_high, 0.0), end_high - start_low)
+    low = np.maximum(start_low, end_low - length)
+    return low, np.minimum(start_high, end_high - length), length
+
+
+def _edge_masses(
+    plans: Sequence[ComparisonPlan],
+    source: Sequence[np.ndarray],
+    target: Sequence[np.ndarray],
+    levels: int,
+) -> np.ndarray:
+    """``(rows, levels + 1)``: each row's share of pairs whose edge score
+    rounds to ``j / levels``.
+
+    Scores of 0 and 1 are kept exact, since ties pile up there: 0 off the
+    predicate's support and 1 on its plateaus.  A slope score goes to its
+    nearest interior grid value.  ``plans`` are the edge predicate's
+    conjuncts over ``x`` (the source) and ``y``, and ``source`` and
+    ``target`` the two vertices' :func:`_vertex_starts`, so every conjunct
+    scores a linear form of two uniform, independent starts.  The forms of the one difference
+    ``u = target start - source start`` (every Allen predicate's) intersect
+    exactly; any other form counts as an independent factor, its value taken
+    as uniform over its range.  An exact equality is one time unit wide.
     """
-    width = upper - lower
-    share = np.where(
-        lower >= frontier, 1.0, (upper - frontier) / np.where(width > 0.0, width, 1.0)
+    (x0, x1, x_length), (y0, y1, y_length) = (
+        [column[None, :] for column in side] for side in (source, target)
     )
-    return np.clip(share, 0.0, 1.0)
+    # Rows of "score at least": above 0, the interior cell edges, then 1.
+    level = np.array([0.0, *((j - 0.5) / levels for j in range(2, levels)), 1.0])[:, None]
+    low, high, factor = -math.inf, math.inf, 1.0
+    for plan in plans:
+        if plan.kind == "equals":
+            reach = np.maximum(plan.lam + plan.rho * (1.0 - level), 0.5)
+            d_low, d_high = -reach, reach
+        else:
+            d_low, d_high = plan.lam + plan.rho * level, np.full_like(level, math.inf)
+        a, b, c, d = plan.coefficients
+        alpha, beta = a + b, c + d
+        offset = plan.constant + b * x_length + d * y_length
+        if alpha == -beta != 0.0:  # beta * u + offset
+            ends = ((d_low - offset) / beta, (d_high - offset) / beta)
+            low, high = np.maximum(low, ends[beta < 0.0]), np.minimum(high, ends[beta > 0.0])
+            continue
+        spread = abs(alpha) * (x1 - x0) + abs(beta) * (y1 - y0)
+        d_min = np.minimum(alpha * x0, alpha * x1) + np.minimum(beta * y0, beta * y1) + offset
+        inside = np.minimum(d_min + spread, d_high) - np.maximum(d_min, d_low)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = factor * np.where(
+                spread > 0.0,
+                np.clip(inside / spread, 0.0, 1.0),
+                (d_min >= d_low) & (d_min <= d_high),
+            )
+    bounds = np.stack(np.broadcast_arrays(high, low))
+    below_high, below_low = _uniform_difference_cdf(x0, x1, y0, y1, bounds)
+    reach = np.where(low <= high, np.maximum(below_high - below_low, 0.0), 0.0) * factor
+    rows = reach.shape[1]
+    return -np.diff(np.vstack([np.ones(rows), reach, np.zeros(rows)]), axis=0).T
+
+
+def _grid(masses: Sequence[np.ndarray], levels: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every joint grid value of some edges: one ``(cells,)`` value column per
+    edge and each row's ``(rows, cells)`` probability, edges independent."""
+    cells = np.indices((levels + 1,) * len(masses)).reshape(len(masses), -1)
+    probability = np.ones((len(masses[0]), cells.shape[1]))
+    for mass, index in zip(masses, cells):
+        probability = probability * mass[:, index]
+    return [index / levels for index in cells], probability
+
+
+def _combine(query: RTJQuery, parts: Sequence[object], shape: tuple[int, int]) -> np.ndarray:
+    """``aggregation.combine`` over broadcast ``(rows, cells)`` edge columns."""
+    flat = [np.broadcast_to(np.asarray(part, dtype=float), shape).ravel() for part in parts]
+    return combine_scores_v(query.aggregation, flat, flat[0].size).reshape(shape)
 
 
 @dataclass(frozen=True)
 class _JoinWork:
-    """What the dry run expects one reducer's local join to do."""
+    """What the dry run expects the reducers' local joins to do, summed."""
 
     steps: float
     candidates: float
@@ -188,47 +292,128 @@ class _JoinWork:
     """Bucket elements a full-column mask touches: each step's whole bucket."""
 
 
-def _dry_run(query: RTJQuery, space: CombinationSpace, share: CombinationTable) -> _JoinWork:
-    """Expected join work of one reducer over ``share``, its rows by descending upper bound.
+def _dry_run(
+    estimator: BoundsEstimator, table: CombinationTable, selected: np.ndarray, reducers: int
+) -> _JoinWork:
+    """Expected join work of ``reducers`` reducers dealt the ``selected`` rows
+    in turn (DTB deals them out in score order), each walking its own share.
 
-    The reducer walks its rows until the expected number of tuples scoring above
-    the next row's upper bound reaches ``k`` — its heap is full and the frontier
-    closed.  Inside a walked row, a step binding the next join-order vertex
-    examines that vertex's bucket thinned by the share of the row's tuples that
-    can still beat the closing frontier, spread evenly over the binding depths
-    — except in the first row, walked while the heap is still filling.
+    Each row's edge scores are a grid distribution (:func:`_edge_masses`) with
+    the ties at 0 and 1 exact.  A row is walked against the frontier its
+    reducer expects by then: the k-th score of the tuples of its earlier rows
+    (none while fewer than ``k`` precede; the first row's lower bound, as the
+    heap fills there).  A reducer stops at its first row whose upper bound the
+    frontier reaches.  A walked row is priced as the strict walk runs it: a
+    partial tuple extends only while its estimate *exceeds* the frontier, and
+    a step examines the share of the next bucket inside the driver edge's
+    threshold box, which is the support when a driver score of 0 leaves the
+    estimate at the frontier.  Tuples tied at the frontier cost nothing.
     """
-    upper, lower = share.upper, share.lower
-    results = share.nb_res.astype(float)
-    low, high = 1, len(share)
-    while low < high:  # expected tuples above the frontier grow with every row walked
-        middle = (low + high) // 2
-        above = results[:middle] * _share_above(lower[:middle], upper[:middle], upper[middle])
-        if above.sum() >= query.k:
-            high = middle
-        else:
-            low = middle + 1
-    walked = low
-    frontier = float(upper[walked]) if walked < len(share) else 0.0
+    query, space = estimator.query, estimator.space
+    if not len(selected):
+        return _JoinWork(0.0, 0.0, 0.0)
+    edges = estimator.objective.edges
+    levels = _levels(len(edges))
+    slot = {vertex: at for at, vertex in enumerate(table.vertices)}
+    boxes = {vertex: estimator.box_columns(vertex) for vertex in query.vertices}
+    plans = [edge.predicate.comparison_plans() for edge in query.edges]
+    average = space.statistics.average_lengths
+    lengths = {}
+    for vertex in query.vertices:
+        name = query.collections[vertex].name
+        lengths[vertex] = (
+            average[name] if name in average else query.collections[vertex].average_length()
+        )
+
+    def masses_of(rows: np.ndarray) -> list[np.ndarray]:
+        starts = {
+            vertex: _vertex_starts(
+                boxes[vertex][:, table.positions[rows, slot[vertex]]], lengths[vertex]
+            )
+            for vertex in query.vertices
+        }
+        return [
+            _edge_masses(edge_plans, starts[edge.source], starts[edge.target], levels)
+            for edge_plans, edge in zip(plans, edges)
+        ]
+
+    # Row p of every share at once, (p, reducer) -> selected[p * reducers + reducer],
+    # read in doubling prefixes: a walk rarely needs a whole share.
+    longest = -(-len(selected) // reducers)
+    taken, read = min(16, longest), 0
+    masses = [np.empty((0, levels + 1)) for _ in edges]
+    values, _ = _grid(masses, levels)
+    # The tuple scores the grid can take, descending, and which one each cell is.
+    scores, cell_score = np.unique(
+        -_combine(query, values, (1, len(values[0])))[0], return_inverse=True
+    )
+    scores, by_score = -scores, cell_score.ravel()[:, None] == np.arange(len(scores))
+    tail = np.empty((0, len(scores)))
+    while True:
+        index = np.arange(taken * reducers).reshape(taken, reducers)
+        valid = index < len(selected)
+        rows = selected[np.minimum(index, len(selected) - 1)]
+        fresh = masses_of(rows.ravel()[read:])
+        masses = [np.vstack([old, new]) for old, new in zip(masses, fresh)]
+        tail = np.vstack([tail, np.cumsum(_grid(fresh, levels)[1] @ by_score, axis=1)])
+        read = rows.size
+        results = np.where(valid, table.nb_res[rows].astype(float), 0.0)[..., None]
+        # expected[p, r, j]: tuples of share r's rows before p scoring at least
+        # scores[j]; the score where that reaches k is the expected k-th.
+        counted = results * tail.reshape(taken, reducers, -1)
+        expected = np.cumsum(counted, axis=0) - counted
+        reached = expected >= query.k
+        frontier = np.where(reached.any(axis=2), scores[reached.argmax(axis=2)], -math.inf)
+        frontier[0] = np.where(results[0, :, 0] >= query.k, table.lower[rows[0]], -math.inf)
+        stops = frontier >= np.where(valid, table.upper[rows], -math.inf)
+        stops[0] = False
+        if stops.any(axis=0).all() or taken == longest:
+            break
+        taken = min(2 * taken, longest)
+    walked = np.where(stops.any(axis=0), stops.argmax(axis=0), taken)
+    walking = (np.arange(taken)[:, None] < walked[None, :]) & valid
+    picked = walking.ravel()
+    rows, frontier = rows.ravel()[picked], frontier.ravel()[picked][:, None]
+    masses = [mass[picked] for mass in masses]
+    ubs = table.edge_bounds[rows, :, 1]
+
     order = query.join_order()
-    depths = max(1, len(order) - 1)
-    passing = _share_above(lower[:walked], upper[:walked], frontier) ** (1.0 / depths)
-    passing[:1] = 1.0  # the heap is still filling while the first row is walked
-    slot = {vertex: at for at, vertex in enumerate(share.vertices)}
-    lengths = [
-        np.array([space.count(vertex, key) for key in share.keys[slot[vertex]]], dtype=float)[
-            share.positions[:walked, slot[vertex]]
+    counts = [
+        np.array([space.count(vertex, key) for key in table.keys[slot[vertex]]], dtype=float)[
+            table.positions[rows, slot[vertex]]
         ]
         for vertex in order
     ]
     steps = candidates = scanned = 0.0
-    extending = lengths[0]
-    for bucket in lengths[1:]:
+    prefix = counts[0]
+    resolved: list[int] = []
+    for depth in range(1, len(order)):
+        vertex, bound = order[depth], order[:depth]
+        connecting = [
+            index
+            for index, edge in enumerate(query.edges)
+            if (edge.source == vertex and edge.target in bound)
+            or (edge.target == vertex and edge.source in bound)
+        ]
+        driver = connecting[0]
+        grid_values, probability = _grid([masses[index] for index in (*resolved, driver)], levels)
+        shape = probability.shape
+        value_of = dict(zip((*resolved, driver), grid_values))
+        estimate = [value_of[e] if e in resolved else ubs[:, e : e + 1] for e in range(len(edges))]
+        alive = _combine(query, estimate, shape) > frontier
+        estimate[driver] = value_of[driver]
+        reaches = _combine(query, estimate, shape) >= frontier
+        estimate[driver] = 0.0
+        # The walk boxes nothing at a frontier of 0 or while the heap fills.
+        whole = (_combine(query, estimate, shape) > frontier) | (frontier <= 0.0)
+        boxed = alive & (whole | (reaches & (value_of[driver] > 0.0)))
+        extending = prefix * (probability * alive).sum(axis=1)
         steps += extending.sum()
-        scanned += (extending * bucket).sum()
-        extending = extending * np.maximum(bucket * passing, 1.0)
-        candidates += extending.sum()
-    return _JoinWork(steps, candidates, scanned)
+        scanned += (extending * counts[depth]).sum()
+        candidates += (prefix * counts[depth] * (probability * boxed).sum(axis=1)).sum()
+        prefix = prefix * counts[depth]
+        resolved += connecting
+    return _JoinWork(float(steps), float(candidates), float(scanned))
 
 
 @dataclass
@@ -419,22 +604,21 @@ class AutoPlanner:
     ) -> list[PricedPlan]:
         """One candidate per kernel at one granularity."""
         cluster = context.cluster
-        table = BoundsEstimator(query, space).loose_table()
+        estimator = BoundsEstimator(query, space)
+        table = estimator.loose_table()
         if query.has_attribute_constraints:  # phase (b) keeps every combination
             selected = table.descending(table.upper)
         else:
             selected = top_bucket_rows(table, query.k)
-        # DTB deals the selected rows out in score order: one reducer's share is
-        # every num_reducers-th of them, and the reducers work alike.
-        work = _dry_run(query, space, table.take(selected[:: cluster.num_reducers]))
         reducers = min(cluster.num_reducers, len(selected))
+        work = _dry_run(estimator, table, selected, reducers)
 
         bounds = len(table) * UNIT_COSTS["loose_per_combination"]
         distribution = len(selected) * UNIT_COSTS["dtb_per_combination"]
 
         plans = []
         for kernel in kernels:
-            join = reducers * kernel_seconds(kernel, work.steps, work.candidates, work.scanned)
+            join = kernel_seconds(kernel, work.steps, work.candidates, work.scanned)
             if kernel == "sweep":
                 join += total_intervals * UNIT_COSTS["sweep_sort"]
             plans.append(PricedPlan(num_granules, kernel, len(table), bounds, distribution, join))

@@ -315,7 +315,8 @@ class StreamingTKIJ(Algorithm):
                 TopBucketsOp("loose", state.knobs["solver"]),
                 FilteredDistributeOp(state.knobs["assigner"], keep=candidate_filter),
                 # Reducers inherit the persistent k-th score as their pruning
-                # floor: tuples that cannot strictly beat it never get scored.
+                # floor: tuples below it never get scored.  Ties at the floor
+                # still are (its rule is not strict), and the merge drops them.
                 JoinOp(state.knobs["join_config"], initial_threshold=threshold or 0.0),
                 MergeOp(),
             ],

@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.index import CompiledPredicateQuery, threshold_difference_range
 from repro.temporal import ComparatorParams, Interval, PredicateParams
-from repro.temporal.predicates import meets, overlaps, sparks
+from repro.temporal.predicates import (
+    ALLEN_PREDICATES,
+    just_before,
+    meets,
+    overlaps,
+    shift_meets,
+    sparks,
+)
 
 P1 = PredicateParams.of(4, 16, 0, 10)
 
@@ -96,3 +105,38 @@ class TestThresholdBox:
         predicate = overlaps(P1).rename("a", "b")
         with pytest.raises(ValueError):
             CompiledPredicateQuery(predicate, "a", "c")
+
+
+_ENDPOINT = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False)
+_LENGTH = st.floats(min_value=0.0, max_value=40.0, allow_nan=False)
+_TEN_PREDICATES = [
+    *ALLEN_PREDICATES.values(),
+    lambda params: just_before(params, 7.5),
+    lambda params: shift_meets(params, 7.5),
+    sparks,
+]
+
+
+class TestSupportBox:
+    @given(
+        factory=st.sampled_from(_TEN_PREDICATES),
+        params=st.sampled_from([P1, PredicateParams.boolean()]),
+        fixed_on_left=st.booleans(),
+        fixed=st.tuples(_ENDPOINT, _LENGTH),
+        targets=st.lists(st.tuples(_ENDPOINT, _LENGTH), min_size=1, max_size=30),
+    )
+    @settings(deadline=None, max_examples=400)
+    def test_every_positive_target_lies_in_the_support_box(
+        self, factory, params, fixed_on_left, fixed, targets
+    ):
+        predicate = factory(params)
+        fixed = Interval(0, fixed[0], fixed[0] + fixed[1])
+        fixed_var, target_var = ("x", "y") if fixed_on_left else ("y", "x")
+        box = CompiledPredicateQuery(predicate, fixed_var, target_var).support_box(fixed)
+        for uid, (start, length) in enumerate(targets, start=1):
+            target = Interval(uid, start, start + length)
+            score = (
+                predicate.score(fixed, target) if fixed_on_left else predicate.score(target, fixed)
+            )
+            if score > 0.0:
+                assert box is not None and in_box(box, target), (predicate.name, fixed, target)

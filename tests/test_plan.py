@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.baselines import naive_boolean_matches, naive_top_k
@@ -19,8 +20,15 @@ from repro.plan import (
     available_algorithms,
     get_algorithm,
 )
-from repro.plan.planner import UNIT_COSTS, kernel_seconds
-from repro.temporal import Interval, IntervalCollection
+from repro.plan.planner import (
+    UNIT_COSTS,
+    _edge_masses,
+    _uniform_difference_cdf,
+    _vertex_starts,
+    kernel_seconds,
+)
+from repro.temporal import Interval, IntervalCollection, PredicateParams
+from repro.temporal.predicates import ALLEN_PREDICATES
 
 
 @pytest.fixture()
@@ -372,23 +380,46 @@ REGRET_WORKLOADS = {
     "Qs,f,m": ("Qs,f,m", 3, 60, 100_000.0, 10),
     "Qf,b": ("Qf,b", 3, 60, 100_000.0, 10),
 }
-# Where the dry run's uniform-score assumption is known to cost more than the
-# bound (DESIGN.md §6): strict, so a fix has to retire its entry.
-KNOWN_REGRET = {
-    ("J1", 4, 3): "rows tied at a saturated upper bound count for nothing at the "
-    "frontier: one reducer walks one row too many, which biases towards fine g",
-    ("Qs,f,m", 4, 5): "sparse predicates: nearly every tuple of a [0, 1] row scores 0, "
-    "so the walk is ~30x longer than priced at every g and the ranking is noise",
-}
-REGRET_CASES = [
-    pytest.param(
-        *case,
-        marks=[pytest.mark.xfail(reason=KNOWN_REGRET[case], strict=True)]
-        if case in KNOWN_REGRET
-        else [],
-    )
-    for case in itertools.product(REGRET_WORKLOADS, (4, 8), (3, 5))
-]
+REGRET_CASES = list(itertools.product(REGRET_WORKLOADS, (4, 8), (3, 5)))
+
+
+class TestScoreGrid:
+    """The dry run's per-row score model holds under its own assumptions."""
+
+    def test_difference_cdf_matches_sampling(self):
+        rng = np.random.default_rng(5)
+        for x0, x1, y0, y1 in ((0, 10, 5, 30), (0, 0, 5, 30), (0, 10, 5, 5), (3, 3, 7, 7)):
+            xs = rng.uniform(x0, x1, 100_000)
+            ys = rng.uniform(y0, y1, 100_000)
+            for t in (-50.0, -3.0, 0.0, 4.5, 12.0, 26.0, 80.0):
+                exact = _uniform_difference_cdf(*map(np.float64, (x0, x1, y0, y1)), t)
+                assert float(exact) == pytest.approx(np.mean(ys - xs <= t), abs=0.01)
+
+    @pytest.mark.parametrize("name", sorted(ALLEN_PREDICATES))
+    @pytest.mark.parametrize("params", ["P1", "PB"])
+    def test_edge_masses_match_sampled_scores(self, name, params):
+        # Starts uniform over a bucket's start range, every interval as long as
+        # the average: the grid holds the sampled scores, 0 and 1 exactly and
+        # the slope at its nearest interior value.
+        params = PredicateParams.of(4, 16, 0, 10) if params == "P1" else PredicateParams.boolean()
+        predicate = ALLEN_PREDICATES[name](params)
+        boxes = np.array([[0.0, 30.0], [40.0, 80.0], [0.0, 30.0], [45.0, 90.0]])
+        source = _vertex_starts(boxes[:, :1], 12.0)
+        target = _vertex_starts(boxes[:, 1:], 9.0)
+        levels = 4
+        masses = _edge_masses(predicate.comparison_plans(), source, target, levels)[0]
+        assert masses.min() >= 0.0 and masses.sum() == pytest.approx(1.0)
+
+        rng = np.random.default_rng(11)
+        score = predicate.compile()
+        sampled = np.zeros(levels + 1)
+        for _ in range(20_000):
+            x = rng.uniform(source[0][0], source[1][0])
+            y = rng.uniform(target[0][0], target[1][0])
+            value = score(Interval(0, x, x + source[2][0]), Interval(1, y, y + target[2][0]))
+            cell = 0 if value == 0.0 else levels if value == 1.0 else round(value * levels)
+            sampled[min(max(cell, 1), levels - 1) if 0.0 < value < 1.0 else cell] += 1
+        assert masses == pytest.approx(sampled / sampled.sum(), abs=0.02)
 
 
 class TestPricedPlans:
@@ -429,9 +460,7 @@ class TestPricedPlans:
         kernel = "scalar" if knobs["kernel"] == "scalar" else "vector"
         assert scores[knobs["num_granules"], kernel] <= 1.5 * min(scores.values())
 
-    @pytest.mark.parametrize(
-        "name, num_reducers, seed", itertools.product(REGRET_WORKLOADS, (4, 8), (3, 5))
-    )
+    @pytest.mark.parametrize("name, num_reducers, seed", REGRET_CASES)
     def test_early_stopped_walk_finds_the_argmin(self, name, num_reducers, seed):
         # plan() walks the granularities finest first and stops at the first
         # dearer one; pricing every candidate on its own must find nothing cheaper.
@@ -484,7 +513,7 @@ class TestPricedPlans:
             assert any(reason.startswith("strategy=loose") for reason in explanation.reasons)
 
     def test_process_backend_with_vector_kernel_leaves_transfer_unset(self):
-        query = uniform_query("Qb*", 2, 2_000, 20_000.0, 100, seed=7)
+        query = uniform_query("Qb*", 2, 4_000, 20_000.0, 100, seed=7)
         with make_context("process") as context:
             knobs, explanation = AutoPlanner().plan(query, context)
         assert knobs["kernel"] == "vector"

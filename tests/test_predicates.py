@@ -200,6 +200,21 @@ class TestPredicateUtilities:
         fast = predicate.compile("a", "b")
         assert fast(iv(0, 10), iv(10, 20)) == 1.0
 
+    def test_compile_is_memoised_per_predicate_and_variables(self):
+        predicate = overlaps(P1)
+        assert predicate.compile() is predicate.compile()
+        assert overlaps(P1).compile() is predicate.compile()  # equal, not identical
+        assert overlaps(PredicateParams.boolean()).compile() is not predicate.compile()
+        # A renamed predicate, and the same one with its variables swapped,
+        # are keys of their own, each scoring in its own argument order.
+        renamed = predicate.rename("a", "b")
+        forward, backward = renamed.compile("a", "b"), renamed.compile("b", "a")
+        assert len({forward, backward, predicate.compile()}) == 3
+        x, y = iv(0, 20), iv(10, 40)
+        assert forward(x, y) == predicate.score(x, y) == 1.0
+        assert backward(y, x) == predicate.score(x, y)
+        assert backward(x, y) == predicate.score(y, x) == 0.0
+
     def test_printed_scorers_hold_no_names(self):
         # Variable names pick coefficient slots; they never reach the source.
         predicate = sparks(P1).rename("x')\nimport os", "y")
