@@ -180,6 +180,22 @@ def fuzz() -> Counter:
             if response["id"] is None or "field" in error.get("details", {}):
                 outcomes["rejected"] += 1
                 assert backend.attempts == attempts, (line[:200], error)
+        # A uid past int64 is refused by index, in a register and in an
+        # ingest; a query over the collection then answers as if the frame
+        # never came (it used to fail every later query as INTERNAL).
+        hostile = [[0, 0.0, 1.0], [2**70, 0.0, 1.0]]
+        opened = {"verb": "register", "name": "H", "intervals": [[0, 0.0, 1.0]], "streaming": True}
+        assert wire.exchange(encode_message(opened))["ok"]
+        for request, expected in (
+            ({"verb": "register", "name": "H2", "streaming": True}, "NOT_FOUND"),
+            ({"verb": "ingest", "name": "H"}, None),
+        ):
+            refused = wire.exchange(encode_message({**request, "intervals": hostile}))
+            assert refused["error"]["code"] == "BAD_REQUEST", refused
+            assert "intervals[1]" in refused["error"]["message"], refused
+            query = {"verb": "query", "query": "Qo,m", "collections": ["R", "S", request["name"]]}
+            answer = wire.exchange(encode_message({**query, "k": 5}))
+            assert (answer.get("error") or {}).get("code") == expected, answer
         # A truncated final frame: half a request, then the connection closes.
         wire.sock.sendall(encode_message({"verb": "load", "names": ["T9"]})[:12])
         wire.close()

@@ -11,7 +11,7 @@ collections change.
 
 from __future__ import annotations
 
-import copy
+import copy as _copy
 import hashlib
 import itertools
 import math
@@ -22,7 +22,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, Mapping, Sequence
 
 from ..core.statistics import (
     DatasetStatistics,
@@ -40,6 +40,7 @@ __all__ = [
     "StatisticsCache",
     "StatisticsKey",
     "atomic_pickle_dump",
+    "atomic_write",
     "checked_snapshot",
     "malformed_checkpoint",
     "read_checkpoint",
@@ -48,6 +49,7 @@ __all__ = [
 CHECKPOINT_KIND = "execution-context"
 CHECKPOINT_VERSION = 1
 _CACHE_SNAPSHOT_KIND = "statistics-cache"
+_CACHE_COUNTERS = ("hits", "misses", "updates", "noop_updates", "evictions", "stale_drops")
 
 StatisticsKey = tuple[tuple[str, ...], int]
 """Cache key: (sorted collection names, number of granules)."""
@@ -66,6 +68,34 @@ class _CacheEntry:
     generation: int = 0
 
 
+@dataclass
+class _CacheChanges:
+    """What changed in a :class:`StatisticsCache` since its last
+    :meth:`~StatisticsCache.take_changes` (kept under the cache's lock)."""
+
+    state: tuple[int, dict[str, int]]
+    """The generation and counters when tracking (re)started."""
+    changed: set[StatisticsKey] = field(default_factory=set)
+    """Keys whose entry value changed (collected, maintained, re-fingerprinted)."""
+    moved: dict[StatisticsKey, None] = field(default_factory=dict)
+    """Keys made most-recently-used, in the order of their last move."""
+    dropped: set[StatisticsKey] = field(default_factory=set)
+
+    def move(self, key: StatisticsKey) -> None:
+        self.moved.pop(key, None)
+        self.moved[key] = None
+        self.dropped.discard(key)
+
+    def change(self, key: StatisticsKey) -> None:
+        self.changed.add(key)
+        self.dropped.discard(key)
+
+    def drop(self, key: StatisticsKey) -> None:
+        self.changed.discard(key)
+        self.moved.pop(key, None)
+        self.dropped.add(key)
+
+
 _staging_ids = itertools.count()
 
 _FRAME_HEADER = b"repro-checkpoint\n\x01"  # a magic line, then the frame format version
@@ -76,32 +106,62 @@ def _digest(body: bytes | memoryview) -> bytes:
     return hashlib.blake2b(body, digest_size=_DIGEST_SIZE).digest()
 
 
-def atomic_pickle_dump(path: str | Path, payload: Any) -> None:
-    """Pickle ``payload`` to ``path`` via a unique staging sibling + rename.
-
-    The file is framed: a magic line, a format version byte, the blake2b
-    digest of the pickle, then the pickle — :func:`read_checkpoint` checks
-    all three before it unpickles a byte.
+def atomic_write(path: str | Path, write: Callable[[BinaryIO], object]) -> int:
+    """Publish the file ``write(handle)`` writes at ``path`` via a unique
+    staging sibling + rename; returns the file's size.
 
     The staging name carries the writer's pid and a process-local counter, so
-    concurrent checkpointers of the *same* path never interleave write/rename
-    on a shared staging file (each rename atomically publishes one complete
-    snapshot; last writer wins).  A crash mid-write leaves only a staging
-    sibling behind, never a torn ``path``; a failed write cleans its staging
-    file up before re-raising.
+    concurrent writers of the *same* path never interleave write/rename on a
+    shared staging file (each rename atomically publishes one complete file;
+    last writer wins).  A crash mid-write leaves only a staging sibling
+    behind, never a torn ``path``; a failed write cleans its staging file up
+    before re-raising.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     staging = path.with_name(f"{path.name}.tmp.{os.getpid()}.{next(_staging_ids)}")
     try:
-        body = pickle.dumps(payload)
         with open(staging, "wb") as handle:
-            handle.write(_FRAME_HEADER + _digest(body))
-            handle.write(body)
+            write(handle)
+            size = handle.seek(0, os.SEEK_END)
         os.replace(staging, path)
     except BaseException:
         staging.unlink(missing_ok=True)
         raise
+    return size
+
+
+class _HashingWriter:
+    """A file wrapper that hashes every chunk written through it."""
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self.handle = handle
+        self.hash = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+
+    def write(self, chunk: bytes) -> int:
+        self.hash.update(chunk)
+        return self.handle.write(chunk)
+
+
+def atomic_pickle_dump(path: str | Path, payload: Any) -> int:
+    """Pickle ``payload`` to ``path`` framed, atomically (:func:`atomic_write`);
+    returns the file's size.
+
+    The frame is a magic line, a format version byte, the blake2b digest of
+    the pickle, then the pickle — :func:`read_checkpoint` checks all three
+    before it unpickles a byte.  The pickle streams into the file as it is
+    made, hashed on the way, and its digest is written into the header last,
+    so no copy of the whole pickle is ever held in memory.
+    """
+
+    def write(handle: BinaryIO) -> None:
+        handle.write(_FRAME_HEADER + bytes(_DIGEST_SIZE))
+        body = _HashingWriter(handle)
+        pickle.dump(payload, body, protocol=pickle.HIGHEST_PROTOCOL)
+        handle.seek(len(_FRAME_HEADER))
+        handle.write(body.hash.digest())
+
+    return atomic_write(path, write)
 
 
 def read_checkpoint(
@@ -158,6 +218,13 @@ def malformed_checkpoint(kind: str) -> Iterator[None]:
         raise ValueError(f"malformed {kind} checkpoint: {error!r}") from error
 
 
+def _stream_snapshot(state: object, copy: bool) -> object:
+    """One stream state as a checkpoint payload (see :meth:`ExecutionContext.checkpoint`)."""
+    if hasattr(state, "to_snapshot"):
+        return state.to_snapshot(copy)
+    return _copy.deepcopy(state) if copy else state
+
+
 def _collection_checksum(collection: IntervalCollection) -> float:
     """Cheap content fingerprint: a weighted sum of every interval's endpoints.
 
@@ -203,18 +270,24 @@ class StatisticsCache:
     entries from an older generation.  Use it when collections mutate through
     a channel the per-entry fingerprints cannot see.
 
-    Thread safety: every operation takes an internal re-entrant lock, because
+    Thread safety: every operation takes the re-entrant ``lock``, because
     the serving layer shares one cache across concurrent executor threads.
     :meth:`get_or_collect` holds the lock *through* collection, so two
     sessions racing on the same cold dataset collect phase (a) once — the
-    loser waits and hits.
+    loser waits and hits.  A caller that serializes live entries
+    (:meth:`to_snapshot` with ``copy=False``, :meth:`take_changes`) holds
+    the lock until the bytes are written.
+
+    Change tracking: after the first :meth:`take_changes` call the cache
+    records which keys every operation changed, made most-recently-used or
+    dropped, so a journal can persist only what changed (DESIGN.md §13).
     """
 
     def __init__(self, max_entries: int | None = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be at least 1 (or None for unbounded)")
         self._entries: OrderedDict[StatisticsKey, _CacheEntry] = OrderedDict()
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()
         self.max_entries = max_entries
         self.generation = 0
         self.hits = 0
@@ -223,6 +296,7 @@ class StatisticsCache:
         self.noop_updates = 0
         self.evictions = 0
         self.stale_drops = 0
+        self._changes: _CacheChanges | None = None
 
     # ------------------------------------------------------------------ basics
     @staticmethod
@@ -233,13 +307,14 @@ class StatisticsCache:
         return (tuple(sorted(collections)), num_granules)
 
     def __len__(self) -> int:
-        with self._lock:
+        with self.lock:
             return len(self._entries)
 
     def clear(self) -> None:
         """Drop every cached entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
+        with self.lock:
+            for key in tuple(self._entries):
+                self._drop(key)
 
     def invalidate(
         self, collections: Mapping[str, IntervalCollection], num_granules: int
@@ -250,17 +325,36 @@ class StatisticsCache:
         replan after the dataset outgrew the granule boundaries the cached
         matrices were built on.
         """
-        with self._lock:
-            return (
-                self._entries.pop(self.key_for(collections, num_granules), None) is not None
-            )
+        with self.lock:
+            key = self.key_for(collections, num_granules)
+            if key not in self._entries:
+                return False
+            self._drop(key)
+            return True
+
+    def _drop(self, key: StatisticsKey) -> None:
+        """Remove one entry (lock held)."""
+        del self._entries[key]
+        if self._changes is not None:
+            self._changes.drop(key)
+
+    def _move(self, key: StatisticsKey) -> None:
+        """Mark one entry most-recently-used (lock held)."""
+        self._entries.move_to_end(key)
+        if self._changes is not None:
+            self._changes.move(key)
+
+    def _changed(self, key: StatisticsKey) -> None:
+        """Record that one entry's value changed in place (lock held)."""
+        if self._changes is not None:
+            self._changes.change(key)
 
     # ------------------------------------------------------------------ lookup
     def lookup(
         self, collections: Mapping[str, IntervalCollection], num_granules: int
     ) -> DatasetStatistics | None:
         """Cached statistics for this dataset/granularity, or ``None`` (no counter side effects)."""
-        with self._lock:
+        with self.lock:
             key = self.key_for(collections, num_granules)
             entry = self._entries.get(key)
             if entry is None:
@@ -268,7 +362,7 @@ class StatisticsCache:
             if getattr(entry, "generation", 0) != self.generation:
                 # Collected under an older generation; bump_generation() said
                 # every such entry can no longer be trusted.
-                del self._entries[key]
+                self._drop(key)
                 self.stale_drops += 1
                 return None
             for name, collection in collections.items():
@@ -281,10 +375,10 @@ class StatisticsCache:
                 )
                 if stale:
                     # The dataset drifted without update(); drop the entry.
-                    del self._entries[key]
+                    self._drop(key)
                     self.stale_drops += 1
                     return None
-            self._entries.move_to_end(key)
+            self._move(key)
             return entry.statistics
 
     def get_or_collect(
@@ -294,7 +388,7 @@ class StatisticsCache:
         collector: Collector | None = None,
     ) -> tuple[DatasetStatistics, bool]:
         """Return ``(statistics, was_cached)``, collecting phase (a) only on a miss."""
-        with self._lock:
+        with self.lock:
             statistics = self.lookup(collections, num_granules)
             if statistics is not None:
                 self.hits += 1
@@ -302,7 +396,8 @@ class StatisticsCache:
             self.misses += 1
             collector = collector or collect_statistics
             statistics = collector(collections, num_granules)
-            self._entries[self.key_for(collections, num_granules)] = _CacheEntry(
+            key = self.key_for(collections, num_granules)
+            self._entries[key] = _CacheEntry(
                 statistics=statistics,
                 sizes={name: len(collection) for name, collection in collections.items()},
                 time_ranges={
@@ -314,6 +409,8 @@ class StatisticsCache:
                 },
                 generation=self.generation,
             )
+            self._changed(key)
+            self._move(key)
             self._evict_over_bound()
             return statistics, False
 
@@ -322,7 +419,7 @@ class StatisticsCache:
         if self.max_entries is None:
             return
         while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+            self._drop(next(iter(self._entries)))
             self.evictions += 1
 
     def bump_generation(self) -> int:
@@ -332,7 +429,7 @@ class StatisticsCache:
         drops it (counted in ``stale_drops``), so the call is O(1) no matter
         how large the cache is.
         """
-        with self._lock:
+        with self.lock:
             self.generation += 1
             return self.generation
 
@@ -361,7 +458,7 @@ class StatisticsCache:
         such an update treat the entry as stale unless the collection's range is
         unchanged.
         """
-        with self._lock:
+        with self.lock:
             maintained = 0
             for key, entry in self._entries.items():
                 names = set(key[0])
@@ -380,6 +477,7 @@ class StatisticsCache:
                     entry.checksums[name] = entry.checksums.get(
                         name, 0.0
                     ) - _intervals_checksum(intervals)
+                self._changed(key)
                 maintained += 1
             if maintained:
                 self.updates += 1
@@ -390,52 +488,86 @@ class StatisticsCache:
     # ------------------------------------------------------------------ report
     def describe(self) -> dict[str, Any]:
         """Flat counter summary (the serving ``stats`` verb reports this)."""
-        with self._lock:
+        with self.lock:
             return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "updates": self.updates,
-                "noop_updates": self.noop_updates,
-                "evictions": self.evictions,
-                "stale_drops": self.stale_drops,
+                **self._counters(),
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
                 "generation": self.generation,
             }
 
     # ------------------------------------------------------------- checkpoints
-    def to_snapshot(self) -> dict[str, Any]:
-        """A deep-copied, picklable snapshot of every cached entry.
+    def _counters(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in _CACHE_COUNTERS}
 
-        Value semantics: incremental :meth:`update` calls on the live cache
-        never leak into a snapshot already taken (entries are maintained *in
-        place*, so a shallow copy would).
+    def to_snapshot(self, copy: bool = True) -> dict[str, Any]:
+        """A picklable snapshot of every cached entry.
+
+        Value semantics by default: incremental :meth:`update` calls on the
+        live cache never leak into a snapshot already taken (entries are
+        maintained *in place*, so a shallow copy would).  ``copy=False``
+        shares the live entries, for a caller that pickles the snapshot at
+        once while it holds ``lock``.
         """
-        with self._lock:
+        with self.lock:
+            entries = dict(self._entries)
             return {
                 "kind": _CACHE_SNAPSHOT_KIND,
                 "version": CHECKPOINT_VERSION,
-                "entries": copy.deepcopy(dict(self._entries)),
+                "entries": _copy.deepcopy(entries) if copy else entries,
                 "generation": self.generation,
-                "counters": {
-                    "hits": self.hits,
-                    "misses": self.misses,
-                    "updates": self.updates,
-                    "noop_updates": self.noop_updates,
-                    "evictions": self.evictions,
-                    "stale_drops": self.stale_drops,
-                },
+                "counters": self._counters(),
             }
+
+    def take_changes(self) -> dict[str, Any] | None:
+        """What changed since the previous call, as whole values: the changed
+        entries, the keys made most-recently-used (in that order), the dropped
+        keys, the counters and the generation.
+
+        ``None`` when nothing changed — and on the first call, which starts
+        the tracking.  The entries are live: pickle them before releasing
+        ``lock``.  :meth:`apply_changes` folds the payload into a
+        :meth:`to_snapshot` payload.
+        """
+        with self.lock:
+            changes, state = self._changes, (self.generation, self._counters())
+            self._changes = _CacheChanges(state)
+            if changes is None or not (
+                changes.changed or changes.moved or changes.dropped or changes.state != state
+            ):
+                return None
+            return {
+                "entries": {key: self._entries[key] for key in changes.changed},
+                "moved": list(changes.moved),
+                "dropped": list(changes.dropped),
+                "generation": state[0],
+                "counters": state[1],
+            }
+
+    @staticmethod
+    def apply_changes(snapshot: dict[str, Any], changes: Mapping[str, Any]) -> None:
+        """Fold a :meth:`take_changes` payload into a :meth:`to_snapshot`
+        payload in place: drops, then upserts, then the LRU moves in order —
+        which leaves the entries in the live cache's order."""
+        entries = snapshot["entries"]
+        for key in changes["dropped"]:
+            entries.pop(key, None)
+        entries.update(changes["entries"])
+        for key in changes["moved"]:
+            entries[key] = entries.pop(key)
+        snapshot["generation"] = changes["generation"]
+        snapshot["counters"] = dict(changes["counters"])
 
     def stage_restore(self, snapshot: Mapping[str, Any]) -> Callable[[], None]:
         """Build the cache contents of a :meth:`to_snapshot` payload without
-        touching the cache; returns the call that swaps them in.
+        touching the cache; returns the call that swaps them in (and restarts
+        change tracking, see :meth:`take_changes`).
 
         A malformed payload raises :class:`ValueError` here, before any swap.
         """
         snapshot = checked_snapshot(snapshot, _CACHE_SNAPSHOT_KIND, CHECKPOINT_VERSION)
         with malformed_checkpoint(_CACHE_SNAPSHOT_KIND):
-            entries = OrderedDict(copy.deepcopy(dict(snapshot["entries"])))
+            entries = OrderedDict(_copy.deepcopy(dict(snapshot["entries"])))
             if not all(isinstance(entry, _CacheEntry) for entry in entries.values()):
                 raise ValueError("statistics-cache entries must be cache entries")
             generation = int(snapshot.get("generation", 0))
@@ -444,15 +576,12 @@ class StatisticsCache:
             }
 
         def swap() -> None:
-            with self._lock:
+            with self.lock:
                 self._entries = entries
                 self.generation = generation
-                self.hits = counters.get("hits", 0)
-                self.misses = counters.get("misses", 0)
-                self.updates = counters.get("updates", 0)
-                self.noop_updates = counters.get("noop_updates", 0)
-                self.evictions = counters.get("evictions", 0)
-                self.stale_drops = counters.get("stale_drops", 0)
+                for name in _CACHE_COUNTERS:
+                    setattr(self, name, counters.get(name, 0))
+                self._changes = None
                 # A snapshot from an unbounded (or larger) cache must still
                 # honour this cache's bound.
                 self._evict_over_bound()
@@ -469,12 +598,13 @@ class StatisticsCache:
         border granules, per §3.2) but the staleness fingerprint must follow the
         collection, otherwise the next lookup recollects.
         """
-        with self._lock:
+        with self.lock:
             for key, entry in self._entries.items():
                 for name in key[0]:
                     if name in collections:
                         entry.time_ranges[name] = collections[name].time_range()
                         entry.checksums[name] = _collection_checksum(collections[name])
+                        self._changed(key)
 
 
 @dataclass
@@ -508,11 +638,19 @@ class ExecutionContext:
     _backend_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+    _touched_streams: set = field(default_factory=set, repr=False, compare=False)
+    """Keys :meth:`stream_state` handed out since :meth:`take_changes` last
+    forgot them (shared with every :meth:`session_view`)."""
 
     def stream_state(self, key: object, factory: Callable[[], object]) -> object:
-        """The per-stream state stored under ``key`` (created via ``factory`` once)."""
+        """The per-stream state stored under ``key`` (created via ``factory`` once).
+
+        The caller may mutate it, so the key counts as changed for
+        :meth:`take_changes`.
+        """
         if key not in self.streams:
             self.streams[key] = factory()
+        self._touched_streams.add(key)
         return self.streams[key]
 
     def get_backend(self) -> ExecutionBackend:
@@ -558,7 +696,7 @@ class ExecutionContext:
         )
 
     # ------------------------------------------------------------- checkpoints
-    def checkpoint(self, path: str | Path | None = None) -> dict[str, Any]:
+    def checkpoint(self, path: str | Path | None = None, *, copy: bool = True) -> dict[str, Any]:
         """Snapshot the context's durable query state (and optionally persist it).
 
         The snapshot captures the statistics cache and every per-stream
@@ -570,19 +708,55 @@ class ExecutionContext:
         checkpointers of one path never tear each other's staging file.
         Cluster shape, worker pools and the plan cache are *not* captured: a
         restored context keeps its own.
+
+        The snapshot is deep-copied (value semantics) unless ``copy=False``,
+        which shares live state with a caller that pickles the snapshot at
+        once while it holds ``statistics.lock``.
         """
-        snapshot: dict[str, Any] = {
-            "kind": CHECKPOINT_KIND,
-            "version": CHECKPOINT_VERSION,
-            "statistics": self.statistics.to_snapshot(),
-            "streams": {
-                key: state.to_snapshot() if hasattr(state, "to_snapshot") else copy.deepcopy(state)
-                for key, state in self.streams.items()
-            },
-        }
-        if path is not None:
-            atomic_pickle_dump(path, snapshot)
+        with self.statistics.lock:
+            snapshot: dict[str, Any] = {
+                "kind": CHECKPOINT_KIND,
+                "version": CHECKPOINT_VERSION,
+                "statistics": self.statistics.to_snapshot(copy),
+                "streams": {
+                    key: _stream_snapshot(state, copy)
+                    for key, state in list(self.streams.items())
+                },
+            }
+            if path is not None:
+                atomic_pickle_dump(path, snapshot)
         return snapshot
+
+    def take_changes(self, settled: bool = True) -> dict[str, Any] | None:
+        """What changed since the previous call, as whole values: the
+        statistics cache's :meth:`StatisticsCache.take_changes` and the state
+        of every stream :meth:`stream_state` handed out; ``None`` when
+        nothing changed.
+
+        ``settled=False`` says a query may still be mutating a stream state:
+        the states are recorded but stay marked, so the next call records
+        them again.  Like ``copy=False`` snapshots the payload is live —
+        pickle it before releasing ``statistics.lock``;
+        :meth:`apply_changes` folds it into a :meth:`checkpoint` payload.
+        """
+        with self.statistics.lock:
+            statistics = self.statistics.take_changes()
+            touched = list(self._touched_streams)
+            if settled:
+                self._touched_streams.difference_update(touched)
+            if statistics is None and not touched:
+                return None
+            return {
+                "statistics": statistics,
+                "streams": {key: _stream_snapshot(self.streams[key], False) for key in touched},
+            }
+
+    @staticmethod
+    def apply_changes(snapshot: dict[str, Any], changes: Mapping[str, Any]) -> None:
+        """Fold a :meth:`take_changes` payload into a :meth:`checkpoint` payload in place."""
+        if changes["statistics"] is not None:
+            StatisticsCache.apply_changes(snapshot["statistics"], changes["statistics"])
+        snapshot["streams"].update(changes["streams"])
 
     def restore(self, source: "Mapping[str, Any] | str | Path") -> "ExecutionContext":
         """Restore a :meth:`checkpoint` (an in-memory snapshot or a file path).
@@ -612,7 +786,7 @@ class ExecutionContext:
                 key: (
                     StreamState.from_snapshot(payload)
                     if isinstance(payload, Mapping) and payload.get("kind") == STREAM_STATE_KIND
-                    else copy.deepcopy(payload)
+                    else _copy.deepcopy(payload)
                 )
                 for key, payload in dict(snapshot["streams"]).items()
             }
@@ -620,6 +794,7 @@ class ExecutionContext:
         def swap() -> None:
             swap_statistics()
             self.streams = streams
+            self._touched_streams.clear()
 
         return swap
 

@@ -156,9 +156,13 @@ def encode_intervals(intervals: Iterable[Interval]) -> list[list[float]]:
     return [[interval.uid, interval.start, interval.end] for interval in intervals]
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def intervals(name: str, value: Any) -> list[Interval]:
-    """The ``[[uid, start, end], ...]`` wire form as intervals: an integer uid
-    and finite numeric endpoints with ``start <= end``."""
+    """The ``[[uid, start, end], ...]`` wire form as intervals: an int64 uid
+    (the width of the columns collections are joined and journaled in) and
+    finite numeric endpoints with ``start <= end``."""
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a list of [uid, start, end], got {reprlib.repr(value)}")
     decoded = []
@@ -175,6 +179,8 @@ def intervals(name: str, value: Any) -> list[Interval]:
                 f"{name}[{index}] must be an [integer uid, start, end] triple, "
                 f"got {reprlib.repr(item)}"
             )
+        if not _INT64_MIN <= item[0] <= _INT64_MAX:
+            raise ValueError(f"{name}[{index}]: uid {item[0]} is outside the int64 range")
         try:
             start, end = float(item[1]), float(item[2])
             if not (math.isfinite(start) and math.isfinite(end)):

@@ -27,6 +27,8 @@ from __future__ import annotations
 import argparse
 import asyncio
 import itertools
+import pickle
+import secrets
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +65,14 @@ from ..plan.context import atomic_pickle_dump, malformed_checkpoint, read_checkp
 from ..query.graph import RTJQuery
 from ..streaming.collection import StreamingCollection
 from ..temporal.interval import IntervalCollection
+from .journal import (
+    Journal,
+    collection_state,
+    interval_columns,
+    journal_path,
+    read_journal,
+    rebuild_collection,
+)
 from .protocol import (
     E_BAD_REQUEST,
     E_BUSY,
@@ -98,7 +108,11 @@ __all__ = [
 ]
 
 SERVER_CHECKPOINT_KIND = "query-server"
-SERVER_CHECKPOINT_VERSION = 1
+SERVER_CHECKPOINT_VERSION = 2
+
+#: The verbs that can change durable state; a checkpointing server journals
+#: what each of them changed before it replies.
+JOURNALED_VERBS = frozenset({"register", "load", "ingest", "query"})
 
 
 class ServerFlag(NamedTuple):
@@ -315,7 +329,11 @@ class QueryServer:
         self._server: asyncio.base_events.Server | None = None
         self._drain_task: asyncio.Task | None = None
         self._inflight_tokens: set[CancelToken] = set()
-        self._ingest_seqs: dict[str, dict[int, dict[str, Any]]] = {}
+        # collection -> seq -> (staged, pending_batches) of the ingest's reply
+        self._ingest_seqs: dict[str, dict[int, tuple[int, int]]] = {}
+        self._ops: list[tuple[str, str, Any]] = []
+        self._journal: Journal | None = None
+        self._snapshot_size = 0
         self._executor = ThreadPoolExecutor(
             max_workers=self.settings.max_inflight, thread_name_prefix="repro-serve"
         )
@@ -361,59 +379,148 @@ class QueryServer:
         for token in tuple(self._inflight_tokens):
             token.cancel("server stopping")
         self._executor.shutdown(wait=True, cancel_futures=True)
+        self._close_journal()
         self.shutdown_requested.set()
 
     # ------------------------------------------------------- checkpoint / drain
-    def checkpoint(self, path: str | Path | None = None) -> dict[str, Any]:
-        """Snapshot the server's durable state (and optionally persist it).
+    def checkpoint(self, path: str | Path | None = None) -> dict[str, Any] | None:
+        """Snapshot the server's durable state, or write it to ``path``.
 
         Wraps :meth:`ExecutionContext.checkpoint` (statistics cache + stream
-        states) with the server's own registry: the collections (including
-        staged-but-uncommitted streaming batches) and the ingest
-        sequence-number table, so a respawned worker dedupes retried ingests
-        from before the crash.  Persisted with the same atomic
-        write-then-rename as the context checkpoint.
+        states) with the server's own registry: the collections in columnar
+        form (staged-but-uncommitted streaming batches included) and the
+        ingest sequence-number table, so a respawned worker dedupes retried
+        ingests from before the crash.
+
+        Without ``path`` it returns the snapshot, deep-copied.  With one it
+        pickles the live state under the statistics lock — no copy — and
+        publishes the file by an atomic write-then-rename.  Writing to the
+        server's own ``checkpoint_path`` is a compaction (DESIGN.md §13):
+        the snapshot gets a new generation and the journal starts empty.
         """
-        snapshot: dict[str, Any] = {
+        if path is None:
+            return self._snapshot(copy=True)
+        if Path(path) == self.checkpoint_path:
+            self._compact()
+        else:
+            self._write_snapshot(Path(path))
+        return None
+
+    def _snapshot(self, copy: bool, generation: int | None = None) -> dict[str, Any]:
+        return {
             "kind": SERVER_CHECKPOINT_KIND,
             "version": SERVER_CHECKPOINT_VERSION,
-            "context": self.context.checkpoint(),
-            "collections": self.collections,
-            "ingest_seqs": self._ingest_seqs,
+            "generation": generation,
+            "context": self.context.checkpoint(copy=copy),
+            "collections": {
+                name: collection_state(collection)
+                for name, collection in list(self.collections.items())
+            },
+            "ingest_seqs": {name: dict(table) for name, table in self._ingest_seqs.items()},
         }
-        if path is not None:
-            atomic_pickle_dump(path, snapshot)
-        return snapshot
+
+    def _write_snapshot(self, path: Path, generation: int | None = None) -> int:
+        """Write a snapshot to ``path``; returns its size.
+
+        With a ``generation`` it is the compaction snapshot: every change
+        recorded for the journal so far is in it, so the records-to-be are
+        forgotten in the same critical section.
+        """
+        with self.context.statistics.lock:
+            if generation is not None:
+                self._ops.clear()
+                self.context.take_changes(settled=self.admission.inflight == 0)
+            return atomic_pickle_dump(path, self._snapshot(copy=False, generation=generation))
 
     def restore_state(self, source: "Mapping[str, Any] | str | Path") -> "QueryServer":
-        """Restore a :meth:`checkpoint` (a snapshot dict or a pickle path).
+        """Restore a :meth:`checkpoint` (a snapshot dict or a snapshot path).
 
-        Returns ``self`` for chaining; raises :class:`ValueError` on anything
-        that is not a readable server checkpoint, before any state is replaced
-        — a worker booting from a corrupt file starts cold instead of
-        crash-looping.
+        A path's journal is replayed when its header names the snapshot's
+        generation.  Returns ``self`` for chaining; raises
+        :class:`ValueError` on anything that is not a readable server
+        checkpoint, before any state is replaced — a worker booting from a
+        corrupt file starts cold instead of crash-looping.
         """
         snapshot = read_checkpoint(source, SERVER_CHECKPOINT_KIND, SERVER_CHECKPOINT_VERSION)
+        records: list[bytes] = []
+        if isinstance(source, (str, Path)) and snapshot.get("generation") is not None:
+            records = read_journal(journal_path(Path(source)), snapshot["generation"])
         with malformed_checkpoint(SERVER_CHECKPOINT_KIND):
-            swap_context = self.context.stage_restore(snapshot["context"])
-            collections = dict(snapshot["collections"])
-            if not all(
-                isinstance(name, str) and isinstance(collection, IntervalCollection)
-                for name, collection in collections.items()
-            ):
-                raise ValueError("checkpoint collections must map names to collections")
+            context = snapshot["context"]
+            collections = {
+                name: rebuild_collection(name, state)
+                for name, state in dict(snapshot["collections"]).items()
+            }
             ingest_seqs = {
                 name: dict(table) for name, table in dict(snapshot["ingest_seqs"]).items()
             }
+            for body in records:
+                record = pickle.loads(body)
+                for op in record["ops"]:
+                    _replay(op, collections, ingest_seqs)
+                if record["context"] is not None:
+                    ExecutionContext.apply_changes(context, record["context"])
+            swap_context = self.context.stage_restore(context)
         swap_context()
         self.collections = collections
         self._ingest_seqs = ingest_seqs
+        # The journal on disk no longer describes this state: the next
+        # journaled verb compacts first.
+        self._close_journal()
         return self
 
-    def _maybe_checkpoint(self) -> None:
-        """Persist durable state after a mutation, when a checkpoint path is set."""
+    # ---------------------------------------------------------------- journal
+    def _record(self, kind: str, name: str, value: Any) -> None:
+        """Queue one registry change for the next journal record (when checkpointing)."""
         if self.checkpoint_path is not None:
-            self.checkpoint(self.checkpoint_path)
+            self._ops.append((kind, name, value))
+
+    def _persist(self) -> None:
+        """Make what the last verb changed durable before its reply is sent.
+
+        Appends one record — the queued registry changes plus the context's
+        :meth:`~ExecutionContext.take_changes`, whole values — to the
+        journal, and compacts once the journal has grown to the snapshot's
+        size.  Without an open journal (first write, after a restore or a
+        failed write) it compacts instead.  A failure closes the journal, so
+        no record is ever appended after a torn one.
+        """
+        if self.checkpoint_path is None:
+            return
+        try:
+            if self._journal is not None:
+                ops = [_encoded(op) for op in self._ops]
+                self._ops.clear()
+                with self.context.statistics.lock:
+                    changes = self.context.take_changes(settled=self.admission.inflight == 0)
+                    body = None
+                    if ops or changes is not None:
+                        record = {"ops": ops, "context": changes}
+                        body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+                if body is not None:
+                    self._journal.append(body)
+            if self._journal is None or self._journal.size >= self._snapshot_size:
+                self._compact()
+        except BaseException:
+            self._close_journal()
+            raise
+
+    def _compact(self) -> None:
+        """Write the snapshot under a fresh generation, then start its journal empty.
+
+        A crash between the two renames leaves the new snapshot beside the
+        old journal, whose header names the old generation: restore skips it,
+        so no record is applied twice.
+        """
+        self._close_journal()
+        generation = secrets.randbits(64)
+        self._snapshot_size = self._write_snapshot(self.checkpoint_path, generation)
+        self._journal = Journal.create(journal_path(self.checkpoint_path), generation)
+
+    def _close_journal(self) -> None:
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     def begin_drain(self, timeout: float | None = None) -> None:
         """Flip to DRAINING: reject new work, finish inflight, checkpoint, exit.
@@ -442,8 +549,11 @@ class QueryServer:
         # Give cancelled stragglers a moment to unwind before checkpointing.
         while self.admission.inflight > 0 and time.monotonic() < deadline + 5.0:
             await asyncio.sleep(0.01)
-        self._maybe_checkpoint()
-        self.shutdown_requested.set()
+        try:
+            if self.checkpoint_path is not None:
+                self._compact()
+        finally:
+            self.shutdown_requested.set()
 
     def _reject_if_draining(self) -> None:
         if self.draining:
@@ -514,7 +624,12 @@ class QueryServer:
         self.metrics.record_request(verb)
         try:
             fields = parse_fields(VERB_FIELDS[verb], request)
-            payload = await getattr(self, f"_handle_{verb}")(fields, session_id)
+            try:
+                payload = await getattr(self, f"_handle_{verb}")(fields, session_id)
+            finally:
+                if verb in JOURNALED_VERBS:
+                    # What the verb changed is on disk before its reply is sent.
+                    self._persist()
             return ok_response(request_id, payload)
         except ProtocolError as error:
             if verb == "query":
@@ -572,7 +687,7 @@ class QueryServer:
         except ValueError as error:
             raise ProtocolError(E_BAD_REQUEST, str(error)) from error
         self.collections[name] = collection
-        self._maybe_checkpoint()
+        self._record("new", name, collection)
         return {"name": name, "size": len(collection), "streaming": streaming}
 
     async def _handle_load(self, fields: dict[str, Any], session_id: int) -> dict:
@@ -598,7 +713,8 @@ class QueryServer:
         loop = asyncio.get_running_loop()
         generated = await loop.run_in_executor(self._executor, generate)
         self.collections.update(generated)
-        self._maybe_checkpoint()
+        for name, collection in generated.items():
+            self._record("new", name, collection)
         return {
             "collections": [
                 {"name": name, "size": len(collection), "streaming": streaming}
@@ -621,25 +737,27 @@ class QueryServer:
             # number stages nothing and gets back the original response.
             recorded = self._ingest_seqs.get(name, {}).get(seq)
             if recorded is not None:
-                return {**recorded, "deduped": True}
+                return _ingested(name, seq, *recorded, deduped=True)
         try:
             staged = collection.ingest(fields["intervals"])
         except ValueError as error:
             raise ProtocolError(E_BAD_REQUEST, str(error)) from error
-        payload = {
-            "name": name,
-            "staged": staged,
-            "pending_batches": collection.pending_batches,
-            "seq": seq,
-        }
+        self._record("stage", name, fields["intervals"])
+        outcome = (staged, collection.pending_batches)
         if seq is not None:
-            self._ingest_seqs.setdefault(name, {})[seq] = dict(payload)
-        self._maybe_checkpoint()
-        return {**payload, "deduped": False}
+            self._ingest_seqs.setdefault(name, {})[seq] = outcome
+            self._record("seq", name, (seq, outcome))
+        return _ingested(name, seq, *outcome, deduped=False)
 
     async def _handle_query(self, fields: dict[str, Any], session_id: int) -> dict:
         self._reject_if_draining()
         bound = self._bind_query(fields, session_id)
+        streams = {
+            collection.name: collection
+            for collection in bound[1].collections.values()
+            if isinstance(collection, StreamingCollection)
+        }
+        committed = {name: len(stream.log) for name, stream in streams.items()}
         deadline_ms = fields["deadline_ms"] or self.settings.default_deadline_ms
         if not self.admission.try_enter():
             raise ProtocolError(
@@ -684,13 +802,13 @@ class QueryServer:
             self._inflight_tokens.discard(token)
             if deadline_handle is not None:
                 deadline_handle.cancel()
+            for name, stream in streams.items():
+                if len(stream.log) != committed[name]:
+                    self._record("commit", name, len(stream.log))
         metrics = deterministic_metrics(report)
         self.metrics.record_query_success(
             metrics, report.statistics_cached, queue_seconds, plan_seconds, execute_seconds
         )
-        # Queries warm the statistics cache and advance streaming state; a
-        # supervised worker persists both so a respawn comes back warm.
-        self._maybe_checkpoint()
         return {
             "algorithm": report.algorithm,
             "query": fields["query"],
@@ -826,6 +944,50 @@ class QueryServer:
             report = algorithm.execute(plan)
             execute_seconds = time.monotonic() - started
         return report, plan_seconds, execute_seconds
+
+
+def _ingested(name: str, seq: int | None, staged: int, pending: int, deduped: bool) -> dict:
+    """An ``ingest`` reply; a replayed ``seq`` gets its first reply back, marked deduped."""
+    return {
+        "name": name,
+        "staged": staged,
+        "pending_batches": pending,
+        "seq": seq,
+        "deduped": deduped,
+    }
+
+
+def _encoded(op: tuple[str, str, Any]) -> tuple[str, str, Any]:
+    """A queued registry change in its journal form (intervals as columns)."""
+    kind, name, value = op
+    if kind == "new":
+        return kind, name, collection_state(value)
+    if kind == "stage":
+        return kind, name, interval_columns(value)
+    return op
+
+
+def _replay(
+    op: tuple[str, str, Any],
+    collections: dict[str, IntervalCollection],
+    ingest_seqs: dict[str, dict[int, tuple[int, int]]],
+) -> None:
+    """Apply one journaled registry change to state being restored."""
+    kind, name, value = op
+    if kind == "new":
+        collections[name] = rebuild_collection(name, value)
+    elif kind == "stage":
+        collections[name].ingest(value.to_intervals())
+    elif kind == "seq":
+        seq, payload = value
+        ingest_seqs.setdefault(name, {})[seq] = payload
+    elif kind == "commit":
+        stream = collections[name]
+        while len(stream.log) < value:
+            if stream.commit_next() is None:
+                raise ValueError(f"journal commits a batch {name!r} never staged")
+    else:
+        raise ValueError(f"unknown journal change {kind!r}")
 
 
 class BackgroundServer:

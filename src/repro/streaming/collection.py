@@ -16,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..temporal.interval import Interval, IntervalCollection
 
 __all__ = ["AppendBatch", "AppendLog", "StreamingCollection", "replay_batches"]
@@ -33,24 +35,29 @@ class AppendBatch:
 
 
 class AppendLog:
-    """The ordered history of committed batches of one streaming collection."""
+    """The ordered history of committed batches of one streaming collection.
+
+    Only each batch's size is kept: the intervals themselves live in the
+    collection, in commit order, so the log never holds a second reference
+    to them.
+    """
 
     def __init__(self) -> None:
-        self.batches: list[AppendBatch] = []
+        self.sizes: list[int] = []
 
     def record(self, intervals: Sequence[Interval]) -> AppendBatch:
         """Append one batch to the log and return it."""
-        batch = AppendBatch(index=len(self.batches), intervals=tuple(intervals))
-        self.batches.append(batch)
+        batch = AppendBatch(index=len(self.sizes), intervals=tuple(intervals))
+        self.sizes.append(len(batch))
         return batch
 
     def __len__(self) -> int:
-        return len(self.batches)
+        return len(self.sizes)
 
     @property
     def total_appended(self) -> int:
         """Total number of intervals across every committed batch."""
-        return sum(len(batch) for batch in self.batches)
+        return sum(self.sizes)
 
 
 class StreamingCollection(IntervalCollection):
@@ -62,15 +69,17 @@ class StreamingCollection(IntervalCollection):
     evaluator commits exactly one pending batch per evaluation tick, which
     keeps "what is new" well-defined however the producer chops up the stream.
     Interval uids must stay unique across the whole stream (duplicates are
-    rejected at ingest time: result tuples identify intervals by uid).
+    rejected at ingest time: result tuples identify intervals by uid), and
+    fit in an int64: the stream keeps them as one sorted int64 array.
     """
 
     def __init__(self, name: str, intervals: Iterable[Interval] | None = None) -> None:
         super().__init__(name, list(intervals or []))
         self.log = AppendLog()
         self._pending: deque[Sequence[Interval]] = deque()
-        self._uids = {interval.uid for interval in self.intervals}
-        if len(self._uids) != len(self.intervals):
+        self._uids = _uid_array(self.intervals)
+        self._uids.sort()
+        if (self._uids[1:] == self._uids[:-1]).any():
             raise ValueError(f"collection {name!r} has duplicate interval uids")
 
     # --------------------------------------------------------------- ingestion
@@ -81,14 +90,19 @@ class StreamingCollection(IntervalCollection):
         ingest leaves the stream exactly as it was and can be retried.
         """
         batch = list(intervals)
-        seen: set[int] = set()
-        for interval in batch:
-            if interval.uid in self._uids or interval.uid in seen:
-                raise ValueError(
-                    f"interval uid {interval.uid} already present in {self.name!r}"
-                )
-            seen.add(interval.uid)
-        self._uids |= seen
+        uids = _uid_array(batch)
+        uids.sort()
+        present = np.isin(uids, self._uids)
+        if present.any() or (uids[1:] == uids[:-1]).any():
+            # Name the first offender in batch order.
+            known = set(uids[present].tolist())
+            for interval in batch:
+                if interval.uid in known:
+                    raise ValueError(
+                        f"interval uid {interval.uid} already present in {self.name!r}"
+                    )
+                known.add(interval.uid)
+        self._uids = np.insert(self._uids, np.searchsorted(self._uids, uids), uids)
         self._pending.append(batch)
         return len(batch)
 
@@ -96,6 +110,10 @@ class StreamingCollection(IntervalCollection):
     def pending_batches(self) -> int:
         """Number of staged batches not yet committed."""
         return len(self._pending)
+
+    def staged_batches(self) -> list[Sequence[Interval]]:
+        """The staged batches not yet committed, oldest first."""
+        return list(self._pending)
 
     def commit_next(self) -> AppendBatch | None:
         """Make the oldest staged batch part of the collection (``None`` if idle)."""
@@ -110,6 +128,14 @@ class StreamingCollection(IntervalCollection):
     def from_collection(cls, collection: IntervalCollection) -> "StreamingCollection":
         """A streaming collection seeded with a static collection's contents."""
         return cls(collection.name, collection.intervals)
+
+
+def _uid_array(intervals: Sequence[Interval]) -> np.ndarray:
+    """The uids of ``intervals`` as an int64 array (:class:`ValueError` past int64)."""
+    try:
+        return np.fromiter((x.uid for x in intervals), dtype=np.int64, count=len(intervals))
+    except OverflowError as error:
+        raise ValueError(f"interval uids must fit in an int64: {error}") from None
 
 
 def replay_batches(

@@ -11,7 +11,7 @@ ticks processed by a single ``execute`` call.
 
 from __future__ import annotations
 
-import copy
+import copy as _copy
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -48,7 +48,7 @@ class StreamState:
         return self.results[k - 1].score
 
     # ------------------------------------------------------------- checkpoints
-    def to_snapshot(self) -> dict[str, Any]:
+    def to_snapshot(self, copy: bool = True) -> dict[str, Any]:
         """A self-contained, picklable snapshot of the evaluator state.
 
         Everything is deep-copied, so the snapshot keeps *value* semantics: the
@@ -56,21 +56,22 @@ class StreamState:
         what was captured.  Restoring with :meth:`from_snapshot` and replaying
         the remaining batches is tie-aware-identical to never having stopped —
         the checkpoint/recovery contract tested in ``tests/test_checkpoint.py``.
+        ``copy=False`` shares the live values, for a caller that pickles the
+        snapshot at once.
         """
-        return copy.deepcopy(
-            {
-                "kind": STREAM_STATE_KIND,
-                "version": STREAM_STATE_VERSION,
-                "results": list(self.results),
-                "knobs": dict(self.knobs),
-                "explanation": self.explanation,
-                "initialized": self.initialized,
-                "base_size": self.base_size,
-                "appended_since_plan": self.appended_since_plan,
-                "batches_ingested": self.batches_ingested,
-                "replans": self.replans,
-            }
-        )
+        snapshot = {
+            "kind": STREAM_STATE_KIND,
+            "version": STREAM_STATE_VERSION,
+            "results": list(self.results),
+            "knobs": dict(self.knobs),
+            "explanation": self.explanation,
+            "initialized": self.initialized,
+            "base_size": self.base_size,
+            "appended_since_plan": self.appended_since_plan,
+            "batches_ingested": self.batches_ingested,
+            "replans": self.replans,
+        }
+        return _copy.deepcopy(snapshot) if copy else snapshot
 
     @classmethod
     def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "StreamState":
@@ -81,7 +82,7 @@ class StreamState:
         """
         snapshot = checked_snapshot(snapshot, STREAM_STATE_KIND, STREAM_STATE_VERSION)
         with malformed_checkpoint(STREAM_STATE_KIND):
-            snapshot = copy.deepcopy(dict(snapshot))
+            snapshot = _copy.deepcopy(dict(snapshot))
             return cls(
                 results=list(snapshot["results"]),
                 knobs=dict(snapshot["knobs"]),

@@ -909,6 +909,22 @@ class TestStrictNumbers:
             assert response["error"]["details"] == {"field": "intervals"}
             assert "Z" not in wire.registry()
 
+    @pytest.mark.parametrize("uid", [2**63, 2**70, -(2**63) - 1])
+    def test_uids_outside_int64_are_bad_request_naming_the_index(self, uid):
+        # A uid past int64 used to register fine, then fail every query over
+        # the collection as INTERNAL (OverflowError from the int64 columns).
+        with WireServer() as wire:
+            host, port = wire.background.address
+            register = {"id": 1, "verb": "register", "name": "Z", "streaming": True}
+            rows = [[0, 0.0, 1.0], [uid, 0.0, 1.0]]
+            (response,) = raw_exchange(host, port, encode_message({**register, "intervals": rows}))
+            assert response["error"]["code"] == "BAD_REQUEST"
+            assert response["error"]["details"] == {"field": "intervals"}
+            assert "intervals[1]" in response["error"]["message"]
+            assert "Z" not in wire.registry()
+        edges = [[2**63 - 1, 0.0, 1.0], [-(2**63), 0.0, 1.0]]
+        assert [interval.uid for interval in decode_intervals(edges)] == [2**63 - 1, -(2**63)]
+
     def test_nan_endpoint_is_refused(self):
         # Through the raw token (refused by the decoder) and past it, through
         # the interval check: a NaN interval never reaches a collection.
@@ -1272,9 +1288,12 @@ class TestDrainAndCheckpoint:
             assert server.shutdown_requested.wait is not None
         finally:
             background.stop()
-        assert checkpoint.exists()
-        assert not checkpoint.with_name(checkpoint.name + ".tmp").exists()
-
+        # Drain compacted: the snapshot and its (empty) journal are all that
+        # is left — no staging file (``server.ckpt.tmp.<pid>.<n>``) survives.
+        assert sorted(path.name for path in tmp_path.glob("*")) == [
+            "server.ckpt",
+            "server.ckpt.journal",
+        ]
         restored = QueryServer().restore_state(checkpoint)
         assert sorted(restored.collections) == ["A", "B", "C"]
 
