@@ -35,8 +35,6 @@ import numpy as np
 
 from repro.columnar import IntervalColumns
 from repro.columnar.shm import SEGMENT_PREFIX
-from repro.core import TKIJ
-from repro.core.local_join import LocalJoinConfig
 from repro.datagen.network import NetworkTraceConfig, generate_network_collection
 from repro.experiments import ResultTable, build_query
 from repro.mapreduce import (
@@ -47,6 +45,7 @@ from repro.mapreduce import (
     Reducer,
 )
 from repro.mapreduce.spill import SPILL_DIR_PREFIX
+from repro.plan import ExecutionContext, get_algorithm
 from repro.temporal import IntervalCollection
 
 # Synthetic out-of-core workload: mappers *generate* their columnar batches,
@@ -234,12 +233,11 @@ def _run_tkij(query, backend, transfer=None, memory_budget_bytes=None, max_worke
         transfer=transfer,
         memory_budget_bytes=memory_budget_bytes,
     )
-    with TKIJ(
-        num_granules=GRANULES,
-        cluster=cluster,
-        join_config=LocalJoinConfig(kernel="vector"),
-    ) as tkij:
-        return tkij.execute(query)
+    with ExecutionContext(cluster=cluster) as context:
+        report = get_algorithm("tkij").run(
+            query, context, num_granules=GRANULES, kernel="vector"
+        )
+    return report.raw
 
 
 def topk_parity_table() -> ResultTable:

@@ -1,10 +1,13 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper at laptop scale and
-records the resulting series under ``benchmarks/results/`` so the numbers can be
-compared against the paper's shapes (see EXPERIMENTS.md).  The pytest-benchmark
-timings measure the end-to-end driver; the interesting quantities (per-phase times,
-shuffle volume, pruning rates) are inside the recorded tables.
+Every benchmark measures one engineering property (backends, kernels, shuffle,
+serving, streaming, durability) and records its table under
+``benchmarks/results/``.  The paper's own figures are not benchmarks: they are
+the ``FIGURES`` rows of ``repro.experiments``, checked on exact counters in
+REPRODUCTION.md (``python -m repro.experiments reproduce``).  The
+pytest-benchmark timings measure the end-to-end driver; the interesting
+quantities (per-phase times, shuffle volume, pruning rates) are inside the
+recorded tables.
 """
 
 from __future__ import annotations

@@ -1,47 +1,21 @@
-"""Experiment catalogue and per-figure drivers reproducing the paper's evaluation."""
+"""The paper's evaluation as one table (``FIGURES``), its runner and the
+generic one-query and streaming drivers."""
 
-from .harness import (
-    ResultTable,
-    TKIJRunConfig,
-    run_algorithm,
-    run_single_query,
-    run_tkij,
-)
-from .network_figures import (
-    figure12_network_distribution,
-    figure13_network_scalability,
-    figure14_network_effect_k,
-    network_collections,
-)
-from .scalability_figures import figure11_scalability, statistics_collection_times
+from .figures import FIGURES, Arm, Claim, Figure, reproduction, run_figure
+from .harness import ResultTable, run_single_query
 from .streaming_figures import figure_streaming
-from .synthetic_figures import (
-    effect_of_k_synthetic,
-    figure7_score_distribution,
-    figure8_workload_distribution,
-    figure9_topbuckets_strategies,
-    figure10_granules,
-)
 from .workloads import PARAMETERS, QUERIES, QuerySpec, build_query, star_spec
 
 __all__ = [
+    "FIGURES",
+    "Arm",
+    "Claim",
+    "Figure",
+    "reproduction",
+    "run_figure",
     "ResultTable",
-    "TKIJRunConfig",
-    "run_algorithm",
     "run_single_query",
-    "run_tkij",
-    "figure12_network_distribution",
-    "figure13_network_scalability",
-    "figure14_network_effect_k",
-    "network_collections",
-    "figure11_scalability",
-    "statistics_collection_times",
     "figure_streaming",
-    "effect_of_k_synthetic",
-    "figure7_score_distribution",
-    "figure8_workload_distribution",
-    "figure9_topbuckets_strategies",
-    "figure10_granules",
     "PARAMETERS",
     "QUERIES",
     "QuerySpec",

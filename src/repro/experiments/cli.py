@@ -1,8 +1,12 @@
 """Command-line entry point for the experiment drivers.
 
 ``python -m repro.experiments <experiment> [options]`` regenerates one of the
-paper's tables/figures at a chosen scale and prints (or saves) the measured
-series.  All query evaluation dispatches through the algorithm registry
+paper's tables/figures (a row of :data:`~repro.experiments.figures.FIGURES`)
+at its reduced scale, or at the one ``--size/--sizes/--k/--granules`` set, and
+prints (or saves) the measured series with its timings.  ``python -m
+repro.experiments reproduce`` runs every row and prints REPRODUCTION.md, each
+claim of the paper checked on exact counters.  All query evaluation
+dispatches through the algorithm registry
 (:data:`repro.plan.REGISTRY`): ``--list-algorithms`` shows what is registered,
 the generic ``run`` experiment evaluates one query with ``--algorithm``, and
 ``--plan auto`` hands TKIJ's knobs to the cost-based planner.  Each experiment
@@ -29,21 +33,9 @@ from ..checks import positive_int
 from ..core import KERNELS
 from ..mapreduce import BACKEND_NAMES, TRANSFER_NAMES, ClusterConfig, FaultPlan
 from ..plan import PLAN_MODES, REGISTRY, available_algorithms
+from .figures import FIGURES, Figure, reproduction, run_figure
 from .harness import ResultTable, run_single_query
-from .network_figures import (
-    figure12_network_distribution,
-    figure13_network_scalability,
-    figure14_network_effect_k,
-)
-from .scalability_figures import figure11_scalability, statistics_collection_times
 from .streaming_figures import figure_streaming
-from .synthetic_figures import (
-    effect_of_k_synthetic,
-    figure7_score_distribution,
-    figure8_workload_distribution,
-    figure9_topbuckets_strategies,
-    figure10_granules,
-)
 from .workloads import QUERIES
 
 __all__ = [
@@ -230,72 +222,48 @@ def _plan(args: argparse.Namespace) -> dict[str, Any]:
     return {"plan": args.plan or "manual", "kernel": args.kernel}
 
 
-_ENGINE = frozenset({"engine"})
-_PLANNED = frozenset({"engine", "plan"})
+_RUN_SCALE = {"size": 400, "k": 100, "granules": 10}
+"""The scale of the ``run`` and ``streaming`` experiments when no flag sets it
+(a ``FIGURES`` row has its own)."""
+
+
+def _scale(args: argparse.Namespace, name: str) -> int:
+    value = getattr(args, name)
+    return _RUN_SCALE[name] if value is None else value
+
+
+def _overrides(args: argparse.Namespace) -> dict[str, tuple[int, ...]]:
+    """The scale flags passed, as ``FIGURES`` settings: each pins its setting
+    or, when the row sweeps it, replaces the sweep."""
+    given = {
+        "size": args.sizes or (args.size,),
+        "k": (args.k,),
+        "g": (args.granules,),
+    }
+    return {name: values for name, values in given.items() if None not in values}
+
+
+def _figure(figure: Figure) -> Experiment:
+    return Experiment(
+        lambda args, cluster: run_figure(
+            figure,
+            cluster=cluster,
+            overrides=_overrides(args),
+            plan=args.plan,
+            kernel=args.kernel,
+        ),
+        figure.reads,
+    )
+
+
 _CHAOS = frozenset({"engine", "plan", "fault"})
 
 EXPERIMENTS: dict[str, Experiment] = {
-    # fig7 and fig12 only characterise the data; they never run the engine.
-    # fig8/fig9/fig10 sweep an assigner/strategy/granularity knob and are
-    # therefore always manually planned (auto would override the knob under
-    # study).
-    "fig7": Experiment(lambda args, cluster: figure7_score_distribution(size=args.size)),
-    "fig8": Experiment(
-        lambda args, cluster: figure8_workload_distribution(
-            sizes=args.sizes or (args.size,),
-            k=args.k,
-            num_granules=args.granules,
-            cluster=cluster,
-        ),
-        _ENGINE,
-    ),
-    "fig9": Experiment(
-        lambda args, cluster: figure9_topbuckets_strategies(
-            size=args.size, num_granules=args.granules, k=args.k, cluster=cluster
-        ),
-        _ENGINE,
-    ),
-    "fig10": Experiment(
-        lambda args, cluster: figure10_granules(size=args.size, k=args.k, cluster=cluster),
-        _ENGINE,
-    ),
-    "fig11": Experiment(
-        lambda args, cluster: figure11_scalability(
-            sizes=args.sizes or (args.size,),
-            k=args.k,
-            num_granules=args.granules,
-            cluster=cluster,
-            **_plan(args),
-        ),
-        _PLANNED,
-    ),
-    "fig12": Experiment(lambda args, cluster: figure12_network_distribution()),
-    "fig13": Experiment(
-        lambda args, cluster: figure13_network_scalability(
-            k=args.k, num_granules=args.granules, cluster=cluster, **_plan(args)
-        ),
-        _PLANNED,
-    ),
-    "fig14": Experiment(
-        lambda args, cluster: figure14_network_effect_k(
-            num_granules=args.granules, cluster=cluster, **_plan(args)
-        ),
-        _PLANNED,
-    ),
-    "effect-k": Experiment(
-        lambda args, cluster: effect_of_k_synthetic(
-            size=args.size, num_granules=args.granules, cluster=cluster, **_plan(args)
-        ),
-        _PLANNED,
-    ),
-    "statistics": Experiment(
-        lambda args, cluster: statistics_collection_times(
-            sizes=args.sizes or (1_000, 5_000, 20_000),
-            num_granules=args.granules,
-            cluster=cluster,
-        ),
-        _ENGINE,
-    ),
+    # The paper's evaluation: one experiment per FIGURES row.  fig7 and fig12
+    # only characterise the data; fig8/fig9/fig10 sweep an assigner, strategy
+    # or granularity and so never read --plan (auto would override the knob
+    # under study).
+    **{figure.name: _figure(figure) for figure in FIGURES},
     # Streaming: ingest the workload batch by batch through tkij-streaming,
     # comparing each batch against full recomputation.
     "streaming": Experiment(
@@ -303,8 +271,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             batch_counts=args.stream_batches or (5, 10),
             batch_sizes=args.stream_batch_size or (40,),
             query_name=args.query,
-            k=args.k,
-            num_granules=args.granules,
+            k=_scale(args, "k"),
+            num_granules=_scale(args, "granules"),
             cluster=cluster,
             **_plan(args),
         ),
@@ -315,9 +283,13 @@ EXPERIMENTS: dict[str, Experiment] = {
         lambda args, cluster: run_single_query(
             algorithm=args.algorithm,
             query_name=args.query,
-            size=args.size,
-            k=args.k,
-            options={"mode": args.plan, "num_granules": args.granules, "kernel": args.kernel},
+            size=_scale(args, "size"),
+            k=_scale(args, "k"),
+            options={
+                "mode": args.plan,
+                "num_granules": _scale(args, "granules"),
+                "kernel": args.kernel,
+            },
             cluster=cluster,
         ),
         _CHAOS,
@@ -385,12 +357,30 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(EXPERIMENTS),
         help="experiment to run",
     )
-    parser.add_argument("--size", type=int, default=400, help="intervals per collection")
+    parser.add_argument(
+        "--size",
+        type=int,
+        default=None,
+        help="intervals per collection (sessions of a network trace); default: the "
+        "experiment's own scale, 400 for run",
+    )
     parser.add_argument(
         "--sizes", type=_sizes, default=None, help="comma-separated sizes for sweeps"
     )
-    parser.add_argument("--k", type=int, default=100, help="number of results to return")
-    parser.add_argument("--granules", type=int, default=10, help="granules per collection")
+    parser.add_argument(
+        "--k",
+        type=int,
+        default=None,
+        help="number of results to return; default: the experiment's own, 100 for "
+        "run and streaming",
+    )
+    parser.add_argument(
+        "--granules",
+        type=int,
+        default=None,
+        help="granules per collection; default: the experiment's own, 10 for run "
+        "and streaming",
+    )
     parser.add_argument(
         "--algorithm",
         choices=available_algorithms(),
@@ -478,6 +468,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if argv[0] == "serve":
             return serving_cli.serve_main(argv[1:])
         return serving_cli.load_main(argv[1:])
+    if argv[:1] == ["reproduce"]:
+        argparse.ArgumentParser(
+            prog="python -m repro.experiments reproduce",
+            description="Run every FIGURES row and print REPRODUCTION.md.",
+        ).parse_args(argv[1:])
+        print(reproduction(), end="")
+        return 0
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_algorithms:

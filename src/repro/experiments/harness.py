@@ -1,10 +1,9 @@
-"""Experiment harness: result tables and registry-dispatched runners.
+"""Experiment harness: result tables and the generic one-query driver.
 
-Every figure/table driver returns a :class:`ResultTable` whose rows are the series
-the paper plots (one row per configuration point).  Benchmarks print these tables
-so the reproduction numbers can be compared against the paper's shapes, and
-EXPERIMENTS.md records one captured run.  All query evaluation dispatches through
-the :data:`repro.plan.REGISTRY`; nothing in this module (or the figure drivers)
+Every experiment returns a :class:`ResultTable` whose rows are the series the
+paper plots (one row per configuration point); REPRODUCTION.md records every
+``FIGURES`` row's table.  All query evaluation dispatches through the
+:data:`repro.plan.REGISTRY`; nothing in this module (or ``figures.py``)
 branches on a concrete algorithm.
 """
 
@@ -14,23 +13,13 @@ import csv
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
-from ..core import LocalJoinConfig, TKIJResult
 from ..datagen.synthetic import SyntheticConfig, generate_collections
 from ..mapreduce import ClusterConfig
-from ..plan import ExecutionContext, RunReport, get_algorithm
-from ..query.graph import RTJQuery
-from ..solver import BranchAndBoundSolver
+from ..plan import ExecutionContext, get_algorithm
 
-__all__ = [
-    "ResultTable",
-    "TKIJRunConfig",
-    "run_tkij",
-    "run_algorithm",
-    "run_single_query",
-    "summarize",
-]
+__all__ = ["ResultTable", "run_single_query"]
 
 RESULTS_DIR = Path("benchmarks") / "results"
 """Default directory for tables written by the CLI's ``--output``."""
@@ -127,84 +116,9 @@ def _fmt(value: Any) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.4g}"
+        # Counts arrive as floats from describe(); print them whole.
+        return f"{value:.0f}" if value.is_integer() else f"{value:.4g}"
     return str(value)
-
-
-@dataclass(frozen=True)
-class TKIJRunConfig:
-    """One TKIJ configuration point of an experiment: what TKIJ computes.
-
-    How the engine runs (reducers, backend, shuffle transfer, memory budget,
-    fault knobs) is the :class:`~repro.mapreduce.ClusterConfig` of the
-    :class:`~repro.plan.ExecutionContext` the run executes in.  ``plan``
-    selects who configures the evaluator: ``manual`` uses this config's knobs
-    verbatim, ``auto`` lets the cost-based :class:`repro.plan.AutoPlanner`
-    price granularity and join kernel from exact bucket counts.
-    """
-
-    num_granules: int = 20
-    strategy: str = "loose"
-    assigner: str = "dtb"
-    use_index: bool = True
-    early_termination: bool = True
-    solver_max_nodes: int = 64
-    plan: str = "manual"
-    kernel: str | None = None
-    """Local-join kernel.  ``None`` defers: scalar under manual planning, the
-    planner's pick under ``plan="auto"``.  An explicit value always wins."""
-
-    def plan_knobs(self) -> dict[str, Any]:
-        """The TKIJ plan knobs encoded by this configuration."""
-        knobs: dict[str, Any] = {
-            "mode": self.plan,
-            "num_granules": self.num_granules,
-            "strategy": self.strategy,
-            "assigner": self.assigner,
-            "join_config": LocalJoinConfig(
-                use_index=self.use_index,
-                early_termination=self.early_termination,
-                kernel=self.kernel or "scalar",
-            ),
-            "solver": BranchAndBoundSolver(max_nodes=self.solver_max_nodes),
-        }
-        if self.kernel is not None:
-            # Forwarded as an explicit knob so it beats the auto planner's pick.
-            knobs["kernel"] = self.kernel
-        return knobs
-
-
-def run_tkij(
-    query: RTJQuery,
-    config: TKIJRunConfig | None = None,
-    context: ExecutionContext | None = None,
-) -> TKIJResult:
-    """Run one query under one configuration and return the execution report.
-
-    Dispatches through the algorithm registry (``repro.plan.REGISTRY['tkij']``).
-    Pass ``context`` to share worker pools *and* the statistics cache across many
-    queries (figure drivers do — phase (a) then runs once per dataset); without
-    it a transient default :class:`ExecutionContext` lives only for this call.
-    """
-    config = config or TKIJRunConfig()
-    owns_context = context is None
-    context = context or ExecutionContext()
-    try:
-        report = get_algorithm("tkij").run(query, context, **config.plan_knobs())
-        return report.raw
-    finally:
-        if owns_context:
-            context.close()
-
-
-def run_algorithm(
-    name: str,
-    query: RTJQuery,
-    context: ExecutionContext,
-    **knobs: Any,
-) -> RunReport:
-    """Run any registered algorithm on a query and return its execution report."""
-    return get_algorithm(name).run(query, context, **knobs)
 
 
 def run_single_query(
@@ -265,13 +179,4 @@ def run_single_query(
     if report.explanation is not None:
         for index, reason in enumerate(report.explanation.reasons):
             table.add_row(metric=f"plan_reason_{index}", value=reason)
-    return table
-
-
-def summarize(results: Mapping[str, TKIJResult], keys: Sequence[str]) -> ResultTable:
-    """Tabulate selected metrics of several named runs."""
-    table = ResultTable(title="TKIJ runs", columns=["run", *keys])
-    for name, result in results.items():
-        summary = result.describe()
-        table.add_row(run=name, **{key: summary.get(key) for key in keys})
     return table

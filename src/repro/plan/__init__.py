@@ -5,8 +5,8 @@ This package is the dispatch substrate of the evaluation stack:
 * :class:`Algorithm` — the plan/execute protocol every strategy implements;
 * :data:`REGISTRY` / :func:`get_algorithm` — the unified algorithm registry
   (``tkij``, ``tkij-streaming``, ``naive``, ``allmatrix``, ``rccis``,
-  ``sql-oracle``) the harness, figure drivers, CLI and query server dispatch
-  through;
+  ``sql-oracle``) the harness, the figure table, CLI and query server
+  dispatch through;
 * :class:`ExecutionContext` — cluster config, shared execution backend and the
   :class:`StatisticsCache` reusing TKIJ's query-independent phase (a) across
   queries (incrementally maintained on updates);

@@ -1,8 +1,8 @@
 """The ``Algorithm`` protocol: plan an execution, then execute the plan.
 
 Every evaluation strategy in the repository — TKIJ and the three baselines —
-implements the same two-step interface so that the experiment harness, figure
-drivers and CLI can dispatch through the registry without per-algorithm
+implements the same two-step interface so that the experiment harness, the
+figure table and CLI can dispatch through the registry without per-algorithm
 branches:
 
 * :meth:`Algorithm.plan` turns a query plus an :class:`ExecutionContext` (and

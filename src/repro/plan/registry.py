@@ -1,7 +1,7 @@
 """The unified algorithm registry.
 
 ``REGISTRY`` maps algorithm names to :class:`~repro.plan.Algorithm` instances;
-the experiment harness, figure drivers and CLI dispatch exclusively through it,
+the experiment harness, the figure table and CLI dispatch exclusively through it,
 so adding a new distributed strategy is one ``register`` call — no driver or
 CLI change.
 """

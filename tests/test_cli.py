@@ -38,6 +38,7 @@ class TestParser:
         expected = {
             "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
             "effect-k", "statistics", "run", "streaming",
+            "ablation-assigners", "ablation-local-join",
         }
         assert set(EXPERIMENTS) == expected
 
@@ -277,20 +278,7 @@ class TestOptionGroups:
         assert flags[-2] in err
         assert "Traceback" not in err
 
-    DRIVERS = (
-        "figure7_score_distribution",
-        "figure8_workload_distribution",
-        "figure9_topbuckets_strategies",
-        "figure10_granules",
-        "figure11_scalability",
-        "figure12_network_distribution",
-        "figure13_network_scalability",
-        "figure14_network_effect_k",
-        "effect_of_k_synthetic",
-        "statistics_collection_times",
-        "figure_streaming",
-        "run_single_query",
-    )
+    DRIVERS = ("run_figure", "figure_streaming", "run_single_query")
 
     def test_every_engine_experiment_receives_the_built_cluster(self, monkeypatch, capsys):
         from repro.experiments import cli
@@ -300,7 +288,7 @@ class TestOptionGroups:
         calls = []
 
         def spy(name):
-            def driver(**kwargs):
+            def driver(*args, **kwargs):
                 calls.append((name, kwargs))
                 return ResultTable(name, ["metric"])
 
@@ -315,7 +303,7 @@ class TestOptionGroups:
         )
         assert cli.engine_cluster(build_parser().parse_args(["fig8", *flags])) == expected
         engine_experiments = [n for n, e in EXPERIMENTS.items() if "engine" in e.reads]
-        assert len(engine_experiments) == 10
+        assert len(engine_experiments) == 12
         for experiment in engine_experiments:
             calls.clear()
             assert main([experiment, *flags]) == 0

@@ -1,21 +1,9 @@
-"""Tests for the experiment harness and (smoke-level) the figure drivers."""
+"""Tests for the experiment harness's result table (the FIGURES rows are
+covered by tests/test_figures.py)."""
 
 import pytest
 
-from repro.datagen import NetworkTraceConfig
-from repro.experiments import (
-    ResultTable,
-    TKIJRunConfig,
-    build_query,
-    figure7_score_distribution,
-    figure12_network_distribution,
-    network_collections,
-    run_tkij,
-    statistics_collection_times,
-)
-from repro.experiments.harness import summarize
-from repro.mapreduce import ClusterConfig
-from repro.plan import ExecutionContext
+from repro.experiments import ResultTable
 
 
 class TestResultTable:
@@ -33,6 +21,11 @@ class TestResultTable:
         assert "My title" in text
         assert "alpha" in text
         assert "0.1235" in text
+
+    def test_whole_floats_print_as_integers(self):
+        table = ResultTable("t", ["count", "ratio"])
+        table.add_row(count=14168.0, ratio=0.5)
+        assert "14168" in table.to_text() and "e+04" not in table.to_text()
 
     def test_to_text_empty(self):
         table = ResultTable("empty", ["x"])
@@ -76,53 +69,3 @@ class TestResultTable:
         written = table.save(target)
         assert written == target
         assert written.read_text().splitlines()[0] == "a"
-
-
-class TestRunConfig:
-    def test_plan_knobs_apply_settings(self):
-        config = TKIJRunConfig(
-            num_granules=7, strategy="two-phase", assigner="lpt", kernel="vector"
-        )
-        knobs = config.plan_knobs()
-        assert knobs["num_granules"] == 7
-        assert knobs["strategy"] == "two-phase"
-        assert knobs["assigner"] == "lpt"
-        assert knobs["kernel"] == knobs["join_config"].kernel == "vector"
-
-    def test_run_tkij_and_summarize(self, tiny_collections):
-        query = build_query("Qb,b", tiny_collections, "P1", k=5)
-        with ExecutionContext(cluster=ClusterConfig(num_reducers=2)) as context:
-            result = run_tkij(query, TKIJRunConfig(num_granules=3), context=context)
-        assert len(result.results) == 5
-        table = summarize({"run": result}, ["seconds_total", "min_kth_score"])
-        assert table.column("run") == ["run"]
-        assert table.column("seconds_total")[0] > 0
-
-
-class TestFigureDrivers:
-    def test_figure7_small(self):
-        table = figure7_score_distribution(size=60, ranks=(1, 10))
-        assert len(table.rows) == 4
-        predicates = table.column("predicate")
-        assert "s-before" in predicates
-        # before has by far the most perfect-scoring pairs (paper Figure 7).
-        perfect = dict(zip(predicates, table.column("perfect_scores")))
-        assert perfect["s-before"] >= perfect["s-starts"]
-
-    def test_figure12_distribution(self):
-        table = figure12_network_distribution(
-            NetworkTraceConfig(num_sessions=300), seed=3, num_bins=5
-        )
-        percentages = [row for row in table.column("start_pct_tuples") if row is not None]
-        assert sum(percentages) == pytest.approx(100.0, abs=1.0)
-
-    def test_network_collections_copies(self):
-        copies = network_collections(NetworkTraceConfig(num_sessions=120), seed=2, copies=3)
-        assert len(copies) == 3
-        assert len(copies[0]) == len(copies[1]) == len(copies[2])
-        assert copies[0].name != copies[1].name
-
-    def test_statistics_collection_times(self):
-        table = statistics_collection_times(sizes=(200, 400), num_granules=5)
-        assert table.column("size") == [200, 400]
-        assert all(seconds >= 0 for seconds in table.column("seconds"))

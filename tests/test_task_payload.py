@@ -16,7 +16,6 @@ import pickletools
 import pytest
 
 from repro.baselines import AllMatrixJoin
-from repro.core import TKIJ, LocalJoinConfig
 from repro.datagen import SyntheticConfig, generate_collections
 from repro.experiments import build_query
 from repro.mapreduce import (
@@ -27,6 +26,7 @@ from repro.mapreduce import (
     SerialBackend,
 )
 from repro.mapreduce.backends import MapTask, ReduceTask
+from repro.plan import ExecutionContext, get_algorithm
 
 INTERVAL = "repro.temporal.interval Interval"
 COLLECTION = "repro.temporal.interval IntervalCollection"
@@ -68,9 +68,9 @@ def run_tkij(query, kernel: str, granules: int, plan: FaultPlan | None = None):
     spy = PicklingSpy()
     backend = spy if plan is None else FaultInjectingBackend(spy, plan)
     cluster = ClusterConfig(num_reducers=6, num_mappers=3)
-    config = LocalJoinConfig(kernel=kernel)
-    with TKIJ(granules, cluster=cluster, join_config=config, backend=backend) as tkij:
-        return tkij.execute(query), spy
+    with ExecutionContext(cluster=cluster, backend=backend) as context:
+        report = get_algorithm("tkij").run(query, context, num_granules=granules, kernel=kernel)
+    return report.raw, spy
 
 
 @pytest.fixture(scope="module")

@@ -13,18 +13,14 @@ from repro.core import (
     run_pipeline,
 )
 from repro.experiments import PARAMETERS, build_query
+from repro.plan import ExecutionContext, get_algorithm
 from repro.solver import BranchAndBoundSolver
 
 
-def run_tkij(query, **kwargs):
-    defaults = dict(
-        num_granules=4,
-        strategy="loose",
-        assigner="dtb",
-        cluster=ClusterConfig(num_reducers=4, num_mappers=2),
-    )
-    defaults.update(kwargs)
-    return TKIJ(**defaults).execute(query)
+def run_tkij(query, cluster=ClusterConfig(num_reducers=4, num_mappers=2), **knobs):
+    """Evaluate ``query`` through the registry; returns the TKIJ report."""
+    with ExecutionContext(cluster=cluster) as context:
+        return get_algorithm("tkij").run(query, context, **{"num_granules": 4, **knobs}).raw
 
 
 def assert_matches_naive(result, query):
