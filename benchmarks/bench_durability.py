@@ -1,14 +1,15 @@
-"""Durability benchmark — a checkpointing server journals the change, not the world.
+"""Durability benchmark — a checkpointing server logs the change, not the world.
 
-A server started with a checkpoint path appends one digest-framed record per
-state-changing verb to ``<checkpoint>.journal`` and rewrites its snapshot
-only when the journal has grown to the snapshot's size (DESIGN.md §13).
-Two gates, both exact (no timing ratio), so the step is blocking in CI:
+A server started with a checkpoint path keeps one file: a log whose first
+record is a snapshot, to which it appends one digest-framed record per
+state-changing verb; it rewrites the file as one fresh snapshot only when the
+changes have grown to the snapshot's size (DESIGN.md §13).  Two gates, both
+exact (no timing ratio), so the step is blocking in CI:
 
 * **O(change) writes.** One tick of a stream — three ``ingest`` of 25
   intervals and one ``tkij-streaming`` query, the ``stream_durable`` shapes —
-  appends the same number of journal bytes whether 1 or 40 other streams are
-  registered on the server.
+  grows the checkpoint file, right after a compaction, by the same number of
+  bytes whether 1 or 40 other streams are registered on the server.
 * **Crash recovery.** A single-mode ``serve --checkpoint-dir`` process is
   SIGKILLed mid-life — after a tick's ingests, before its query — and
   restarted on the same directory; the restarted server's answers to the
@@ -35,7 +36,6 @@ import time
 from pathlib import Path
 
 from repro.serving import BackgroundServer, QueryClient, QueryServer
-from repro.serving.journal import journal_path
 
 BASE = 100  # intervals a stream opens with
 BATCH = 25  # intervals per ingest
@@ -106,7 +106,7 @@ class TimedServer(QueryServer):
 
 
 def tick_cost(scratch: Path, others: int) -> tuple[int, float]:
-    """Journal bytes of one tick of stream ``T`` and the median persist
+    """Log bytes of one tick of stream ``T`` and the median persist
     milliseconds of its writes, with ``others`` other streams opened first."""
     path = scratch / f"others-{others}" / "server.ckpt"
     server = TimedServer(checkpoint_path=path)
@@ -120,13 +120,13 @@ def tick_cost(scratch: Path, others: int) -> tuple[int, float]:
             async def compact() -> None:
                 server.checkpoint(path)
 
-            # Start the tick's records on a fresh journal, so no compaction
-            # falls inside the tick being measured.
+            # Start the tick's records right after a fresh snapshot, so no
+            # compaction falls inside the tick being measured.
             background.run_coroutine(compact())
-            before = journal_path(path).stat().st_size
+            before = path.stat().st_size
             server.persist_seconds.clear()
             tick(client, "T", 0)
-            written = journal_path(path).stat().st_size - before
+            written = path.stat().st_size - before
     finally:
         background.stop()
     return written, statistics.median(server.persist_seconds) * 1000.0
@@ -205,7 +205,7 @@ def durability() -> dict[str, float]:
         reference, resumed = crash_and_resume(Path(scratch))
         assert resumed == reference
     return {
-        "tick_journal_bytes": alone_bytes,
+        "tick_log_bytes": alone_bytes,
         "persist_ms_1_stream": alone_ms,
         f"persist_ms_{CROWD}_streams": crowd_ms,
     }

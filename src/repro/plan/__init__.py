@@ -29,7 +29,7 @@ from .algorithms import (
     TKIJAlgorithm,
     resolve_join_config,
 )
-from .context import ExecutionContext, StatisticsCache, atomic_pickle_dump
+from .context import ExecutionContext, StatisticsCache
 from .feedback import PlanCache, query_fingerprint, statistics_fingerprint
 from .planner import AutoPlanner, PlanExplanation
 from .registry import REGISTRY, available_algorithms, get_algorithm, register
@@ -48,7 +48,6 @@ __all__ = [
     "resolve_join_config",
     "ExecutionContext",
     "StatisticsCache",
-    "atomic_pickle_dump",
     "AutoPlanner",
     "PlanExplanation",
     "PlanCache",

@@ -12,23 +12,20 @@ collections change.
 from __future__ import annotations
 
 import copy as _copy
-import hashlib
-import itertools
 import math
-import os
-import pickle
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from ..core.statistics import (
     DatasetStatistics,
     collect_statistics,
     update_statistics,
 )
+from ..durable import read_log, write_log
 from ..mapreduce import ClusterConfig, ExecutionBackend, create_cluster_backend
 from ..temporal.interval import Interval, IntervalCollection
 
@@ -39,11 +36,8 @@ __all__ = [
     "ExecutionContext",
     "StatisticsCache",
     "StatisticsKey",
-    "atomic_pickle_dump",
-    "atomic_write",
     "checked_snapshot",
     "malformed_checkpoint",
-    "read_checkpoint",
 ]
 
 CHECKPOINT_KIND = "execution-context"
@@ -94,101 +88,6 @@ class _CacheChanges:
         self.changed.discard(key)
         self.moved.pop(key, None)
         self.dropped.add(key)
-
-
-_staging_ids = itertools.count()
-
-_FRAME_HEADER = b"repro-checkpoint\n\x01"  # a magic line, then the frame format version
-_DIGEST_SIZE = 32  # the header is followed by the pickle's blake2b digest, then the pickle
-
-
-def _digest(body: bytes | memoryview) -> bytes:
-    return hashlib.blake2b(body, digest_size=_DIGEST_SIZE).digest()
-
-
-def atomic_write(path: str | Path, write: Callable[[BinaryIO], object]) -> int:
-    """Publish the file ``write(handle)`` writes at ``path`` via a unique
-    staging sibling + rename; returns the file's size.
-
-    The staging name carries the writer's pid and a process-local counter, so
-    concurrent writers of the *same* path never interleave write/rename on a
-    shared staging file (each rename atomically publishes one complete file;
-    last writer wins).  A crash mid-write leaves only a staging sibling
-    behind, never a torn ``path``; a failed write cleans its staging file up
-    before re-raising.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    staging = path.with_name(f"{path.name}.tmp.{os.getpid()}.{next(_staging_ids)}")
-    try:
-        with open(staging, "wb") as handle:
-            write(handle)
-            size = handle.seek(0, os.SEEK_END)
-        os.replace(staging, path)
-    except BaseException:
-        staging.unlink(missing_ok=True)
-        raise
-    return size
-
-
-class _HashingWriter:
-    """A file wrapper that hashes every chunk written through it."""
-
-    def __init__(self, handle: BinaryIO) -> None:
-        self.handle = handle
-        self.hash = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-
-    def write(self, chunk: bytes) -> int:
-        self.hash.update(chunk)
-        return self.handle.write(chunk)
-
-
-def atomic_pickle_dump(path: str | Path, payload: Any) -> int:
-    """Pickle ``payload`` to ``path`` framed, atomically (:func:`atomic_write`);
-    returns the file's size.
-
-    The frame is a magic line, a format version byte, the blake2b digest of
-    the pickle, then the pickle — :func:`read_checkpoint` checks all three
-    before it unpickles a byte.  The pickle streams into the file as it is
-    made, hashed on the way, and its digest is written into the header last,
-    so no copy of the whole pickle is ever held in memory.
-    """
-
-    def write(handle: BinaryIO) -> None:
-        handle.write(_FRAME_HEADER + bytes(_DIGEST_SIZE))
-        body = _HashingWriter(handle)
-        pickle.dump(payload, body, protocol=pickle.HIGHEST_PROTOCOL)
-        handle.seek(len(_FRAME_HEADER))
-        handle.write(body.hash.digest())
-
-    return atomic_write(path, write)
-
-
-def read_checkpoint(
-    source: "Mapping[str, Any] | str | Path", kind: str, version: int
-) -> Mapping[str, Any]:
-    """The snapshot ``source`` holds (a mapping, or the path of a file
-    :func:`atomic_pickle_dump` wrote), checked by :func:`checked_snapshot`.
-
-    Every failure raises :class:`ValueError`.  A file is unpickled only when
-    its frame and digest match, so a truncated or bit-flipped file — or one
-    written before files were framed — is refused before ``pickle.loads``
-    sees it; whatever unpickling still raises (a class that no longer
-    exists, say) is reported as the same unreadable checkpoint.
-    """
-    if isinstance(source, (str, Path)):
-        try:
-            data = Path(source).read_bytes()
-            digest_end = len(_FRAME_HEADER) + _DIGEST_SIZE
-            body = memoryview(data)[digest_end:]
-            if not data.startswith(_FRAME_HEADER):
-                raise ValueError("not a checkpoint file of this frame format")
-            if data[len(_FRAME_HEADER) : digest_end] != _digest(body):
-                raise ValueError("digest mismatch: the file is truncated or corrupted")
-            source = pickle.loads(body)
-        except Exception as error:
-            raise ValueError(f"cannot read checkpoint {str(source)!r}: {error!r}") from error
-    return checked_snapshot(source, kind, version)
 
 
 def checked_snapshot(snapshot: Any, kind: str, version: int) -> Mapping[str, Any]:
@@ -280,7 +179,7 @@ class StatisticsCache:
 
     Change tracking: after the first :meth:`take_changes` call the cache
     records which keys every operation changed, made most-recently-used or
-    dropped, so a journal can persist only what changed (DESIGN.md §13).
+    dropped, so a durable server can log only what changed (DESIGN.md §13).
     """
 
     def __init__(self, max_entries: int | None = None) -> None:
@@ -702,10 +601,11 @@ class ExecutionContext:
         The snapshot captures the statistics cache and every per-stream
         evaluator state — everything a streaming evaluator needs to resume from
         the last committed batch after the process dies.  With ``path`` the
-        snapshot is additionally pickled to disk via :func:`atomic_pickle_dump`
-        (unique staging sibling, then rename), so a crash *during*
-        checkpointing leaves the previous checkpoint intact and concurrent
-        checkpointers of one path never tear each other's staging file.
+        snapshot is additionally written there as a one-record checkpoint log
+        (:func:`repro.durable.write_log`: unique staging sibling, then
+        rename), so a crash *during* checkpointing leaves the previous
+        checkpoint intact and concurrent checkpointers of one path never tear
+        each other's staging file.
         Cluster shape, worker pools and the plan cache are *not* captured: a
         restored context keeps its own.
 
@@ -724,7 +624,7 @@ class ExecutionContext:
                 },
             }
             if path is not None:
-                atomic_pickle_dump(path, snapshot)
+                write_log(path, snapshot)
         return snapshot
 
     def take_changes(self, settled: bool = True) -> dict[str, Any] | None:
@@ -768,7 +668,12 @@ class ExecutionContext:
         context as it was.  Returns ``self`` for chaining
         (``ExecutionContext().restore(path)``).
         """
-        self.stage_restore(read_checkpoint(source, CHECKPOINT_KIND, CHECKPOINT_VERSION))()
+        snapshot = source
+        if isinstance(source, (str, Path)):
+            snapshot, changes = read_log(source)
+            if changes:
+                raise ValueError(f"{str(source)!r} holds changes: not a context checkpoint")
+        self.stage_restore(snapshot)()
         return self
 
     def stage_restore(self, snapshot: Mapping[str, Any]) -> Callable[[], None]:

@@ -67,11 +67,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "directory for server checkpoints: a snapshot (server.ckpt, or "
-            "worker-<n>.ckpt per worker) and beside it the journal of every "
-            "change since (server.ckpt.journal); a restart or respawn restores "
-            "both (default: supervisor mode uses a private directory removed "
-            "on exit; single mode does not checkpoint)"
+            "directory for server checkpoints: one file (server.ckpt, or "
+            "worker-<n>.ckpt per worker) holding a snapshot and every change "
+            "since; a restart or respawn restores it (default: supervisor "
+            "mode uses a private directory removed on exit; single mode does "
+            "not checkpoint)"
         ),
     )
     add_server_flags(parser)

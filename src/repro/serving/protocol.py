@@ -161,7 +161,7 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 def intervals(name: str, value: Any) -> list[Interval]:
     """The ``[[uid, start, end], ...]`` wire form as intervals: an int64 uid
-    (the width of the columns collections are joined and journaled in) and
+    (the width of the columns collections are joined and checkpointed in) and
     finite numeric endpoints with ``start <= end``."""
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a list of [uid, start, end], got {reprlib.repr(value)}")

@@ -27,14 +27,12 @@ from __future__ import annotations
 import argparse
 import asyncio
 import itertools
-import pickle
-import secrets
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from ..checks import (
     KnobCheck,
@@ -48,7 +46,9 @@ from ..checks import (
     positive_seconds,
     string,
 )
+from ..columnar.columns import IntervalColumns
 from ..datagen.synthetic import SyntheticConfig, generate_uniform_collection
+from ..durable import Appender, encode, read_log, write_log
 from ..experiments.workloads import PARAMETERS, QUERIES, build_query
 from ..mapreduce import (
     CancelToken,
@@ -61,18 +61,10 @@ from ..mapreduce import (
 )
 from ..plan import ExecutionContext, PlanCache, REGISTRY, get_algorithm
 from ..plan.algorithm import Algorithm, RunReport
-from ..plan.context import atomic_pickle_dump, malformed_checkpoint, read_checkpoint
+from ..plan.context import checked_snapshot, malformed_checkpoint
 from ..query.graph import RTJQuery
 from ..streaming.collection import StreamingCollection
-from ..temporal.interval import IntervalCollection
-from .journal import (
-    Journal,
-    collection_state,
-    interval_columns,
-    journal_path,
-    read_journal,
-    rebuild_collection,
-)
+from ..temporal.interval import Interval, IntervalCollection
 from .protocol import (
     E_BAD_REQUEST,
     E_BUSY,
@@ -108,9 +100,9 @@ __all__ = [
 ]
 
 SERVER_CHECKPOINT_KIND = "query-server"
-SERVER_CHECKPOINT_VERSION = 2
+SERVER_CHECKPOINT_VERSION = 3
 
-#: The verbs that can change durable state; a checkpointing server journals
+#: The verbs that can change durable state; a checkpointing server logs
 #: what each of them changed before it replies.
 JOURNALED_VERBS = frozenset({"register", "load", "ingest", "query"})
 
@@ -319,7 +311,7 @@ class QueryServer:
         self.host = host
         self.port = port
         self.worker_id = worker_id
-        self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
+        self.checkpoint_path = Path(checkpoint_path).resolve() if checkpoint_path else None
         self.admission = AdmissionController(self.settings.max_inflight, self.settings.max_queue)
         self.metrics = ServerMetrics()
         self.collections: dict[str, IntervalCollection] = {}
@@ -332,7 +324,7 @@ class QueryServer:
         # collection -> seq -> (staged, pending_batches) of the ingest's reply
         self._ingest_seqs: dict[str, dict[int, tuple[int, int]]] = {}
         self._ops: list[tuple[str, str, Any]] = []
-        self._journal: Journal | None = None
+        self._log: Appender | None = None
         self._snapshot_size = 0
         self._executor = ThreadPoolExecutor(
             max_workers=self.settings.max_inflight, thread_name_prefix="repro-serve"
@@ -379,7 +371,7 @@ class QueryServer:
         for token in tuple(self._inflight_tokens):
             token.cancel("server stopping")
         self._executor.shutdown(wait=True, cancel_futures=True)
-        self._close_journal()
+        self._close_log()
         self.shutdown_requested.set()
 
     # ------------------------------------------------------- checkpoint / drain
@@ -393,24 +385,24 @@ class QueryServer:
         ingests from before the crash.
 
         Without ``path`` it returns the snapshot, deep-copied.  With one it
-        pickles the live state under the statistics lock — no copy — and
-        publishes the file by an atomic write-then-rename.  Writing to the
-        server's own ``checkpoint_path`` is a compaction (DESIGN.md §13):
-        the snapshot gets a new generation and the journal starts empty.
+        pickles the live state under the statistics lock — no copy — into a
+        fresh one-record log published by an atomic write-then-rename.
+        Writing to the server's own ``checkpoint_path``, however spelled, is
+        a compaction (DESIGN.md §13): later changes append to that file.
         """
         if path is None:
             return self._snapshot(copy=True)
-        if Path(path) == self.checkpoint_path:
+        if Path(path).resolve() == self.checkpoint_path:
             self._compact()
         else:
-            self._write_snapshot(Path(path))
+            with self.context.statistics.lock:
+                write_log(path, self._snapshot(copy=False))
         return None
 
-    def _snapshot(self, copy: bool, generation: int | None = None) -> dict[str, Any]:
+    def _snapshot(self, copy: bool) -> dict[str, Any]:
         return {
             "kind": SERVER_CHECKPOINT_KIND,
             "version": SERVER_CHECKPOINT_VERSION,
-            "generation": generation,
             "context": self.context.checkpoint(copy=copy),
             "collections": {
                 name: collection_state(collection)
@@ -419,32 +411,18 @@ class QueryServer:
             "ingest_seqs": {name: dict(table) for name, table in self._ingest_seqs.items()},
         }
 
-    def _write_snapshot(self, path: Path, generation: int | None = None) -> int:
-        """Write a snapshot to ``path``; returns its size.
-
-        With a ``generation`` it is the compaction snapshot: every change
-        recorded for the journal so far is in it, so the records-to-be are
-        forgotten in the same critical section.
-        """
-        with self.context.statistics.lock:
-            if generation is not None:
-                self._ops.clear()
-                self.context.take_changes(settled=self.admission.inflight == 0)
-            return atomic_pickle_dump(path, self._snapshot(copy=False, generation=generation))
-
     def restore_state(self, source: "Mapping[str, Any] | str | Path") -> "QueryServer":
-        """Restore a :meth:`checkpoint` (a snapshot dict or a snapshot path).
+        """Restore a :meth:`checkpoint` (a snapshot dict or a checkpoint log's path).
 
-        A path's journal is replayed when its header names the snapshot's
-        generation.  Returns ``self`` for chaining; raises
-        :class:`ValueError` on anything that is not a readable server
-        checkpoint, before any state is replaced — a worker booting from a
-        corrupt file starts cold instead of crash-looping.
+        A log's changes are replayed onto its snapshot.  Returns ``self`` for
+        chaining; raises :class:`ValueError` on anything that is not a
+        readable server checkpoint, before any state is replaced — a worker
+        booting from a corrupt file starts cold instead of crash-looping.
         """
-        snapshot = read_checkpoint(source, SERVER_CHECKPOINT_KIND, SERVER_CHECKPOINT_VERSION)
-        records: list[bytes] = []
-        if isinstance(source, (str, Path)) and snapshot.get("generation") is not None:
-            records = read_journal(journal_path(Path(source)), snapshot["generation"])
+        changes: list[Any] = []
+        if isinstance(source, (str, Path)):
+            source, changes = read_log(source)
+        snapshot = checked_snapshot(source, SERVER_CHECKPOINT_KIND, SERVER_CHECKPOINT_VERSION)
         with malformed_checkpoint(SERVER_CHECKPOINT_KIND):
             context = snapshot["context"]
             collections = {
@@ -454,24 +432,23 @@ class QueryServer:
             ingest_seqs = {
                 name: dict(table) for name, table in dict(snapshot["ingest_seqs"]).items()
             }
-            for body in records:
-                record = pickle.loads(body)
-                for op in record["ops"]:
+            for change in changes:
+                for op in change["ops"]:
                     _replay(op, collections, ingest_seqs)
-                if record["context"] is not None:
-                    ExecutionContext.apply_changes(context, record["context"])
+                if change["context"] is not None:
+                    ExecutionContext.apply_changes(context, change["context"])
             swap_context = self.context.stage_restore(context)
         swap_context()
         self.collections = collections
         self._ingest_seqs = ingest_seqs
-        # The journal on disk no longer describes this state: the next
-        # journaled verb compacts first.
-        self._close_journal()
+        # The log on disk no longer describes this state: the next logged
+        # verb compacts first.
+        self._close_log()
         return self
 
-    # ---------------------------------------------------------------- journal
+    # -------------------------------------------------------------------- log
     def _record(self, kind: str, name: str, value: Any) -> None:
-        """Queue one registry change for the next journal record (when checkpointing)."""
+        """Queue one registry change for the next change record (when checkpointing)."""
         if self.checkpoint_path is not None:
             self._ops.append((kind, name, value))
 
@@ -480,47 +457,49 @@ class QueryServer:
 
         Appends one record — the queued registry changes plus the context's
         :meth:`~ExecutionContext.take_changes`, whole values — to the
-        journal, and compacts once the journal has grown to the snapshot's
-        size.  Without an open journal (first write, after a restore or a
-        failed write) it compacts instead.  A failure closes the journal, so
-        no record is ever appended after a torn one.
+        checkpoint log, and compacts once the changes have grown to the
+        snapshot's size.  Without an open log (first write, after a restore
+        or a failed write) it compacts instead.  A failure closes the log,
+        so no record is ever appended after a torn one.
         """
         if self.checkpoint_path is None:
             return
         try:
-            if self._journal is not None:
+            if self._log is not None:
                 ops = [_encoded(op) for op in self._ops]
                 self._ops.clear()
                 with self.context.statistics.lock:
                     changes = self.context.take_changes(settled=self.admission.inflight == 0)
                     body = None
                     if ops or changes is not None:
-                        record = {"ops": ops, "context": changes}
-                        body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+                        body = encode({"ops": ops, "context": changes})
                 if body is not None:
-                    self._journal.append(body)
-            if self._journal is None or self._journal.size >= self._snapshot_size:
+                    self._log.append(body)
+            if self._log is None or self._log.size >= 2 * self._snapshot_size:
                 self._compact()
         except BaseException:
-            self._close_journal()
+            self._close_log()
             raise
 
     def _compact(self) -> None:
-        """Write the snapshot under a fresh generation, then start its journal empty.
+        """Publish a fresh log holding only the snapshot, then append to it.
 
-        A crash between the two renames leaves the new snapshot beside the
-        old journal, whose header names the old generation: restore skips it,
-        so no record is applied twice.
+        Every change queued so far is in the snapshot, so the records-to-be
+        are forgotten in the same critical section.  A crash before the
+        rename leaves the previous log, which holds every acknowledged
+        change.
         """
-        self._close_journal()
-        generation = secrets.randbits(64)
-        self._snapshot_size = self._write_snapshot(self.checkpoint_path, generation)
-        self._journal = Journal.create(journal_path(self.checkpoint_path), generation)
+        self._close_log()
+        with self.context.statistics.lock:
+            self._ops.clear()
+            self.context.take_changes(settled=self.admission.inflight == 0)
+            self._snapshot_size = write_log(self.checkpoint_path, self._snapshot(copy=False))
+        self._log = Appender(self.checkpoint_path)
 
-    def _close_journal(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+    def _close_log(self) -> None:
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def begin_drain(self, timeout: float | None = None) -> None:
         """Flip to DRAINING: reject new work, finish inflight, checkpoint, exit.
@@ -709,7 +688,7 @@ class QueryServer:
                 generated[name] = collection
             return generated
 
-        # Synthetic generation is CPU work; keep the loop responsive.
+        # Synthesising the data is CPU work; keep the loop responsive.
         loop = asyncio.get_running_loop()
         generated = await loop.run_in_executor(self._executor, generate)
         self.collections.update(generated)
@@ -957,13 +936,54 @@ def _ingested(name: str, seq: int | None, staged: int, pending: int, deduped: bo
     }
 
 
+# ------------------------------------------------------------- durable form
+def _columns(intervals: Sequence[Interval]) -> IntervalColumns:
+    """A batch of intervals as columns (int64 uids, float64 endpoints)."""
+    return IntervalColumns.from_intervals(list(intervals))
+
+
+def collection_state(collection: IntervalCollection) -> dict[str, Any]:
+    """A collection in columnar form: every interval — committed, then staged —
+    and, for a stream, the sizes of its committed and staged batches."""
+    if not isinstance(collection, StreamingCollection):
+        return {"streaming": False, "intervals": _columns(collection.intervals)}
+    staged = collection.staged_batches()
+    rows = collection.intervals + [interval for batch in staged for interval in batch]
+    return {
+        "streaming": True,
+        "intervals": _columns(rows),
+        "committed": list(collection.log.sizes),
+        "staged": [len(batch) for batch in staged],
+    }
+
+
+def rebuild_collection(name: str, state: dict[str, Any]) -> IntervalCollection:
+    """The collection a :func:`collection_state` describes, rebuilt through
+    the public ingest/commit path (so uids are re-checked)."""
+    rows = state["intervals"].to_intervals()
+    if not state["streaming"]:
+        return IntervalCollection(name, list(rows))
+    committed = len(state["committed"])
+    batches = [*state["committed"], *state["staged"]]
+    cursor = len(rows) - sum(batches)
+    if cursor < 0:
+        raise ValueError(f"collection {name!r}: batch sizes exceed its intervals")
+    stream = StreamingCollection(name, rows[:cursor])
+    for index, size in enumerate(batches):
+        stream.ingest(rows[cursor : cursor + size])
+        cursor += size
+        if index < committed:
+            stream.commit_next()
+    return stream
+
+
 def _encoded(op: tuple[str, str, Any]) -> tuple[str, str, Any]:
-    """A queued registry change in its journal form (intervals as columns)."""
+    """A queued registry change in its logged form (intervals as columns)."""
     kind, name, value = op
     if kind == "new":
         return kind, name, collection_state(value)
     if kind == "stage":
-        return kind, name, interval_columns(value)
+        return kind, name, _columns(value)
     return op
 
 
@@ -972,7 +992,7 @@ def _replay(
     collections: dict[str, IntervalCollection],
     ingest_seqs: dict[str, dict[int, tuple[int, int]]],
 ) -> None:
-    """Apply one journaled registry change to state being restored."""
+    """Apply one logged registry change to state being restored."""
     kind, name, value = op
     if kind == "new":
         collections[name] = rebuild_collection(name, value)
@@ -985,9 +1005,9 @@ def _replay(
         stream = collections[name]
         while len(stream.log) < value:
             if stream.commit_next() is None:
-                raise ValueError(f"journal commits a batch {name!r} never staged")
+                raise ValueError(f"a change commits a batch {name!r} never staged")
     else:
-        raise ValueError(f"unknown journal change {kind!r}")
+        raise ValueError(f"unknown registry change {kind!r}")
 
 
 class BackgroundServer:

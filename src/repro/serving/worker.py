@@ -4,10 +4,12 @@
 repro.serving.worker`` (the module :class:`ServerSupervisor` spawns — a module,
 not a ``-c`` script, so a process listing and the CI orphan check find it):
 
-* restore the checkpoint when it exists and is readable, so a respawned
-  worker comes back warm; a corrupt checkpoint starts cold, never crash-loops;
+* restore the checkpoint file — its snapshot, then every change logged
+  after it — when it exists and is readable, so a respawned worker comes
+  back warm; a corrupt checkpoint, or one of an older format, starts cold,
+  never crash-loops;
 * drain on SIGTERM: reject new work with DRAINING, give inflight queries the
-  drain timeout, checkpoint atomically, exit 0;
+  drain timeout, rewrite the checkpoint as one fresh snapshot, exit 0;
 * announce the bound address — ``serving on HOST:PORT`` on stdout, or
   atomically to the port file the supervisor polls;
 * with a parent pid, drain when re-parented: a worker whose supervisor died

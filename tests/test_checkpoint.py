@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from repro.datagen import SyntheticConfig, generate_collections
 from repro.experiments import build_query
 from repro.mapreduce import ClusterConfig
-from repro.plan import ExecutionContext, atomic_pickle_dump, get_algorithm
-from repro.plan.context import read_checkpoint
+from repro.durable import read_log
+from repro.plan import ExecutionContext, get_algorithm
 from repro.query.graph import ResultTuple
 from repro.serving import QueryServer
 from repro.streaming import StreamState, StreamingCollection, equivalent_top_k
@@ -157,15 +157,13 @@ class TestCorruptCheckpoints:
 
     @pytest.mark.parametrize("entry", ["context", "server"])
     def test_fuzzed_files_raise_value_error_and_keep_state(self, warm, tmp_path, entry):
-        if entry == "context":
-            snapshot, target = warm.context.checkpoint(), make_context()
-            restore = ExecutionContext.restore
-        else:
-            snapshot, target = warm.checkpoint(), QueryServer(make_context())
-            restore = QueryServer.restore_state
-        restore(target, snapshot)
         path = tmp_path / "fuzzed.ckpt"
-        atomic_pickle_dump(path, snapshot)
+        if entry == "context":
+            target, restore = make_context(), ExecutionContext.restore
+            warm.context.checkpoint(path)
+        else:
+            target, restore = QueryServer(make_context()), QueryServer.restore_state
+            warm.checkpoint(path)
         restore(target, path)
         rejected = 0
         for data in corrupted(path.read_bytes(), 300, seed=36):
@@ -176,8 +174,9 @@ class TestCorruptCheckpoints:
             except ValueError:
                 rejected += 1
                 assert restorable_state(target) == before
-        # The frame's digest covers every byte after the header: no
-        # truncation or flip loads, not even one inside a value's bytes.
+        # The file is one record, the snapshot, and its digests cover every
+        # byte after the header: a cut or flip leaves no intact snapshot, so
+        # nothing loads, not even a flip inside a value's bytes.
         assert rejected == 300
 
     def test_unframed_pickle_is_refused(self, warm, tmp_path):
@@ -229,6 +228,18 @@ class TestContextCheckpoint:
         with pytest.raises(ValueError, match="cannot read"):
             make_context().restore(truncated)
 
+    def test_rejects_a_server_log_with_changes(self, tmp_path):
+        path = tmp_path / "server.ckpt"
+        server = QueryServer(checkpoint_path=path)
+        server.collections["A"] = StreamingCollection("A", [])
+        server._compact()
+        server._record("stage", "A", [])
+        server._persist()
+        server._close_log()
+        assert len(read_log(path)[1]) == 1
+        with pytest.raises(ValueError, match="holds changes"):
+            make_context().restore(path)
+
     def test_rejects_checkpoint_missing_sections(self):
         with pytest.raises(ValueError, match="missing"):
             make_context().restore({"kind": "execution-context", "version": 1})
@@ -241,7 +252,8 @@ class TestContextCheckpoint:
         snapshot = context.checkpoint(path)
         assert path.exists()
         assert not path.with_name(path.name + ".tmp").exists()
-        assert read_checkpoint(path, "execution-context", 1).keys() == snapshot.keys()
+        written, changes = read_log(path)
+        assert written.keys() == snapshot.keys() and changes == []
 
     def test_concurrent_checkpoints_never_tear_the_file(self, tmp_path, stream_source):
         # Regression: staging used to go through a fixed `<name>.tmp` sibling,

@@ -1,28 +1,31 @@
-"""The durable server's journal: replay parity, torn tails, corruption, compaction.
+"""The durable server's checkpoint log: replay parity, torn tails, corruption,
+compaction.
 
-A checkpointing :class:`QueryServer` appends one digest-framed record per
-state-changing verb to ``<checkpoint>.journal`` and rewrites the snapshot
-only when the journal has grown to the snapshot's size (DESIGN.md §13).
-Restoring snapshot + journal at any cut must rebuild exactly the state the
-uninterrupted server held — and answer the next queries identically.
+A checkpointing :class:`QueryServer` keeps one file: a log whose record 0 is
+a snapshot, followed by one digest-framed record per state-changing verb; it
+rewrites the file as one fresh snapshot only when the changes have grown to
+the snapshot's size (DESIGN.md §13).  Restoring the log at any cut must
+rebuild exactly the state the uninterrupted server held — and answer the
+next queries identically.
 """
 
 from __future__ import annotations
 
 import asyncio
 import copy
+import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.plan.context import read_checkpoint
+from repro import durable
 from repro.serving import QueryServer
-from repro.serving import journal as journal_module
-from repro.serving.journal import journal_path
 from repro.serving.protocol import encode_message
+from repro.serving.worker import run_server
 from repro.streaming import StreamingCollection
 
 STREAMS = ["S0", "S1", "S2"]
@@ -195,64 +198,78 @@ LIFE = [
 
 
 def compacted_life(tmp_path):
-    """A server after :data:`LIFE`, compacted: its next records start a fresh journal."""
+    """A server after :data:`LIFE`, compacted: its checkpoint holds only a snapshot."""
     wire, path = run(tmp_path, LIFE)
     wire.server.checkpoint(path)
     return wire, path
 
 
-def snapshot_generation(path):
-    return read_checkpoint(path, "query-server", 2)["generation"]
+def listing(directory):
+    return sorted(entry.name for entry in directory.iterdir())
 
 
-class TestTornAndCorruptJournals:
+class TestTornAndCorruptLogs:
     def test_a_truncated_last_record_restores_the_state_before_it(self, tmp_path):
         wire, path = compacted_life(tmp_path)
         apply(wire, 90, ("ingest", 2, 5, 3), uid_blocks(50_000))
-        journal = journal_path(path)
-        prefix = journal.read_bytes()
+        prefix = path.read_bytes()
         expected_before = durable_state(wire.server)
         # A query committing that batch: statistics entries and stream state.
         apply(wire, 91, ("query", "tkij-streaming", True, 4), uid_blocks(50_000))
         expected_after = durable_state(wire.server)
         wire.close()
-        data = journal.read_bytes()
+        data = path.read_bytes()
         assert data.startswith(prefix) and len(data) > len(prefix)
         for cut in range(len(prefix), len(data)):
-            journal.write_bytes(data[:cut])
+            path.write_bytes(data[:cut])
             replica = restored(path)
             assert durable_state(replica.server) == expected_before, cut
             replica.close()
-        journal.write_bytes(data)
+        path.write_bytes(data)
         replica = restored(path)
         assert durable_state(replica.server) == expected_after
         replica.close()
 
     def test_a_flipped_byte_in_an_earlier_record_is_refused(self, tmp_path):
         wire, path = compacted_life(tmp_path)
+        sizes = [path.stat().st_size]
         apply(wire, 90, ("ingest", 2, 5, 3), uid_blocks(50_000))
+        sizes.append(path.stat().st_size)
         apply(wire, 91, ("query", "tkij-streaming", True, 4), uid_blocks(50_000))
         wire.close()
-        journal = journal_path(path)
-        data = journal.read_bytes()
-        records = journal_module.read_journal(journal, snapshot_generation(path))
-        assert len(records) == 2
-        first = journal_module._HEADER_SIZE
-        for offset in range(first, first + journal_module._FRAME.size + len(records[0])):
+        data = path.read_bytes()
+        assert len(durable.read_log(path)[1]) == 2
+        for offset in range(*sizes):
             corrupt = bytearray(data)
             corrupt[offset] ^= 0x5A
-            journal.write_bytes(bytes(corrupt))
+            path.write_bytes(bytes(corrupt))
             target = QueryServer()
-            with pytest.raises(ValueError, match="journal record"):
+            with pytest.raises(ValueError, match="record at byte"):
                 target.restore_state(path)
             assert target.collections == {}
 
-    def test_a_journal_of_another_format_is_refused(self, tmp_path):
+    def test_a_file_of_another_format_is_refused(self, tmp_path):
         wire, path = compacted_life(tmp_path)
         wire.close()
-        journal_path(path).write_bytes(b"not a journal")
-        with pytest.raises(ValueError, match="not a journal"):
+        path.write_bytes(b"not a checkpoint")
+        with pytest.raises(ValueError, match="frame format"):
             QueryServer().restore_state(path)
+
+    def test_a_snapshot_beside_a_sidecar_journal_starts_the_worker_cold(self, tmp_path, capsys):
+        # The earlier two-file layout: a snapshot framed as magic, version
+        # byte 1, the pickle's digest, the pickle — plus ``<path>.journal``.
+        wire, path = compacted_life(tmp_path)
+        snapshot = {**wire.server.checkpoint(), "version": 2, "generation": 7}
+        wire.close()
+        body = pickle.dumps(snapshot)
+        digest = hashlib.blake2b(body, digest_size=32).digest()
+        path.write_bytes(b"repro-checkpoint\n\x01" + digest + body)
+        path.with_name("server.ckpt.journal").write_bytes(b"repro-journal\n\x01" + bytes(8))
+        server = QueryServer(checkpoint_path=path)
+        server.shutdown_requested.set()  # serve nothing: boot, then stop
+        assert asyncio.run(run_server(server)) == 0
+        assert "server: starting cold" in capsys.readouterr().err
+        assert server.collections == {}
 
 
 def test_replay_keeps_the_cache_lru_order_and_counters(tmp_path):
@@ -275,68 +292,103 @@ def test_replay_keeps_the_cache_lru_order_and_counters(tmp_path):
 
 
 class TestCompaction:
-    def test_crash_between_snapshot_and_journal_reset_applies_nothing_twice(
-        self, tmp_path, monkeypatch
-    ):
+    def test_changes_after_a_compaction_survive_a_restore(self, tmp_path):
         wire, path = compacted_life(tmp_path)
+        snapshot_only = path.stat().st_size
         apply(wire, 90, ("ingest", 2, 5, 3), uid_blocks(50_000))
-        old_journal = journal_path(path).read_bytes()
-
-        def crash(cls, journal, generation):
-            raise OSError("killed between the two renames")
-
-        monkeypatch.setattr(journal_module.Journal, "create", classmethod(crash))
-        with pytest.raises(OSError):
-            wire.server.checkpoint(path)
-        monkeypatch.undo()
-        # The new snapshot sits beside the old journal, whose records it holds.
-        assert journal_path(path).read_bytes() == old_journal
-        replica = restored(path)
-        assert durable_state(replica.server) == durable_state(wire.server)
-        replica.close()
-        # The failed compaction closed the journal: the next write compacts.
-        assert wire.server._journal is None
-        wire("ingest", name="S2", intervals=triples(7, 3, 20_000), seq=9)
-        assert wire.server._journal is not None
+        apply(wire, 91, ("query", "tkij-streaming", True, 4), uid_blocks(50_000))
+        assert path.stat().st_size > snapshot_only
+        assert len(durable.read_log(path)[1]) == 2
         replica = restored(path)
         assert durable_state(replica.server) == durable_state(wire.server)
         assert next_answers(replica) == next_answers(wire)
         replica.close()
         wire.close()
 
-    def test_the_journal_compacts_once_it_reaches_the_snapshot_size(self, tmp_path):
+    def test_a_failed_compaction_keeps_the_previous_log(self, tmp_path, monkeypatch):
+        wire, path = compacted_life(tmp_path)
+        apply(wire, 90, ("ingest", 2, 5, 3), uid_blocks(50_000))
+        old_log = path.read_bytes()
+
+        def full_disk(self, chunk):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(durable._HashingWriter, "write", full_disk)
+        with pytest.raises(OSError):
+            wire.server.checkpoint(path)
+        monkeypatch.undo()
+        # The previous log, which holds every acknowledged change, stays; its
+        # staging file is gone.
+        assert path.read_bytes() == old_log
+        assert listing(tmp_path) == ["server.ckpt"]
+        replica = restored(path)
+        assert durable_state(replica.server) == durable_state(wire.server)
+        replica.close()
+        # The failed compaction closed the log: the next write compacts.
+        assert wire.server._log is None
+        wire("ingest", name="S2", intervals=triples(7, 3, 20_000), seq=9)
+        assert wire.server._log is not None
+        assert durable.read_log(path)[1] == []
+        replica = restored(path)
+        assert durable_state(replica.server) == durable_state(wire.server)
+        assert next_answers(replica) == next_answers(wire)
+        replica.close()
+        wire.close()
+
+    def test_the_log_compacts_once_its_changes_reach_the_snapshot_size(self, tmp_path):
         path = tmp_path / "server.ckpt"
         wire = Wire(QueryServer(checkpoint_path=path, stats_cache_entries=2))
         wire("register", name="S", intervals=triples(1, 5, 0), streaming=True)
         sizes = []
         for tick in range(60):
             wire("ingest", name="S", intervals=triples(tick, 5, 100 + 5 * tick), seq=tick)
-            sizes.append((journal_path(path).stat().st_size, path.stat().st_size))
-        # Every write appended or compacted; the journal never outgrew the
-        # snapshot by more than the record that tipped it.
-        assert any(later < earlier for (earlier, _), (later, _) in zip(sizes, sizes[1:]))
-        assert all(journal < 2 * snapshot + 4096 for journal, snapshot in sizes)
+            sizes.append((path.stat().st_size, wire.server._snapshot_size))
+        # Every write appended or compacted; the changes never outgrew the
+        # snapshot by more than the record that tipped them.
+        compactions = sum(later < earlier for (earlier, _), (later, _) in zip(sizes, sizes[1:]))
+        assert compactions >= 2
+        assert all(size < 3 * snapshot + 4096 for size, snapshot in sizes)
+        # One file per checkpoint path, whatever the number of compactions.
+        assert listing(tmp_path) == ["server.ckpt"]
         replica = restored(path)
         assert durable_state(replica.server) == durable_state(wire.server)
         replica.close()
         wire.close()
 
-    def test_a_standalone_checkpoint_leaves_the_journal_alone(self, tmp_path):
+    def test_a_checkpoint_elsewhere_leaves_the_log_alone(self, tmp_path):
         wire, path = compacted_life(tmp_path)
         apply(wire, 90, ("ingest", 2, 5, 3), uid_blocks(50_000))
-        data = journal_path(path).read_bytes()
+        data = path.read_bytes()
         copy = tmp_path / "copy.ckpt"
         wire.server.checkpoint(copy)
-        assert journal_path(path).read_bytes() == data
-        assert not journal_path(copy).exists()
+        assert path.read_bytes() == data
+        assert durable.read_log(copy)[1] == []
         replica = restored(copy)
         assert durable_state(replica.server) == durable_state(wire.server)
+        replica.close()
+        # The server keeps appending to its own log.
+        apply(wire, 91, ("ingest", 2, 6, 3), uid_blocks(60_000))
+        assert path.read_bytes().startswith(data) and path.stat().st_size > len(data)
+        wire.close()
+
+    def test_a_checkpoint_of_its_own_path_spelled_another_way_compacts(self, tmp_path, monkeypatch):
+        # The server holds an absolute path; a relative spelling of the same
+        # file is still its own log, so later changes must survive a restore.
+        path = tmp_path / "server.ckpt"
+        wire = Wire(QueryServer(checkpoint_path=path))
+        monkeypatch.chdir(tmp_path)
+        wire("register", name="A", intervals=triples(1, 3, 0))
+        wire.server.checkpoint("server.ckpt")
+        wire("register", name="B", intervals=triples(2, 3, 100))
+        assert listing(tmp_path) == ["server.ckpt"]
+        replica = restored(path)
+        assert sorted(replica.server.collections) == ["A", "B"]
         replica.close()
         wire.close()
 
 
 def tick_bytes(tmp_path, others):
-    """Journal bytes of one tick (3 ingests + 1 query) of a stream opened after
+    """Log bytes of one tick (3 ingests + 1 query) of a stream opened after
     ``others`` other streams were opened and evaluated."""
     path = tmp_path / "server.ckpt"
     wire = Wire(QueryServer(checkpoint_path=path))
@@ -345,13 +397,13 @@ def tick_bytes(tmp_path, others):
         for index, name in enumerate(names):
             wire("register", name=name, intervals=triples(index, 20, 0), streaming=True)
         wire("query", **query(names))
-    wire.server.checkpoint(path)  # compact: the tick's records start a fresh journal
-    start = journal_path(path).stat().st_size
+    wire.server.checkpoint(path)  # compact: the tick's records follow a fresh snapshot
+    start = path.stat().st_size
     names = [f"T-{vertex}" for vertex in range(3)]
     for index, name in enumerate(names):
         wire("ingest", name=name, intervals=triples(50 + index, 5, 10_000 + 5 * index), seq=0)
     wire("query", **query(names))
-    written = journal_path(path).stat().st_size - start
+    written = path.stat().st_size - start
     wire.close()
     return written
 

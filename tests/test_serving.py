@@ -1288,12 +1288,9 @@ class TestDrainAndCheckpoint:
             assert server.shutdown_requested.wait is not None
         finally:
             background.stop()
-        # Drain compacted: the snapshot and its (empty) journal are all that
-        # is left — no staging file (``server.ckpt.tmp.<pid>.<n>``) survives.
-        assert sorted(path.name for path in tmp_path.glob("*")) == [
-            "server.ckpt",
-            "server.ckpt.journal",
-        ]
+        # Drain compacted: one file, the snapshot, is all that is left — no
+        # sidecar and no staging file (``server.ckpt.tmp.<pid>.<n>``) survives.
+        assert sorted(path.name for path in tmp_path.glob("*")) == ["server.ckpt"]
         restored = QueryServer().restore_state(checkpoint)
         assert sorted(restored.collections) == ["A", "B", "C"]
 

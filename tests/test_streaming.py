@@ -512,8 +512,9 @@ _interval_shape = st.tuples(st.integers(-400, 900), st.integers(1, 120))
 )
 def test_any_append_sequence_any_range_growth_matches_naive(base, ticks):
     """Whatever is appended, however far outside the planned range, every tick's
-    incremental answer equals the naive oracle's — with both replan rules
-    switched off, so clamped border buckets are all the evaluator has."""
+    incremental answer equals the naive oracle's and the SQL oracle's — with
+    both replan rules switched off, so clamped border buckets are all the
+    evaluator has."""
 
     def intervals(shapes, first_uid):
         return [
@@ -529,12 +530,18 @@ def test_any_append_sequence_any_range_growth_matches_naive(base, ticks):
     query = build_query("Qo,m", streams, "P1", k=6)
     algorithm = get_algorithm("tkij-streaming")
     planner = AutoPlanner(replan_cost_factor=1e9, replan_out_of_range_fraction=1.0)
-    with make_context() as context:
+
+    def matches_both_oracles(context):
         report = algorithm.run(query, context, num_granules=6, planner=planner)
         assert equivalent_top_k(report.results, naive_top_k(query))
+        sql = get_algorithm("sql-oracle").run(query, context)
+        assert equivalent_top_k(report.results, sql.results)
+        return report
+
+    with make_context() as context:
+        report = matches_both_oracles(context)
         for tick, batches in enumerate(ticks):
             for stream, shapes in zip(streams, batches):
                 stream.ingest(intervals(shapes, 100 * (tick + 1)))
-            report = algorithm.run(query, context, num_granules=6, planner=planner)
-            assert equivalent_top_k(report.results, naive_top_k(query))
+            report = matches_both_oracles(context)
         assert report.raw.replans == 0
